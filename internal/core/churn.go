@@ -145,15 +145,13 @@ func (n *Network) DiscoverIncremental(cfg DiscoverConfig, changed ...graph.EdgeI
 	if err := cfg.check(); err != nil {
 		return DiscoveryReport{}, err
 	}
-	chg := make(map[graph.EdgeID]bool, len(changed))
 	for _, id := range changed {
 		if _, ok := n.topo.Edge(id); !ok {
 			return DiscoveryReport{}, fmt.Errorf("core: incremental discovery over unknown mapping %q", id)
 		}
-		chg[id] = true
 	}
 	var rep DiscoveryReport
-	if len(chg) == 0 {
+	if len(changed) == 0 {
 		return rep, nil
 	}
 	cfgCopy := cfg
@@ -164,25 +162,10 @@ func (n *Network) DiscoverIncremental(cfg DiscoverConfig, changed ...graph.EdgeI
 	}); err != nil {
 		return DiscoveryReport{}, err
 	}
-	var cycles []graph.Cycle
-	for _, c := range n.topo.Cycles(cfg.MaxLen) {
-		for _, s := range c.Steps {
-			if chg[s.Edge] {
-				cycles = append(cycles, c)
-				break
-			}
-		}
-	}
+	cycles := n.topo.CyclesThrough(cfg.MaxLen, changed...)
 	var pairs []graph.ParallelPair
 	if !cfg.DisableParallelPaths {
-		for _, pr := range n.topo.ParallelPaths(cfg.MaxLen) {
-			for _, e := range pr.Edges() {
-				if chg[e] {
-					pairs = append(pairs, pr)
-					break
-				}
-			}
-		}
+		pairs = n.topo.ParallelPathsThrough(cfg.MaxLen, changed...)
 	}
 	rep.Structures = len(cycles) + len(pairs)
 	n.bumpInfer()

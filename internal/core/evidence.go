@@ -156,34 +156,38 @@ func (n *Network) Discover(cfg DiscoverConfig) (DiscoveryReport, error) {
 func (n *Network) installFine(rep *DiscoveryReport, cfg DiscoverConfig, cycles []graph.Cycle, pairs []graph.ParallelPair, resolve feedback.Resolver) error {
 	attrs, delta := cfg.Attrs, cfg.Delta
 	installed := make(map[string]bool)
+	sigs := make([]string, len(cycles))
+	for i, c := range cycles {
+		sigs[i] = c.Signature()
+	}
 	for _, a := range attrs {
-		for _, c := range cycles {
-			// Every peer on the cycle evaluates it for its own attributes
-			// (each rotation is a distinct origin, as with probe flooding).
-			// In networks with shared attribute names the rotations carry
-			// the same evidence ID and only the first is installed; in
-			// heterogeneous networks each origin contributes its own
-			// per-attribute instance.
-			for r := range c.Steps {
-				rot := graph.Cycle{Steps: rotateSteps(c.Steps, r)}
-				origin := rot.Steps[0].From(n.topo)
-				op := n.peers[origin]
+		for i, c := range cycles {
+			// Every peer on the cycle may evaluate it for its own attributes
+			// (each rotation is a distinct origin, as with probe flooding),
+			// but the evidence ID does not depend on the rotation: the first
+			// origin whose schema declares the attribute installs it, and
+			// the other rotations would carry the same ID.
+			id := feedback.EvidenceID(sigs[i], a)
+			if installed[id] {
+				continue
+			}
+			for r, s := range c.Steps {
+				op := n.peers[s.From(n.topo)]
 				if op == nil || !op.schema.Has(a) {
 					continue
 				}
-				ev, err := feedback.EvaluateCycle(a, rot, resolve)
+				rot := graph.Cycle{Steps: rotateSteps(c.Steps, r)}
+				ev, err := feedback.EvaluateSignedCycle(a, rot, sigs[i], resolve)
 				if err != nil {
 					return err
 				}
-				if installed[ev.ID] {
-					continue
-				}
-				installed[ev.ID] = true
+				installed[id] = true
 				dd := delta
 				if dd == 0 {
 					dd = feedback.Delta(op.schema.Len())
 				}
 				n.recordEvidence(rep, ev, a, rot.Steps, dd, false)
+				break
 			}
 		}
 		for _, pr := range pairs {

@@ -112,11 +112,24 @@ func followSteps(attr schema.Attribute, steps []graph.Step, resolve Resolver) (s
 // EvaluateCycle compares attr (an attribute of the cycle's starting peer)
 // with its image after the full cycle (§3.2.1).
 func EvaluateCycle(attr schema.Attribute, c graph.Cycle, resolve Resolver) (Evidence, error) {
+	return EvaluateSignedCycle(attr, c, c.Signature(), resolve)
+}
+
+// EvidenceID is the ID of the evidence a structure with the given signature
+// yields for attr.
+func EvidenceID(signature string, attr schema.Attribute) string {
+	return signature + "@" + string(attr)
+}
+
+// EvaluateSignedCycle is EvaluateCycle for a caller that already holds
+// c.Signature(). The signature does not depend on where the cycle starts, so
+// a caller that tries several rotations or attributes computes it once.
+func EvaluateSignedCycle(attr schema.Attribute, c graph.Cycle, signature string, resolve Resolver) (Evidence, error) {
 	if len(c.Steps) == 0 {
 		return Evidence{}, fmt.Errorf("feedback: empty cycle")
 	}
 	ev := Evidence{
-		ID:       c.Signature() + "@" + string(attr),
+		ID:       EvidenceID(signature, attr),
 		Attr:     attr,
 		Mappings: c.Edges(),
 	}
@@ -146,7 +159,7 @@ func EvaluateParallel(attr schema.Attribute, p graph.ParallelPair, resolve Resol
 		return Evidence{}, fmt.Errorf("feedback: parallel pair with empty path")
 	}
 	ev := Evidence{
-		ID:       p.Signature() + "@" + string(attr),
+		ID:       EvidenceID(p.Signature(), attr),
 		Attr:     attr,
 		Origin:   p.Source,
 		Mappings: p.Edges(),

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // PeerID identifies a peer (a database) in the PDMS.
@@ -38,10 +39,23 @@ type Graph struct {
 	directed bool
 	peers    []PeerID
 	peerSet  map[PeerID]bool
-	edges    map[EdgeID]Edge
+	edges    map[EdgeID]edgeRec
 	edgeIDs  []EdgeID
 	out      map[PeerID][]EdgeID // edges leaving the peer (or incident, if undirected)
 	in       map[PeerID][]EdgeID // edges entering the peer (directed only)
+	nextSeq  uint64
+
+	// idx is the compiled topology the enumerators run on (index.go): built
+	// on first use, dropped by every mutation. Concurrent enumerations may
+	// each build it; the builds are identical and any one of them is kept.
+	idx atomic.Pointer[index]
+}
+
+// edgeRec is a stored edge with its insertion sequence number, which orders
+// edges gathered from different adjacency lists the way edgeIDs orders them.
+type edgeRec struct {
+	Edge
+	seq uint64
 }
 
 // NewDirected creates an empty directed PDMS graph (§3.3).
@@ -54,7 +68,7 @@ func newGraph(directed bool) *Graph {
 	return &Graph{
 		directed: directed,
 		peerSet:  make(map[PeerID]bool),
-		edges:    make(map[EdgeID]Edge),
+		edges:    make(map[EdgeID]edgeRec),
 		out:      make(map[PeerID][]EdgeID),
 		in:       make(map[PeerID][]EdgeID),
 	}
@@ -70,6 +84,7 @@ func (g *Graph) AddPeer(p PeerID) {
 	}
 	g.peerSet[p] = true
 	g.peers = append(g.peers, p)
+	g.idx.Store(nil)
 }
 
 // HasPeer reports whether p is in the graph.
@@ -90,8 +105,8 @@ func (g *Graph) AddEdge(id EdgeID, from, to PeerID) error {
 	}
 	g.AddPeer(from)
 	g.AddPeer(to)
-	e := Edge{ID: id, From: from, To: to}
-	g.edges[id] = e
+	g.edges[id] = edgeRec{Edge: Edge{ID: id, From: from, To: to}, seq: g.nextSeq}
+	g.nextSeq++
 	g.edgeIDs = append(g.edgeIDs, id)
 	g.out[from] = append(g.out[from], id)
 	if g.directed {
@@ -99,6 +114,7 @@ func (g *Graph) AddEdge(id EdgeID, from, to PeerID) error {
 	} else {
 		g.out[to] = append(g.out[to], id)
 	}
+	g.idx.Store(nil)
 	return nil
 }
 
@@ -124,6 +140,7 @@ func (g *Graph) RemoveEdge(id EdgeID) {
 	} else {
 		g.out[e.To] = removeID(g.out[e.To], id)
 	}
+	g.idx.Store(nil)
 }
 
 // RemovePeer deletes a peer and every edge incident to it (a peer leaving
@@ -133,13 +150,19 @@ func (g *Graph) RemovePeer(p PeerID) []EdgeID {
 	if !g.peerSet[p] {
 		return nil
 	}
+	// out[p] and in[p] are each in insertion order and (no self-loops) share
+	// no edge: merging them by sequence number lists the incident edges in
+	// the order a scan of edgeIDs would.
+	outs, ins := g.out[p], g.in[p]
 	var incident []EdgeID
-	for _, id := range g.edgeIDs {
-		e := g.edges[id]
-		if e.From == p || e.To == p {
-			incident = append(incident, id)
+	for len(outs) > 0 && len(ins) > 0 {
+		if g.edges[outs[0]].seq < g.edges[ins[0]].seq {
+			incident, outs = append(incident, outs[0]), outs[1:]
+		} else {
+			incident, ins = append(incident, ins[0]), ins[1:]
 		}
 	}
+	incident = append(append(incident, outs...), ins...)
 	for _, id := range incident {
 		g.RemoveEdge(id)
 	}
@@ -152,6 +175,7 @@ func (g *Graph) RemovePeer(p PeerID) []EdgeID {
 			break
 		}
 	}
+	g.idx.Store(nil)
 	return incident
 }
 
@@ -167,7 +191,7 @@ func removeID(ids []EdgeID, id EdgeID) []EdgeID {
 // Edge returns the edge with the given ID.
 func (g *Graph) Edge(id EdgeID) (Edge, bool) {
 	e, ok := g.edges[id]
-	return e, ok
+	return e.Edge, ok
 }
 
 // Peers returns all peers in insertion order (copy).
@@ -181,7 +205,7 @@ func (g *Graph) Peers() []PeerID {
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, len(g.edgeIDs))
 	for _, id := range g.edgeIDs {
-		out = append(out, g.edges[id])
+		out = append(out, g.edges[id].Edge)
 	}
 	return out
 }
@@ -271,82 +295,27 @@ func (c Cycle) String() string {
 
 // Cycles enumerates all simple cycles with at most maxLen edges (and at
 // least 2). Each cycle is reported exactly once, regardless of rotation or
-// orientation. Peers and edges are visited in a deterministic order, so the
-// result is stable across runs.
+// orientation: it starts at its peer of least ID and, on an undirected graph,
+// runs in the direction whose first edge has the lesser ID. The list is
+// ordered by start peer, then by the sequence of edge IDs. That order is a
+// contract, not an accident: it fixes the order evidence is installed in and
+// therefore every digest and golden trace downstream.
 func (g *Graph) Cycles(maxLen int) []Cycle {
 	if maxLen < 2 {
 		return nil
 	}
-	order := g.sortedPeers()
-	rank := make(map[PeerID]int, len(order))
-	for i, p := range order {
-		rank[p] = i
-	}
-	seen := make(map[string]bool)
-	var out []Cycle
-	for _, start := range order {
-		g.cycleDFS(start, start, rank, nil, map[PeerID]bool{start: true}, map[EdgeID]bool{}, maxLen, seen, &out)
-	}
-	return out
+	return g.index().cycles(maxLen)
 }
 
-// cycleDFS extends a walk from cur, only visiting peers of rank >= start's
-// rank so each cycle is discovered from its minimum-rank peer only.
-func (g *Graph) cycleDFS(start, cur PeerID, rank map[PeerID]int, walk []Step, onPath map[PeerID]bool, usedEdges map[EdgeID]bool, maxLen int, seen map[string]bool, out *[]Cycle) {
-	if len(walk) >= maxLen {
-		return
+// CyclesThrough returns the cycles of Cycles(maxLen) that use at least one of
+// the changed edges, in the same form and the same order, at the cost of a
+// bounded search around those edges instead of one over the whole graph.
+// Unknown edge IDs are ignored.
+func (g *Graph) CyclesThrough(maxLen int, changed ...EdgeID) []Cycle {
+	if maxLen < 2 || len(changed) == 0 {
+		return nil
 	}
-	for _, s := range g.stepsFrom(cur) {
-		if usedEdges[s.Edge] {
-			continue
-		}
-		next := s.To(g)
-		if rank[next] < rank[start] {
-			continue
-		}
-		if next == start {
-			if len(walk)+1 < 2 {
-				continue
-			}
-			c := Cycle{Steps: append(append([]Step(nil), walk...), s)}
-			if sig := c.Signature(); !seen[sig] {
-				seen[sig] = true
-				*out = append(*out, c)
-			}
-			continue
-		}
-		if onPath[next] {
-			continue
-		}
-		onPath[next] = true
-		usedEdges[s.Edge] = true
-		g.cycleDFS(start, next, rank, append(walk, s), onPath, usedEdges, maxLen, seen, out)
-		delete(onPath, next)
-		delete(usedEdges, s.Edge)
-	}
-}
-
-// stepsFrom lists the steps available from peer p in deterministic order.
-func (g *Graph) stepsFrom(p PeerID) []Step {
-	var steps []Step
-	for _, id := range g.out[p] {
-		e := g.edges[id]
-		if e.From == p {
-			steps = append(steps, Step{Edge: id, Forward: true})
-		} else {
-			// undirected edge incident via To
-			steps = append(steps, Step{Edge: id, Forward: false})
-		}
-	}
-	sort.Slice(steps, func(i, j int) bool { return steps[i].Edge < steps[j].Edge })
-	return steps
-}
-
-func (g *Graph) sortedPeers() []PeerID {
-	out := make([]PeerID, len(g.peers))
-	copy(out, g.peers)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return g.index().cyclesThrough(maxLen, changed)
 }
 
 // ParallelPair is a pair of distinct directed mapping paths sharing the same
@@ -405,104 +374,24 @@ func (p ParallelPair) String() string {
 // edges (a multi-edge) are legitimate parallel paths and are reported.
 // Only meaningful on directed graphs; on undirected graphs it returns nil
 // (an undirected parallel pair is already a cycle and is reported by Cycles).
+// Pairs are ordered by source peer, then destination peer, then by the two
+// paths' positions in a depth-first walk from the source that takes edges in
+// ID order; A is the path met first. Like the order of Cycles, this is a
+// contract.
 func (g *Graph) ParallelPaths(maxLen int) []ParallelPair {
 	if !g.directed || maxLen < 1 {
 		return nil
 	}
-	seen := make(map[string]bool)
-	var out []ParallelPair
-	for _, src := range g.sortedPeers() {
-		paths := g.simplePathsFrom(src, maxLen)
-		// Group by destination.
-		byDest := make(map[PeerID][][]Step)
-		for _, p := range paths {
-			d := p[len(p)-1].To(g)
-			byDest[d] = append(byDest[d], p)
-		}
-		dests := make([]PeerID, 0, len(byDest))
-		for d := range byDest {
-			dests = append(dests, d)
-		}
-		sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-		for _, d := range dests {
-			group := byDest[d]
-			for i := 0; i < len(group); i++ {
-				for j := i + 1; j < len(group); j++ {
-					if !disjointPaths(g, group[i], group[j]) {
-						continue
-					}
-					pair := ParallelPair{Source: src, Dest: d, A: group[i], B: group[j]}
-					if sig := pair.Signature(); !seen[sig] {
-						seen[sig] = true
-						out = append(out, pair)
-					}
-				}
-			}
-		}
-	}
-	return out
+	return g.index().parallelPaths(maxLen, nil)
 }
 
-// simplePathsFrom enumerates simple directed paths of 1..maxLen edges
-// starting at src, in deterministic order.
-func (g *Graph) simplePathsFrom(src PeerID, maxLen int) [][]Step {
-	var out [][]Step
-	var walk []Step
-	onPath := map[PeerID]bool{src: true}
-	var dfs func(cur PeerID)
-	dfs = func(cur PeerID) {
-		if len(walk) >= maxLen {
-			return
-		}
-		for _, s := range g.stepsFrom(cur) {
-			next := s.To(g)
-			if onPath[next] {
-				continue
-			}
-			walk = append(walk, s)
-			out = append(out, append([]Step(nil), walk...))
-			onPath[next] = true
-			dfs(next)
-			delete(onPath, next)
-			walk = walk[:len(walk)-1]
-		}
+// ParallelPathsThrough returns the pairs of ParallelPaths(maxLen) in which
+// at least one path uses a changed edge, in the same order. Only peers that
+// reach a changed edge within maxLen-1 hops are searched as sources. Unknown
+// edge IDs are ignored.
+func (g *Graph) ParallelPathsThrough(maxLen int, changed ...EdgeID) []ParallelPair {
+	if !g.directed || maxLen < 1 || len(changed) == 0 {
+		return nil
 	}
-	dfs(src)
-	return out
-}
-
-// disjointPaths reports whether two paths share no edges and no internal
-// peers (endpoints excepted).
-func disjointPaths(g *Graph, a, b []Step) bool {
-	edges := make(map[EdgeID]bool, len(a))
-	internal := make(map[PeerID]bool)
-	for i, s := range a {
-		edges[s.Edge] = true
-		if i < len(a)-1 {
-			internal[s.To(g)] = true
-		}
-	}
-	for i, s := range b {
-		if edges[s.Edge] {
-			return false
-		}
-		if i < len(b)-1 && internal[s.To(g)] {
-			return false
-		}
-	}
-	return true
-}
-
-// CyclesThrough returns the cycles of length <= maxLen that use edge id.
-func (g *Graph) CyclesThrough(id EdgeID, maxLen int) []Cycle {
-	var out []Cycle
-	for _, c := range g.Cycles(maxLen) {
-		for _, s := range c.Steps {
-			if s.Edge == id {
-				out = append(out, c)
-				break
-			}
-		}
-	}
-	return out
+	return g.index().parallelPaths(maxLen, changed)
 }

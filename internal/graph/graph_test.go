@@ -202,14 +202,14 @@ func TestParallelPathsUndirectedNil(t *testing.T) {
 
 func TestCyclesThrough(t *testing.T) {
 	g := fig5(t)
-	cs := g.CyclesThrough("m24", 6)
+	cs := g.CyclesThrough(6, "m24")
 	if len(cs) != 1 {
 		t.Fatalf("CyclesThrough(m24) = %v, want 1 cycle", cs)
 	}
 	if cs[0].Signature() != "cyc:m12|m24|m41" {
 		t.Errorf("wrong cycle: %v", cs[0])
 	}
-	if got := g.CyclesThrough("m34", 3); len(got) != 0 {
+	if got := g.CyclesThrough(3, "m34"); len(got) != 0 {
 		t.Errorf("CyclesThrough(m34, 3) = %v, want none", got)
 	}
 }
@@ -371,7 +371,7 @@ func TestStepEndpoints(t *testing.T) {
 
 func TestCycleString(t *testing.T) {
 	g := fig5(t)
-	cs := g.CyclesThrough("m24", 6)
+	cs := g.CyclesThrough(6, "m24")
 	if len(cs) != 1 {
 		t.Fatal("expected one cycle")
 	}
