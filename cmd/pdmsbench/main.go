@@ -3,36 +3,33 @@
 //
 // Usage:
 //
-//	pdmsbench -fig 7        # convergence of iterative message passing
-//	pdmsbench -fig 9        # relative error vs exact inference
-//	pdmsbench -fig 10       # impact of the cycle length
-//	pdmsbench -fig 11       # robustness against lost messages
-//	pdmsbench -fig 12       # precision on the bibliographic ontologies
-//	pdmsbench -fig intro    # §4.5 introductory example walkthrough
-//	pdmsbench -fig overhead # §4.3.1 communication bound
-//	pdmsbench -fig topology # §3.2.1 semantic overlay statistics
-//	pdmsbench -fig engine   # compiled BP kernel throughput at scale
-//	pdmsbench -fig serving  # query-serving plane throughput under churn
-//	pdmsbench -fig feedback # posterior error vs queries served-and-fed-back
-//	pdmsbench -fig wal      # durability cost: fsync policy vs answers/s, recovery time
-//	pdmsbench -fig delta    # republication cost: delta snapshots + revalidation vs full rebuilds
-//	pdmsbench -fig redetect # feedback-refresh cost: residual vs lockstep vs full re-detection
-//	pdmsbench -fig all      # everything
+//	pdmsbench -fig 7         # convergence of iterative message passing
+//	pdmsbench -fig 9         # relative error vs exact inference
+//	pdmsbench -fig 10        # impact of the cycle length
+//	pdmsbench -fig 11        # robustness against lost messages
+//	pdmsbench -fig 12        # precision on the bibliographic ontologies
+//	pdmsbench -fig intro     # §4.5 introductory example walkthrough
+//	pdmsbench -fig overhead  # §4.3.1 communication bound
+//	pdmsbench -fig topology  # §3.2.1 semantic overlay statistics
+//	pdmsbench -fig scale     # detection on generated scale-free overlays
+//	pdmsbench -fig ablation  # §4.1 granularity and §3.3 parallel paths
+//	pdmsbench -fig schedules # §4.3 periodic / lazy / async schedules
+//	pdmsbench -fig priors    # §4.4 prior learning across epochs
+//	pdmsbench -fig churn     # maintenance after churn
+//	pdmsbench -fig engine    # compiled BP kernel throughput at scale
+//	pdmsbench -fig feedback  # posterior error vs queries served-and-fed-back
+//	pdmsbench -fig all       # everything
 //
-// With -json <file>, the wal, delta and redetect figures additionally write
-// their raw points as JSON (the repo records such runs as BENCH_wal.json,
-// BENCH_delta.json and BENCH_redetect.json, the first points of the perf
-// trajectory).
+// Performance is measured by bench/ (see BENCHMARK.json and PERFORMANCE.md),
+// not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/eval"
 	"repro/internal/experiments"
@@ -42,8 +39,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pdmsbench: ")
-	fig := flag.String("fig", "all", "experiment to run: 7, 9, 10, 11, 12, intro, overhead, topology, scale, ablation, schedules, priors, churn, engine, transport, serving, feedback, wal, delta, redetect, all")
-	flag.StringVar(&jsonOut, "json", "", "also write the figure's raw points as JSON to this file (wal, delta and redetect only)")
+	fig := flag.String("fig", "all", "experiment to run: 7, 9, 10, 11, 12, intro, overhead, topology, scale, ablation, schedules, priors, churn, engine, feedback, all")
 	flag.Parse()
 
 	runners := map[string]func() error{
@@ -61,15 +57,10 @@ func main() {
 		"priors":    priors,
 		"churn":     churn,
 		"engine":    engine,
-		"transport": transport,
-		"serving":   serving,
 		"feedback":  feedbackFig,
-		"wal":       walFig,
-		"delta":     deltaFig,
-		"redetect":  redetectFig,
 	}
 	if *fig == "all" {
-		for _, k := range []string{"intro", "7", "9", "10", "11", "12", "overhead", "topology", "scale", "ablation", "schedules", "priors", "churn", "engine", "transport", "serving", "feedback", "wal", "delta", "redetect"} {
+		for _, k := range []string{"intro", "7", "9", "10", "11", "12", "overhead", "topology", "scale", "ablation", "schedules", "priors", "churn", "engine", "feedback"} {
 			if err := runners[k](); err != nil {
 				log.Fatal(err)
 			}
@@ -412,56 +403,6 @@ func engine() error {
 	return nil
 }
 
-func transport() error {
-	header("transports — the same detection rounds on every message substrate (10k-peer BA overlay)")
-	pts, err := experiments.TransportCompare(10000, 4, 15, 0.15, 11)
-	if err != nil {
-		return err
-	}
-	rows := make([][]string, 0, len(pts))
-	for _, p := range pts {
-		shards := "—"
-		if p.Shards > 0 {
-			shards = fmt.Sprint(p.Shards)
-		}
-		rows = append(rows, []string{
-			p.Kind, shards, fmt.Sprint(p.Peers), fmt.Sprint(p.Mappings),
-			fmt.Sprint(p.MsgsPerRound), fmt.Sprintf("%.0fms", p.Millis),
-			fmt.Sprintf("%.1f", p.RoundsPerSec),
-		})
-	}
-	fmt.Println(eval.Table(
-		[]string{"transport", "shards", "peers", "mappings", "msgs/round", "time", "rounds/sec"},
-		rows))
-	fmt.Println("identical posteriors and identical loss decisions on every row — the substrate is")
-	fmt.Println("pluggable (internal/wire frames over internal/network transports, see TESTING.md).")
-	return nil
-}
-
-func serving() error {
-	header("serving — end-to-end query answers against published routing snapshots (300-peer BA overlay, churn per epoch)")
-	pts, err := experiments.ServingThroughput(300, 3, 50000, 11)
-	if err != nil {
-		return err
-	}
-	rows := make([][]string, 0, len(pts))
-	for _, p := range pts {
-		rows = append(rows, []string{
-			p.Label, fmt.Sprint(p.Clients), fmt.Sprintf("%.2f", p.Hot),
-			fmt.Sprint(p.Served), fmt.Sprintf("%.1f%%", 100*p.HitRate),
-			fmt.Sprintf("%.0f", p.AnswersPerSec),
-			p.P50.String(), p.P99.String(),
-		})
-	}
-	fmt.Println(eval.Table(
-		[]string{"workload", "clients", "hot", "answers", "hit rate", "answers/sec", "p50", "p99"},
-		rows))
-	fmt.Println("every answer derives from exactly one epoch-stamped snapshot; the aggregate trace")
-	fmt.Println("(served counts, hits, digests) is deterministic — only the wall-clock varies.")
-	fmt.Println("Full-scale run: go test ./cmd/pdmsload -run TestMillionQuery -million (see PERFORMANCE.md).")
-	return nil
-}
-
 func feedbackFig() error {
 	header("feedback — posterior error vs queries served and fed back (100-peer churny overlay, 10% verdict noise)")
 	pts, err := experiments.FeedbackConvergence(100, 5, 2000, 0.1, 7)
@@ -488,188 +429,4 @@ func feedbackFig() error {
 	fmt.Println("republish. The error falls as served traffic accumulates — the network learns from")
 	fmt.Println("its own queries (serve → evidence → BP → snapshot → serve, closed).")
 	return nil
-}
-
-// jsonOut is the -json flag: where walFig dumps its raw points.
-var jsonOut string
-
-func walFig() error {
-	header("wal — durability cost of the write-ahead log (1000-peer churny overlay, feedback on)")
-	over, err := experiments.WALOverhead(1000, 3, 30000, 11)
-	if err != nil {
-		return err
-	}
-	rows := make([][]string, 0, len(over))
-	for _, p := range over {
-		commit := "—"
-		if p.Records > 0 {
-			commit = fmt.Sprintf("%.1fµs", float64(p.MeanCommitNs)/1e3)
-		}
-		rows = append(rows, []string{
-			p.Policy, fmt.Sprint(p.Served), fmt.Sprintf("%.0f", p.AnswersPerSec),
-			fmt.Sprintf("%.2f×", p.Relative), fmt.Sprint(p.Records),
-			fmt.Sprint(p.Syncs), commit,
-		})
-	}
-	fmt.Println(eval.Table(
-		[]string{"fsync", "answers", "answers/sec", "vs no WAL", "records", "syncs", "mean commit"},
-		rows))
-	fmt.Println("mutations journal at the epoch barrier (churn, discovery, feedback), so the fsync")
-	fmt.Println("policy prices the commit path without touching the lock-free serving fast path.")
-
-	header("wal — recovery time vs log length (200-peer overlay, checkpoints off)")
-	rec, ck, err := experiments.WALRecovery(200, []int{2, 4, 8}, 11)
-	if err != nil {
-		return err
-	}
-	rows = rows[:0]
-	for _, p := range rec {
-		rows = append(rows, []string{
-			fmt.Sprint(p.Epochs), fmt.Sprint(p.LogRecords), fmt.Sprint(p.CheckpointRecords),
-			fmt.Sprint(p.Bytes), fmt.Sprintf("%.1fms", p.RecoverMs),
-		})
-	}
-	rows = append(rows, []string{
-		fmt.Sprintf("%d (ckpt)", ck.Epochs), fmt.Sprint(ck.LogRecords), fmt.Sprint(ck.CheckpointRecords),
-		fmt.Sprint(ck.Bytes), fmt.Sprintf("%.1fms", ck.RecoverMs),
-	})
-	fmt.Println(eval.Table(
-		[]string{"epochs", "log records", "ckpt records", "log bytes", "recover"},
-		rows))
-	fmt.Println("recovery replays the compacted history through the public mutation API; a checkpoint")
-	fmt.Println("folds the log into a snapshot, so the last row recovers from the checkpoint + tail.")
-
-	if jsonOut != "" {
-		payload := struct {
-			Date       string                      `json:"date"`
-			Overhead   []experiments.WALPoint      `json:"walOverhead"`
-			Recovery   []experiments.RecoveryPoint `json:"walRecovery"`
-			Checkpoint *experiments.RecoveryPoint  `json:"walRecoveryCheckpointed"`
-		}{Date: benchDate(), Overhead: over, Recovery: rec, Checkpoint: ck}
-		enc, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			return err
-		}
-		enc = append(enc, '\n')
-		if err := os.WriteFile(jsonOut, enc, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("raw points written to %s\n", jsonOut)
-	}
-	return nil
-}
-
-func deltaFig() error {
-	header("delta — what the feedback loop costs the serving plane (1000-peer churny overlay, 2% feedback)")
-	pts, err := experiments.DeltaServing(1000, 3, 30000, 11)
-	if err != nil {
-		return err
-	}
-	rows := make([][]string, 0, len(pts))
-	for _, p := range pts {
-		rows = append(rows, []string{
-			p.Mode, fmt.Sprint(p.Served), fmt.Sprintf("%.0f", p.AnswersPerSec),
-			fmt.Sprintf("%.2f×", p.Relative), fmt.Sprint(p.Revalidated),
-			fmt.Sprint(p.Computed), fmt.Sprint(p.DeltaRepublishes),
-		})
-	}
-	fmt.Println(eval.Table(
-		[]string{"publication", "answers", "answers/sec", "vs feedback off", "revalidated", "computed", "delta republishes"},
-		rows))
-	fmt.Println("the mid-epoch feedback republication used to cold-start the result cache; published")
-	fmt.Println("as a delta, cached answers whose routes avoid the republished edges rebind instead.")
-
-	header("delta — publication cost at scale (100k-peer mapping chain)")
-	cost, err := experiments.PublishCost(100_000, 11)
-	if err != nil {
-		return err
-	}
-	rows = rows[:0]
-	for _, p := range cost {
-		kind := "delta"
-		if p.Full {
-			kind = "full"
-		}
-		rows = append(rows, []string{
-			p.Mode, kind, fmt.Sprint(p.Mappings), fmt.Sprintf("%.1fms", p.Millis),
-			fmt.Sprint(p.DeltaEdges), fmt.Sprint(p.Rebuilt),
-		})
-	}
-	fmt.Println(eval.Table(
-		[]string{"publication", "kind", "mappings", "time", "θ-flips carried", "edges rebuilt"},
-		rows))
-	fmt.Println("a delta republication shares every unchanged edge and peer with its predecessor;")
-	fmt.Println("only posterior movement is rebuilt, and only θ-verdict flips enter the delta.")
-
-	if jsonOut != "" {
-		payload := struct {
-			Date        string                         `json:"date"`
-			Serving     []experiments.DeltaPoint       `json:"deltaServing"`
-			PublishCost []experiments.PublishCostPoint `json:"publishCost"`
-		}{Date: benchDate(), Serving: pts, PublishCost: cost}
-		enc, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			return err
-		}
-		enc = append(enc, '\n')
-		if err := os.WriteFile(jsonOut, enc, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("raw points written to %s\n", jsonOut)
-	}
-	return nil
-}
-
-func redetectFig() error {
-	header("redetect — one feedback refresh under each detection schedule (40-query batch, converging overlays)")
-	var all []experiments.RedetectPoint
-	for _, cfg := range []struct {
-		peers int
-		seed  int64
-	}{{1000, 2}, {10000, 2}} {
-		pts, err := experiments.RedetectCompare(cfg.peers, cfg.seed)
-		if err != nil {
-			return err
-		}
-		all = append(all, pts...)
-	}
-	rows := make([][]string, 0, len(all))
-	for _, p := range all {
-		rows = append(rows, []string{
-			fmt.Sprint(p.Peers), p.Mode, fmt.Sprint(p.TouchedVars), fmt.Sprint(p.Components),
-			fmt.Sprint(p.Rounds), fmt.Sprint(p.MsgUpdates), fmt.Sprint(p.FactorUpdates),
-			fmt.Sprintf("%.1fms", p.Millis),
-		})
-	}
-	fmt.Println(eval.Table(
-		[]string{"peers", "schedule", "scope vars", "components", "rounds", "msg updates", "factor rebinds", "time"},
-		rows))
-	fmt.Println("the residual frontier recomputes only messages whose inputs moved beyond tolerance,")
-	fmt.Println("so a converging refresh costs the dirty components' movement, not full sweeps of")
-	fmt.Println("them (1000-peer rows). The generated 10k overlays carry frustrated evidence loops")
-	fmt.Println("that never settle: every schedule runs to the round cap and the residual engine")
-	fmt.Println("degrades gracefully to the lockstep escalation — same work, same posteriors.")
-	fmt.Println("The work counters are bit-deterministic; only the wall clock varies between runs.")
-
-	if jsonOut != "" {
-		payload := struct {
-			Date   string                      `json:"date"`
-			Points []experiments.RedetectPoint `json:"redetect"`
-		}{Date: benchDate(), Points: all}
-		enc, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			return err
-		}
-		enc = append(enc, '\n')
-		if err := os.WriteFile(jsonOut, enc, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("raw points written to %s\n", jsonOut)
-	}
-	return nil
-}
-
-// benchDate stamps the JSON dump (day precision is plenty for a trajectory).
-func benchDate() string {
-	return time.Now().UTC().Format("2006-01-02")
 }

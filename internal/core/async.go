@@ -134,14 +134,7 @@ func (n *Network) RunDetectionAsync(opts AsyncOptions) (DetectResult, error) {
 						continue
 					}
 					lastSent[k] = out
-					dests := f.destinations(p.id)
-					if len(dests) == 0 {
-						continue
-					}
-					frame := wire.Encode(wire.Remote{EvID: f.replica.ev.ID, Pos: f.pos, Msg: out})
-					for _, dest := range dests {
-						bus.Send(network.Envelope{From: p.id, To: dest, Payload: frame})
-					}
+					emit(bus, p, f, out, nil)
 				}
 			}
 			mu.Lock()

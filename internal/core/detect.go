@@ -269,37 +269,26 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 			res.TouchedEdges[key.Mapping] = true
 		}
 	}
-	prev := n.scopedPosteriors(opts.DefaultPrior, scope)
-	stable := 0
-	for round := 1; round <= opts.MaxRounds && (scope == nil || res.TouchedVars > 0); round++ {
-		remote, updates := sendRound(tr, shards, opts.DefaultPrior, scope, opts.Blocked)
-		res.RemoteMessages += remote
-		res.Work.MessageUpdates += updates
-		tr.Step()
-		res.Work.FactorUpdates += refreshRound(shards, scope)
-		res.Rounds = round
-
-		cur := n.scopedPosteriors(opts.DefaultPrior, scope)
-		if opts.Publish != nil && scope == nil {
-			n.PublishSnapshot(DetectResult{Posteriors: cur}, *opts.Publish)
-		}
-		maxDelta := posteriorDelta(prev, cur)
-		prev = cur
-		if opts.Trace != nil {
-			opts.Trace(round, clonePosteriors(cur))
-		}
-		if maxDelta < opts.Tolerance {
-			stable++
-			if stable >= opts.StableRounds {
-				res.Converged = true
-				break
-			}
-		} else {
-			stable = 0
-		}
+	var last map[graph.EdgeID]map[schema.Attribute]float64
+	if scope == nil || res.TouchedVars > 0 {
+		var lr componentResult
+		lr, last = lockstepRounds(tr, shards, scope, opts,
+			func() map[graph.EdgeID]map[schema.Attribute]float64 {
+				return n.scopedPosteriors(opts.DefaultPrior, scope)
+			},
+			func(round int, cur map[graph.EdgeID]map[schema.Attribute]float64) {
+				if opts.Publish != nil && scope == nil {
+					n.PublishSnapshot(DetectResult{Posteriors: cur}, *opts.Publish)
+				}
+				if opts.Trace != nil {
+					opts.Trace(round, clonePosteriors(cur))
+				}
+			})
+		res.Rounds, res.Converged, res.RemoteMessages = lr.rounds, lr.converged, lr.remote
+		res.Work.Add(lr.work)
 	}
 	if scope == nil {
-		res.Posteriors = prev
+		res.Posteriors = last
 	} else {
 		// An incremental run converges on the dirty components alone; the
 		// reported posterior map still covers the whole network (untouched
@@ -310,8 +299,7 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 			n.PublishSnapshot(DetectResult{Posteriors: res.Posteriors, TouchedEdges: res.TouchedEdges}, *opts.Publish)
 		}
 	}
-	// The lockstep schedules run every component every round.
-	res.Work.ComponentRounds = res.Rounds
+	// The lockstep schedule runs every component every round.
 	if scope != nil {
 		res.Work.ComponentRounds = res.Rounds * res.Work.Components
 	}
@@ -363,12 +351,76 @@ func eachShard(shards [][]*Peer, f func(shard int, peers []*Peer)) {
 	wg.Wait()
 }
 
-// selfPromoteMsg is the µ-message a self-promoting adversary puts on the
-// wire in place of its honest one: absolute certainty that its mapping is
-// correct. The receiving side's products stay finite (Normalized leaves
-// zero-sum messages alone), so the lie saturates beliefs without poisoning
-// the arithmetic.
-func selfPromoteMsg() factorgraph.Msg { return factorgraph.Msg{1, 0} }
+// lockstepRounds runs the synchronous sweep schedule over the scope (nil: the
+// whole network) until the posteriors read through the given view hold within
+// opts.Tolerance for opts.StableRounds consecutive rounds, or opts.MaxRounds
+// is spent: every round sends every in-scope message, steps the transport and
+// refreshes every in-scope variable. onRound, if non-nil, sees each round's
+// posteriors. Returns the rounds' contribution (rounds, convergence, remote
+// messages, work) and the last posteriors read.
+func lockstepRounds(tr network.Stepped, shards [][]*Peer, scope *detectScope, opts DetectOptions,
+	posteriors func() map[graph.EdgeID]map[schema.Attribute]float64,
+	onRound func(round int, cur map[graph.EdgeID]map[schema.Attribute]float64),
+) (componentResult, map[graph.EdgeID]map[schema.Attribute]float64) {
+	var out componentResult
+	prev := posteriors()
+	stable := 0
+	for round := 1; round <= opts.MaxRounds; round++ {
+		remote, updates := sendRound(tr, shards, opts.DefaultPrior, scope, opts.Blocked)
+		out.remote += remote
+		out.work.MessageUpdates += updates
+		tr.Step()
+		out.work.FactorUpdates += refreshRound(shards, scope)
+		out.rounds = round
+		out.work.ComponentRounds = round
+
+		cur := posteriors()
+		if onRound != nil {
+			onRound(round, cur)
+		}
+		maxDelta := posteriorDelta(prev, cur)
+		prev = cur
+		if maxDelta < opts.Tolerance {
+			stable++
+			if stable >= opts.StableRounds {
+				out.converged = true
+				break
+			}
+		} else {
+			stable = 0
+		}
+	}
+	return out, prev
+}
+
+// emit puts one variable→factor µ-message on the transport: a single
+// wire.Remote frame, sent to every other peer replicating the factor whose
+// link from p is not severed by the blocked predicate (a partition; nil
+// severs nothing). A self-promoting adversary lies here and only here — the
+// frame claims absolute certainty that its mapping is correct while its
+// local replica copy stays honest; the receiving side's products stay finite
+// (Normalized leaves zero-sum messages alone), so the lie saturates beliefs
+// without poisoning the arithmetic. Returns the number of frames handed to
+// the transport.
+func emit(tr network.Transport, p *Peer, f *factorRef, msg factorgraph.Msg, blocked func(from, to graph.PeerID) bool) int {
+	dests := f.destinations(p.id)
+	if len(dests) == 0 {
+		return 0
+	}
+	if p.selfPromote {
+		msg = factorgraph.Msg{1, 0}
+	}
+	frame := wire.Encode(wire.Remote{EvID: f.replica.ev.ID, Pos: f.pos, Msg: msg})
+	sent := 0
+	for _, dest := range dests {
+		if blocked != nil && blocked(p.id, dest) {
+			continue
+		}
+		tr.Send(network.Envelope{From: p.id, To: dest, Payload: frame})
+		sent++
+	}
+	return sent
+}
 
 // sendRound performs phase 1 of a period for every peer: compute, marshal
 // and emit the variable→factor messages. Messages to factors replicated on
@@ -376,8 +428,7 @@ func selfPromoteMsg() factorgraph.Msg { return factorgraph.Msg{1, 0} }
 // messages to other peers are sent once per (factor, destination peer).
 // A non-nil scope restricts the round to the dirty components of an
 // incremental run; a non-nil blocked predicate severs links (partition).
-// Self-promoting peers lie in the emitted frames only — their local replica
-// copies stay honest. Returns the number of remote messages handed to the
+// Returns the number of remote messages handed to the
 // transport and the number of variable→factor messages applied.
 func sendRound(tr network.Transport, shards [][]*Peer, defPrior float64, scope *detectScope, blocked func(from, to graph.PeerID) bool) (int, int) {
 	counts := make([]int, len(shards))
@@ -393,27 +444,11 @@ func sendRound(tr network.Transport, shards [][]*Peer, defPrior float64, scope *
 				prior := p.PriorFor(key.Mapping, key.Attr, defPrior)
 				outs := vs.outgoingAll(prior)
 				for fi, f := range vs.factors {
-					out := outs[fi]
 					// Local copy: my own replica records my message so my
 					// other variables in this factor see it.
-					f.replica.setRemote(f.pos, out)
+					f.replica.setRemote(f.pos, outs[fi])
 					upd++
-					dests := f.destinations(p.id)
-					if len(dests) == 0 {
-						continue
-					}
-					wireMsg := out
-					if p.selfPromote {
-						wireMsg = selfPromoteMsg()
-					}
-					frame := wire.Encode(wire.Remote{EvID: f.replica.ev.ID, Pos: f.pos, Msg: wireMsg})
-					for _, dest := range dests {
-						if blocked != nil && blocked(p.id, dest) {
-							continue
-						}
-						tr.Send(network.Envelope{From: p.id, To: dest, Payload: frame})
-						sent++
-					}
+					sent += emit(tr, p, f, outs[fi], blocked)
 				}
 			}
 		}
@@ -461,18 +496,6 @@ func refreshRound(shards [][]*Peer, scope *detectScope) int {
 type detectScope struct {
 	vars map[varKey]bool
 	evs  map[string]bool
-}
-
-// incrementalScope computes the closure of the current dirty set: starting
-// from every (mapping, attribute) variable feedback touched, alternate
-// variable → adjacent factors → their variables until fixpoint. Messages
-// never cross component boundaries, so re-running belief propagation inside
-// the closure (from fresh unit messages) reproduces exactly what a full
-// from-scratch detection would compute there, while everything outside keeps
-// its converged state.
-func (n *Network) incrementalScope() *detectScope {
-	scope, _ := n.incrementalComponents()
-	return scope
 }
 
 // scopeSize reports how many variables a run will iterate: the scope's for

@@ -59,10 +59,16 @@ type detectComponent struct {
 	peers []*Peer
 }
 
-// incrementalComponents computes the closure of the current dirty set
-// (see incrementalScope) and partitions it into connected components of the
-// bipartite factor graph. Seeds are visited in canonical variable order, so
-// the component list — and everything derived from it — is deterministic.
+// incrementalComponents computes the closure of the current dirty set —
+// starting from every (mapping, attribute) variable feedback touched,
+// alternate variable → adjacent factors → their variables until fixpoint —
+// and partitions it into connected components of the bipartite factor graph.
+// Messages never cross component boundaries, so re-running belief
+// propagation inside the closure (from fresh unit messages) reproduces
+// exactly what a full from-scratch detection would compute there, while
+// everything outside keeps its converged state. Seeds are visited in
+// canonical variable order, so the component list — and everything derived
+// from it — is deterministic.
 func (n *Network) incrementalComponents() (*detectScope, []*detectComponent) {
 	scope := &detectScope{vars: make(map[varKey]bool), evs: make(map[string]bool)}
 	seeds := make([]varKey, 0, len(n.fbDirty))
@@ -329,22 +335,7 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int6
 				}
 				f.replica.setRemote(f.pos, msg)
 				out.work.MessageUpdates++
-				dests := f.destinations(p.id)
-				if len(dests) == 0 {
-					continue
-				}
-				wireMsg := msg
-				if p.selfPromote {
-					wireMsg = selfPromoteMsg()
-				}
-				frame := wire.Encode(wire.Remote{EvID: f.replica.ev.ID, Pos: f.pos, Msg: wireMsg})
-				for _, dest := range dests {
-					if opts.Blocked != nil && opts.Blocked(p.id, dest) {
-						continue
-					}
-					tr.Send(network.Envelope{From: p.id, To: dest, Payload: frame})
-					out.remote++
-				}
+				out.remote += emit(tr, p, f, msg, opts.Blocked)
 			}
 		}
 		tr.Step()
@@ -406,38 +397,18 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int6
 
 // lockstepComponent re-runs one component on the synchronous sweep schedule
 // after a residual run failed to converge, accumulating the extra work into
-// the component's counters. Identical to the FixedSweeps path restricted to
-// this component — which is exactly what a scratch detection computes here,
-// whatever the rest of the network does — so the incremental ≡ scratch
-// differential contract holds on non-converging components too.
+// the component's counters. Identical to a lockstep incremental run
+// restricted to this component — which is exactly what a scratch detection
+// computes here, whatever the rest of the network does — so the incremental
+// ≡ scratch differential contract holds on non-converging components too.
 func (n *Network) lockstepComponent(c *detectComponent, tr network.Stepped, opts DetectOptions, out *componentResult) {
 	scope := &detectScope{vars: c.varSet, evs: c.evs}
 	out.work.Resets += n.resetScope(scope)
-	shards := [][]*Peer{c.peers}
-	prev := c.posteriors(opts.DefaultPrior)
-	stable := 0
-	out.converged = false
-	for round := 1; round <= opts.MaxRounds; round++ {
-		remote, updates := sendRound(tr, shards, opts.DefaultPrior, scope, opts.Blocked)
-		out.remote += remote
-		out.work.MessageUpdates += updates
-		tr.Step()
-		out.work.FactorUpdates += refreshRound(shards, scope)
-		out.rounds = round
-		out.work.ComponentRounds++
-		cur := c.posteriors(opts.DefaultPrior)
-		maxDelta := posteriorDelta(prev, cur)
-		prev = cur
-		if maxDelta < opts.Tolerance {
-			stable++
-			if stable >= opts.StableRounds {
-				out.converged = true
-				return
-			}
-		} else {
-			stable = 0
-		}
-	}
+	r, _ := lockstepRounds(tr, [][]*Peer{c.peers}, scope, opts,
+		func() map[graph.EdgeID]map[schema.Attribute]float64 { return c.posteriors(opts.DefaultPrior) }, nil)
+	out.rounds, out.converged = r.rounds, r.converged
+	out.remote += r.remote
+	out.work.Add(r.work)
 }
 
 // posteriors collects the component's current posterior map — the

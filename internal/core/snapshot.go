@@ -506,20 +506,51 @@ func (n *Network) PublishSnapshot(det DetectResult, opts SnapshotOptions) *Routi
 	return snap
 }
 
-func thetaFn(opts SnapshotOptions) func(schema.Attribute) float64 {
-	return func(a schema.Attribute) float64 {
-		if t, ok := opts.Theta[a]; ok {
-			return t
-		}
-		return opts.DefaultTheta
+// freezeAttr evaluates one (mapping, source attribute) variable for
+// publication — the only place a θ verdict is decided: an attribute the
+// mapping does not carry is dropped (⊥, and no posterior is frozen for it);
+// otherwise the effective posterior (0 when ⊥-pinned) either clears θ_a or
+// is blocked. It allocates nothing, so the delta diff can call it per
+// attribute of every edge it examines.
+func freezeAttr(p *Peer, eid graph.EdgeID, m *schema.Mapping, a schema.Attribute, det *DetectResult, opts *SnapshotOptions) (attrVerdict, float64) {
+	if _, mapped := m.Map(a); !mapped {
+		return verdictDropped, 0
 	}
+	pr := det.Posterior(eid, a, opts.DefaultPosterior)
+	if p.Pinned(eid, a) {
+		pr = 0
+	}
+	theta, ok := opts.Theta[a]
+	if !ok {
+		theta = opts.DefaultTheta
+	}
+	if pr <= theta {
+		return verdictBlocked, pr
+	}
+	return verdictPass, pr
+}
+
+// freezeEdge builds the frozen state of one outgoing mapping of p: the
+// verdict of every source attribute, the posterior of every mapped one, and
+// whether any attribute passes.
+func freezeEdge(p *Peer, eid graph.EdgeID, m *schema.Mapping, det *DetectResult, opts *SnapshotOptions) (verdicts map[schema.Attribute]attrVerdict, post map[schema.Attribute]float64, passable bool) {
+	verdicts = make(map[schema.Attribute]attrVerdict, p.schema.Len())
+	post = make(map[schema.Attribute]float64)
+	for _, a := range p.schema.Attributes() {
+		v, pr := freezeAttr(p, eid, m, a, det, opts)
+		verdicts[a] = v
+		if v != verdictDropped {
+			post[a] = pr
+		}
+		passable = passable || v == verdictPass
+	}
+	return verdicts, post, passable
 }
 
 // fullSnapshot rebuilds every peer, edge and posterior map from scratch.
 //
 //pdms:snapshot-builder
 func (n *Network) fullSnapshot(det DetectResult, opts SnapshotOptions) *RoutingSnapshot {
-	theta := thetaFn(opts)
 	snap := &RoutingSnapshot{
 		opts:       opts,
 		peers:      make(map[graph.PeerID]*snapPeer, len(n.order)),
@@ -538,36 +569,13 @@ func (n *Network) fullSnapshot(det DetectResult, opts SnapshotOptions) *RoutingS
 				continue
 			}
 			m := p.out[eid]
-			se := snapEdge{
-				id:       eid,
-				to:       e.To,
-				mapping:  m,
-				verdicts: make(map[schema.Attribute]attrVerdict, p.schema.Len()),
-				sig:      sigBits(eid),
-			}
-			post := make(map[schema.Attribute]float64)
-			for _, a := range p.schema.Attributes() {
-				if _, mapped := m.Map(a); !mapped {
-					se.verdicts[a] = verdictDropped
-					continue
-				}
-				pr := det.Posterior(eid, a, opts.DefaultPosterior)
-				if p.Pinned(eid, a) {
-					pr = 0
-				}
-				post[a] = pr
-				if pr <= theta(a) {
-					se.verdicts[a] = verdictBlocked
-					continue
-				}
-				se.verdicts[a] = verdictPass
-				se.passable = true
-			}
+			verdicts, post, passable := freezeEdge(p, eid, m, &det, &opts)
 			if len(post) > 0 {
 				snap.posteriors[eid] = post
 			}
 			snap.mappings[eid] = m
-			sp.out = append(sp.out, se)
+			sp.out = append(sp.out, snapEdge{id: eid, to: e.To, mapping: m,
+				verdicts: verdicts, sig: sigBits(eid), passable: passable})
 		}
 		sort.Slice(sp.out, func(i, j int) bool { return sp.out[i].id < sp.out[j].id })
 		snap.peers[id] = sp
@@ -586,7 +594,6 @@ func (n *Network) fullSnapshot(det DetectResult, opts SnapshotOptions) *RoutingS
 //
 //pdms:snapshot-builder
 func (n *Network) deltaSnapshot(prev *RoutingSnapshot, det DetectResult, opts SnapshotOptions) *RoutingSnapshot {
-	theta := thetaFn(opts)
 	snap := &RoutingSnapshot{
 		opts:          opts,
 		peers:         prev.peers,
@@ -618,21 +625,10 @@ func (n *Network) deltaSnapshot(prev *RoutingSnapshot, det DetectResult, opts Sn
 		// posterior and compare against the frozen predecessor.
 		verdictChanged, postChanged := false, false
 		for _, a := range p.schema.Attributes() {
-			var v attrVerdict
-			if _, mapped := m.Map(a); !mapped {
-				v = verdictDropped
-			} else {
-				pr := det.Posterior(eid, a, opts.DefaultPosterior)
-				if p.Pinned(eid, a) {
-					pr = 0
-				}
+			v, pr := freezeAttr(p, eid, m, a, &det, &opts)
+			if v != verdictDropped {
 				if old, ok := prevPost[a]; !ok || old != pr {
 					postChanged = true
-				}
-				if pr <= theta(a) {
-					v = verdictBlocked
-				} else {
-					v = verdictPass
 				}
 			}
 			if prevSE.verdicts[a] != v {
@@ -645,31 +641,7 @@ func (n *Network) deltaSnapshot(prev *RoutingSnapshot, det DetectResult, opts Sn
 
 		// Pass 2: rebuild the changed edge.
 		d.rebuilt++
-		se := snapEdge{
-			id:       eid,
-			to:       prevSE.to,
-			mapping:  m,
-			verdicts: make(map[schema.Attribute]attrVerdict, p.schema.Len()),
-			sig:      prevSE.sig,
-		}
-		post := make(map[schema.Attribute]float64)
-		for _, a := range p.schema.Attributes() {
-			if _, mapped := m.Map(a); !mapped {
-				se.verdicts[a] = verdictDropped
-				continue
-			}
-			pr := det.Posterior(eid, a, opts.DefaultPosterior)
-			if p.Pinned(eid, a) {
-				pr = 0
-			}
-			post[a] = pr
-			if pr <= theta(a) {
-				se.verdicts[a] = verdictBlocked
-				continue
-			}
-			se.verdicts[a] = verdictPass
-			se.passable = true
-		}
+		verdicts, post, passable := freezeEdge(p, eid, m, &det, &opts)
 		if postChanged {
 			if !copiedPost {
 				cp := make(map[graph.EdgeID]map[schema.Attribute]float64, len(prev.posteriors))
@@ -701,15 +673,14 @@ func (n *Network) deltaSnapshot(prev *RoutingSnapshot, det DetectResult, opts Sn
 				snap.peers[e.From] = cow
 				cur = cow
 			}
-			cur.out[idx] = se
+			cur.out[idx] = snapEdge{id: eid, to: prevSE.to, mapping: m,
+				verdicts: verdicts, sig: prevSE.sig, passable: passable}
 			d.edges = append(d.edges, eid)
-			d.sig.Or(se.sig)
-		} else {
-			// Posterior moved without crossing θ: routes are untouched, so
-			// only the frozen posterior map needs the new bits. The old
-			// snapEdge (and its owner) stay shared.
-			_ = se
+			d.sig.Or(prevSE.sig)
 		}
+		// Otherwise the posterior moved without crossing θ: routes are
+		// untouched, so only the frozen posterior map took the new bits and
+		// the old snapEdge (and its owner) stay shared.
 	}
 
 	// The TouchedEdges fast path shares every untouched edge without looking

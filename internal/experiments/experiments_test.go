@@ -226,26 +226,3 @@ func TestFig10MatchesPaperDelta(t *testing.T) {
 		}
 	}
 }
-
-func TestTransportCompareAgrees(t *testing.T) {
-	// Small instance of the -fig transport experiment: every substrate must
-	// run the same rounds and carry the same per-round traffic (posterior
-	// identity across transports is pinned down by internal/sim and the
-	// golden cross-transport differential).
-	pts, err := TransportCompare(200, 4, 5, 0.15, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("got %d transports, want 3", len(pts))
-	}
-	for _, p := range pts[1:] {
-		if p.Rounds != pts[0].Rounds || p.MsgsPerRound != pts[0].MsgsPerRound {
-			t.Errorf("%s: rounds=%d msgs/round=%d, simulator rounds=%d msgs/round=%d",
-				p.Kind, p.Rounds, p.MsgsPerRound, pts[0].Rounds, pts[0].MsgsPerRound)
-		}
-		if p.RoundsPerSec <= 0 {
-			t.Errorf("%s: non-positive throughput", p.Kind)
-		}
-	}
-}

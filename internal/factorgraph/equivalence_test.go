@@ -8,7 +8,7 @@ import (
 )
 
 // This suite pins the compiled kernel (engine.go) to the preserved naive
-// reference implementation (naive.go) and, where belief propagation is
+// reference implementation (naive_test.go) and, where belief propagation is
 // exact, to full enumeration (Graph.Exact): message-for-message and
 // posterior-for-posterior within 1e-9, on trees, single feedback cycles,
 // and random loopy graphs, with and without damping, message loss, and

@@ -180,7 +180,6 @@ func (s *Simulation) ingestAndRedetect(obs []core.QueryFeedback, noise float64, 
 		Transport:   network.Kind(s.sc.Transport),
 		Shards:      s.sc.Shards,
 		Workers:     s.sc.DetectWorkers,
-		FixedSweeps: s.sc.FixedSweeps,
 		Blocked:     s.blockedFn(),
 	})
 	if err != nil {
@@ -196,18 +195,6 @@ func (s *Simulation) ingestAndRedetect(obs []core.QueryFeedback, noise float64, 
 // collectFeedbackObs routes n queries on the given posteriors and judges
 // every traversed path with the (noisy) ground-truth oracle, returning the
 // classified observations.
-// FeedbackBatch draws n routed queries on the analysis attribute against
-// det's posteriors and judges every traversed path with the ground-truth
-// oracle at the scenario's noise rate — the observation batch the redetect
-// experiments and benchmarks ingest. Routing failures surface as an error.
-func (s *Simulation) FeedbackBatch(n int, det core.DetectResult, seed int64) ([]core.QueryFeedback, error) {
-	obs, viol := s.collectFeedbackObs(n, det, seed)
-	if len(viol) != 0 {
-		return nil, fmt.Errorf("sim: feedback batch: %d violations, first: %s", len(viol), viol[0])
-	}
-	return obs, nil
-}
-
 func (s *Simulation) collectFeedbackObs(n int, det core.DetectResult, seed int64) ([]core.QueryFeedback, []string) {
 	rng := rand.New(rand.NewSource(seed))
 	live := s.livePeers()

@@ -181,11 +181,6 @@ type Scenario struct {
 	// concurrently, each on its own transport; the trace does not depend on
 	// the worker count (core merges in canonical component order).
 	DetectWorkers int `json:"detectWorkers,omitempty"`
-	// FixedSweeps forces incremental re-detections onto the synchronous
-	// lockstep sweep schedule instead of the residual frontier — the
-	// pre-residual behaviour, kept for the residual ≡ synchronous
-	// differentials and like-for-like throughput baselines.
-	FixedSweeps bool `json:"fixedSweeps,omitempty"`
 
 	// WAL journals every network state mutation — churn, discovery,
 	// feedback, prior learning — to an in-memory write-ahead log with an

@@ -87,10 +87,11 @@ type Workload struct {
 	Vocab   int `json:"vocab,omitempty"`
 	// FullPublish forces every snapshot publication of the run to rebuild
 	// from scratch (SnapshotOptions.ForceFull), disabling delta publication
-	// and with it cache revalidation — the pre-delta behaviour. The
-	// revalidation differential oracle runs the same spec with and without
-	// it and requires byte-identical answer digests.
-	FullPublish bool `json:"fullPublish,omitempty"`
+	// and with it cache revalidation. It is the reference side of the
+	// revalidation differential oracle, which runs the same spec with and
+	// without it and requires byte-identical answer digests; a spec cannot
+	// set it.
+	FullPublish bool `json:"-"`
 	// Pipeline overlaps the feedback refresh with serving instead of
 	// running it as a barrier: each epoch's serving phase splits at a
 	// deterministic point in every client's query stream, the observations
@@ -107,11 +108,12 @@ type Workload struct {
 	// final drain re-detects the remaining tail (WorkloadResult.FinalRefresh),
 	// which pins the run's final posteriors to barrier mode within 1e-6.
 	Pipeline bool `json:"pipeline,omitempty"`
-	// PipelineAfter is the fraction of each client's epoch quota served
-	// before the refresh launches (default 0.5): earlier starts refresh on
-	// fewer observations but hide more of the barrier.
-	PipelineAfter float64 `json:"pipelineAfter,omitempty"`
 }
+
+// pipelineSplit is the fraction of each client's epoch quota served before a
+// pipelined refresh launches: earlier starts refresh on fewer observations
+// but hide more of the barrier.
+const pipelineSplit = 0.5
 
 func (w Workload) withDefaults(scenarioSeed int64) Workload {
 	if w.Seed == 0 {
@@ -142,9 +144,6 @@ func (w Workload) withDefaults(scenarioSeed int64) Workload {
 	}
 	if w.FeedbackRate == 0 {
 		w.FeedbackRate = 1
-	}
-	if w.PipelineAfter == 0 {
-		w.PipelineAfter = 0.5
 	}
 	return w
 }
@@ -179,9 +178,6 @@ func (w Workload) check() error {
 	}
 	if w.Pipeline && !w.Feedback {
 		return fmt.Errorf("sim: pipeline requires feedback (there is no refresh to overlap)")
-	}
-	if w.PipelineAfter < 0 || w.PipelineAfter >= 1 {
-		return fmt.Errorf("sim: pipelineAfter %v out of (0,1)", w.PipelineAfter)
 	}
 	return nil
 }
@@ -368,20 +364,13 @@ func (s *Simulation) RunWorkload(w Workload, obs Observer) (*WorkloadResult, *Wo
 			srvNet = s.net
 		}
 		s.ensureStores(w)
-		snap := s.net.PublishSnapshot(det, core.SnapshotOptions{DefaultTheta: s.sc.Theta, ForceFull: w.FullPublish})
-
 		wtr := WorkloadEpochTrace{
-			Epoch:         tr.Epoch,
-			Peers:         tr.Peers,
-			Mappings:      tr.Mappings,
-			SnapshotEpoch: snap.Epoch(),
-			Queries:       w.QueriesPerEpoch,
+			Epoch:    tr.Epoch,
+			Peers:    tr.Peers,
+			Mappings: tr.Mappings,
+			Queries:  w.QueriesPerEpoch,
 		}
-		if d := snap.Delta(); d != nil {
-			wtr.DeltaEdges = d.Size()
-		} else {
-			wtr.DeltaFull = true
-		}
+		snap := s.publish(w, det, &wtr.SnapshotEpoch, &wtr.DeltaFull, &wtr.DeltaEdges)
 		// In pipelined mode the feedback refresh launches mid-phase: the mid
 		// hook runs at the serving phase's quiescent split point, drains the
 		// observations collected so far (a deterministic batch — every
@@ -521,7 +510,7 @@ func (cl *workloadClient) serve(s *Simulation, w Workload, srv *serve.Server, sn
 // servePhase runs one epoch's concurrent client phase and fills the
 // answer-derived trace fields. It returns the observed latencies. A non-nil
 // mid hook splits the phase: every client serves the first
-// Workload.PipelineAfter fraction of its quota, the hook runs on the calling
+// pipelineSplit fraction of its quota, the hook runs on the calling
 // goroutine at the resulting quiescent point (no client in flight — so it
 // can drain feedback deterministically), and the clients then finish their
 // quotas. The split is invisible to the trace: client state persists across
@@ -587,7 +576,7 @@ func (s *Simulation) servePhase(epoch int, w Workload, srv *serve.Server, snap *
 		heads := make([]int, w.Clients)
 		tails := make([]int, w.Clients)
 		for c, q := range quotas {
-			heads[c] = int(float64(q) * w.PipelineAfter)
+			heads[c] = int(float64(q) * pipelineSplit)
 			tails[c] = q - heads[c]
 		}
 		run(heads)
@@ -607,6 +596,23 @@ func (s *Simulation) servePhase(epoch int, w Workload, srv *serve.Server, snap *
 	return lats
 }
 
+// publish freezes det into the network's next routing snapshot — the one
+// place the run's publication policy is stated: verdicts at the scenario's θ,
+// a delta of the previous snapshot unless the topology changed or the
+// workload forces a rebuild — and records in a trace what went out: the
+// snapshot's epoch, and whether it was a full build or a delta carrying that
+// many θ-verdict flips.
+func (s *Simulation) publish(w Workload, det core.DetectResult, epoch *uint64, full *bool, edges *int) *core.RoutingSnapshot {
+	snap := s.net.PublishSnapshot(det, core.SnapshotOptions{DefaultTheta: s.sc.Theta, ForceFull: w.FullPublish})
+	*epoch = snap.Epoch()
+	if d := snap.Delta(); d != nil {
+		*edges = d.Size()
+	} else {
+		*full = true
+	}
+	return snap
+}
+
 // feedbackPhase is the barrier step after an epoch's serving phase: drain
 // the verdict-derived observations every client enqueued on the server,
 // ingest them as counting factors, re-run belief propagation over the dirty
@@ -620,13 +626,7 @@ func (s *Simulation) feedbackPhase(epoch int, w Workload, srv *serve.Server, det
 		return err
 	}
 	ft.ErrBefore = errBefore
-	snap := s.net.PublishSnapshot(det2, core.SnapshotOptions{DefaultTheta: s.sc.Theta, ForceFull: w.FullPublish})
-	ft.SnapshotEpoch = snap.Epoch()
-	if d := snap.Delta(); d != nil {
-		ft.DeltaEdges = d.Size()
-	} else {
-		ft.DeltaFull = true
-	}
+	s.publish(w, det2, &ft.SnapshotEpoch, &ft.DeltaFull, &ft.DeltaEdges)
 	wtr.Feedback = ft
 	return nil
 }
@@ -668,13 +668,7 @@ func (s *Simulation) pipelineJoin(w Workload, srv *serve.Server, job chan pipeli
 	ft.Stale += rep.Stale
 	ft.NewFactors += rep.NewFactors
 	ft.Bumped += rep.Bumped
-	snap := s.net.PublishSnapshot(r.det, core.SnapshotOptions{DefaultTheta: s.sc.Theta, ForceFull: w.FullPublish})
-	ft.SnapshotEpoch = snap.Epoch()
-	if d := snap.Delta(); d != nil {
-		ft.DeltaEdges = d.Size()
-	} else {
-		ft.DeltaFull = true
-	}
+	s.publish(w, r.det, &ft.SnapshotEpoch, &ft.DeltaFull, &ft.DeltaEdges)
 	wtr.Feedback = ft
 	return nil
 }
@@ -689,13 +683,7 @@ func (s *Simulation) finalDrain(w Workload, srv *serve.Server) (*FeedbackTrace, 
 		return nil, err
 	}
 	ft.Pipelined = true
-	snap := s.net.PublishSnapshot(det, core.SnapshotOptions{DefaultTheta: s.sc.Theta, ForceFull: w.FullPublish})
-	ft.SnapshotEpoch = snap.Epoch()
-	if d := snap.Delta(); d != nil {
-		ft.DeltaEdges = d.Size()
-	} else {
-		ft.DeltaFull = true
-	}
+	s.publish(w, det, &ft.SnapshotEpoch, &ft.DeltaFull, &ft.DeltaEdges)
 	return ft, nil
 }
 

@@ -167,10 +167,22 @@ func TestWorkloadValidation(t *testing.T) {
 	}
 }
 
-// TestParseLoadSpec: unknown fields are rejected, valid specs round-trip.
+// TestParseLoadSpec: unknown fields — the retired baseline knobs included —
+// are rejected, valid specs round-trip.
 func TestParseLoadSpec(t *testing.T) {
-	if _, err := ParseLoadSpec([]byte(`{"workload": {"nope": 1}}`)); err == nil {
-		t.Error("unknown field: want error")
+	for _, bad := range []string{
+		`{"workload": {"nope": 1}}`,
+		`{"workload": {"fullPublish": true}}`,
+		`{"workload": {"FullPublish": true}}`,
+		`{"workload": {"pipelineAfter": 0.25}}`,
+		`{"scenario": {"fixedSweeps": true}}`,
+	} {
+		if _, err := ParseLoadSpec([]byte(bad)); err == nil {
+			t.Errorf("%s: want unknown-field error", bad)
+		}
+	}
+	if _, err := ParseScenario([]byte(`{"fixedSweeps": true}`)); err == nil {
+		t.Error("scenario with fixedSweeps: want unknown-field error")
 	}
 	spec, err := ParseLoadSpec([]byte(`{"scenario": {"peers": 8, "epochs": [{}]}, "workload": {"clients": 2}}`))
 	if err != nil {
