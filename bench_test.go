@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"testing"
 
-	pdms "repro"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/factorgraph"
@@ -154,134 +153,12 @@ func BenchmarkTopologyStats(b *testing.B) {
 
 // --- Micro-benchmarks of the core machinery ---
 
-// BenchmarkEngineSweep measures the compiled BP kernel's steady-state
-// sweep through the public API on a 600-variable loopy graph (the
-// white-box variant with the naive-kernel comparison lives in
-// internal/factorgraph). The loop must report 0 allocs/op.
-func BenchmarkEngineSweep(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := factorgraph.New()
-	vars := make([]*factorgraph.Var, 600)
-	for i := range vars {
-		vars[i] = g.MustAddVar(fmt.Sprintf("m%d", i))
-		g.MustAddFactor(factorgraph.Prior{V: vars[i], P: 0.05 + 0.9*rng.Float64()})
-	}
-	for k := 0; k < 1200; k++ {
-		idx := rng.Perm(len(vars))[:6]
-		sub := make([]*factorgraph.Var, len(idx))
-		for i, j := range idx {
-			sub[i] = vars[j]
-		}
-		vals := []float64{1, 0, 0.1, 0.1, 0.1, 0.1, 0.1}
-		c, err := factorgraph.NewCounting(sub, vals)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g.MustAddFactor(c)
-	}
-	e := factorgraph.NewEngine(g)
-	defer e.Close()
-	if err := e.Init(factorgraph.Options{Tolerance: 1e-300}); err != nil {
-		b.Fatal(err)
-	}
-	e.Sweep() // warm scratch buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Sweep()
-	}
-}
-
-// BenchmarkCountingFactorMessage measures the O(n²) counting-factor message
-// on a 16-variable feedback factor.
-func BenchmarkCountingFactorMessage(b *testing.B) {
-	g := factorgraph.New()
-	vars := make([]*factorgraph.Var, 16)
-	for i := range vars {
-		vars[i] = g.MustAddVar(fmt.Sprintf("m%d", i))
-	}
-	vals := make([]float64, len(vars)+1)
-	vals[0] = 1
-	for k := 2; k < len(vals); k++ {
-		vals[k] = 0.1
-	}
-	c, err := factorgraph.NewCounting(vars, vals)
-	if err != nil {
-		b.Fatal(err)
-	}
-	incoming := make([]factorgraph.Msg, len(vars))
-	rng := rand.New(rand.NewSource(1))
-	for i := range incoming {
-		incoming[i] = factorgraph.Msg{rng.Float64(), rng.Float64()}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Message(i%len(vars), incoming)
-	}
-}
-
-// BenchmarkCycleEnumeration measures bounded cycle enumeration on a
-// 60-peer scale-free overlay.
-func BenchmarkCycleEnumeration(b *testing.B) {
-	// Undirected: directed preferential attachment orients every edge from
-	// the new peer to an older one and is therefore acyclic.
-	g, err := graph.BarabasiAlbert(60, 2, false, rand.New(rand.NewSource(3)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var n int
-	for i := 0; i < b.N; i++ {
-		n = len(g.Cycles(5))
-	}
-	b.ReportMetric(float64(n), "cycles")
-}
-
-// BenchmarkDetectionRound measures one full periodic round (send + deliver
-// + refresh) on the Fig 5 network with all eleven attributes analyzed.
-func BenchmarkDetectionRound(b *testing.B) {
-	n := paper.Fig5Network()
-	if _, err := n.DiscoverStructural(paper.Attrs(), 6, paper.Delta); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.RunDetection(core.DetectOptions{MaxRounds: 1, Tolerance: 1e-300}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkProbeDiscovery measures the TTL-6 probe flood on the Fig 5
 // network.
 func BenchmarkProbeDiscovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := paper.Fig5Network()
 		if _, err := n.DiscoverByProbes([]schema.Attribute{paper.Creator}, 6, paper.Delta); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQueryRouting measures θ-gated query routing end to end on the
-// introductory network with stores attached.
-func BenchmarkQueryRouting(b *testing.B) {
-	net := paper.IntroNetwork()
-	if _, err := net.DiscoverStructural([]schema.Attribute{paper.Creator, "Subject"}, 6, paper.Delta); err != nil {
-		b.Fatal(err)
-	}
-	res, err := net.RunDetection(pdms.DetectOptions{MaxRounds: 100})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p2, _ := net.Peer("p2")
-	q := query.MustNew(p2.Schema(),
-		query.Op{Kind: query.Project, Attr: paper.Creator},
-		query.Op{Kind: query.Select, Attr: "Subject", Literal: "river"},
-	)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.RouteQuery("p2", q, pdms.RouteOptions{Posteriors: res, DefaultTheta: 0.5}); err != nil {
 			b.Fatal(err)
 		}
 	}

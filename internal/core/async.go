@@ -97,13 +97,8 @@ func (n *Network) RunDetectionAsync(opts AsyncOptions) (DetectResult, error) {
 	budgetHit := false
 	markers := 0
 
-	type sentKey struct {
-		ev  string
-		pos int
-	}
 	for _, p := range n.Peers() {
-		p := p
-		lastSent := make(map[sentKey]factorgraph.Msg)
+		lastSent := make(map[*factorRef]factorgraph.Msg)
 		productions := 0
 		produce := func() {
 			if productions >= maxProductions {
@@ -113,30 +108,15 @@ func (n *Network) RunDetectionAsync(opts AsyncOptions) (DetectResult, error) {
 				return
 			}
 			productions++
-			delta := 0.0
-			for _, key := range p.sortedVarKeys() {
-				vs := p.vars[key]
-				prior := p.PriorFor(key.Mapping, key.Attr, opts.DefaultPrior)
-				before := vs.posterior(prior)
-				vs.refresh()
-				after := vs.posterior(prior)
-				if d := math.Abs(after - before); d > delta {
-					delta = d
+			delta := p.produce(opts.DefaultPrior, func(f *factorRef, out factorgraph.Msg) {
+				if prev, ok := lastSent[f]; ok &&
+					math.Abs(prev[0]-out[0]) <= opts.SendTolerance &&
+					math.Abs(prev[1]-out[1]) <= opts.SendTolerance {
+					return
 				}
-				outs := vs.outgoingAll(prior)
-				for fi, f := range vs.factors {
-					out := outs[fi]
-					f.replica.setRemote(f.pos, out)
-					k := sentKey{ev: f.replica.ev.ID, pos: f.pos}
-					if prev, ok := lastSent[k]; ok &&
-						math.Abs(prev[0]-out[0]) <= opts.SendTolerance &&
-						math.Abs(prev[1]-out[1]) <= opts.SendTolerance {
-						continue
-					}
-					lastSent[k] = out
-					emit(bus, p, f, out, nil)
-				}
-			}
+				lastSent[f] = out
+				emit(bus, p, f, out, nil)
+			})
 			mu.Lock()
 			lastDelta[p.id] = delta
 			mu.Unlock()

@@ -313,6 +313,14 @@ type varKey struct {
 	Attr    schema.Attribute
 }
 
+// less is the canonical variable order: mapping, then attribute.
+func (k varKey) less(o varKey) bool {
+	if k.Mapping != o.Mapping {
+		return k.Mapping < o.Mapping
+	}
+	return k.Attr < o.Attr
+}
+
 // Peer is one database in the PDMS together with the fraction of the global
 // factor graph it stores (§4.1).
 type Peer struct {

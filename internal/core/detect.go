@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/factorgraph"
@@ -82,13 +81,15 @@ type DetectOptions struct {
 	// Detection-plane only: it gates µ-messages, not query routing or
 	// feedback ingestion.
 	Blocked func(from, to graph.PeerID) bool
-	// Trace, if non-nil, receives after every round the posterior map. The
-	// map is freshly allocated each call.
+	// Trace, if non-nil, receives after every round the posterior map of the
+	// whole network, freshly allocated each call. A run builds that map every
+	// round only when Trace or Publish is set; convergence does not read it.
 	Trace func(round int, posteriors map[graph.EdgeID]map[schema.Attribute]float64)
 	// Publish, if non-nil, makes the run publish a fresh RoutingSnapshot
 	// under this policy after every round (and a final one when the run
 	// ends), so concurrent query servers reading Network.Snapshot always see
-	// the latest posteriors without ever blocking the BP rounds.
+	// the latest posteriors without ever blocking the BP rounds. Like Trace,
+	// it makes the run build the posterior map every round.
 	Publish *SnapshotOptions
 }
 
@@ -226,18 +227,68 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 	if opts.Incremental && !opts.FixedSweeps && opts.PSend >= 1 && opts.Trace == nil {
 		return n.runResidualDetection(opts)
 	}
-	tr, err := network.New(network.Config{
+	peers := n.Peers()
+	tr, err := openTransport(network.Config{
 		Kind:   opts.Transport,
 		PSend:  opts.PSend,
 		Seed:   opts.Seed,
 		Shards: opts.Shards,
-	})
+	}, peers)
 	if err != nil {
 		return DetectResult{}, err
 	}
 	defer tr.Close()
-	for _, p := range n.Peers() {
-		p := p
+
+	var res DetectResult
+	var scope *detectScope
+	if opts.Incremental {
+		scope, _ = n.beginIncremental(&res)
+	}
+	shards := shardVars(tr, peers, scope)
+	for _, vars := range shards {
+		res.TouchedVars += len(vars)
+	}
+	if scope == nil || res.TouchedVars > 0 {
+		var onRound func(round int)
+		publish := opts.Publish != nil && scope == nil
+		if publish || opts.Trace != nil {
+			onRound = func(round int) {
+				cur := n.snapshotPosteriors(opts.DefaultPrior)
+				if publish {
+					n.PublishSnapshot(DetectResult{Posteriors: cur}, *opts.Publish)
+				}
+				if opts.Trace != nil {
+					opts.Trace(round, cur)
+				}
+			}
+		}
+		lr := lockstepRounds(tr, shards, opts, onRound)
+		res.Rounds, res.Converged, res.RemoteMessages = lr.rounds, lr.converged, lr.remote
+		res.Work.Add(lr.work)
+	}
+	if scope != nil {
+		// An incremental run converges on the dirty components alone, and the
+		// lockstep schedule runs every component every round.
+		res.Converged = res.Converged || res.TouchedVars == 0
+		res.Work.ComponentRounds = res.Rounds * res.Work.Components
+	}
+	n.finishRun(&res, opts)
+	res.Transport = tr.Stats()
+	if err := transportErr(tr); err != nil {
+		return DetectResult{}, err
+	}
+	return res, nil
+}
+
+// openTransport builds the transport of a run and registers on it, for each
+// of the given peers, the handler that folds wire.Remote frames into the
+// peer's factor replicas.
+func openTransport(cfg network.Config, peers []*Peer) (network.Stepped, error) {
+	tr, err := network.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range peers {
 		err := tr.Register(p.id, func(e network.Envelope) {
 			m, err := wire.Decode(e.Payload)
 			if err != nil {
@@ -248,138 +299,143 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 			}
 		})
 		if err != nil {
-			return DetectResult{}, err
+			tr.Close()
+			return nil, err
 		}
 	}
-	shards := n.shardPartition(tr)
-
-	var scope *detectScope
-	res := DetectResult{}
-	if opts.Incremental {
-		var comps []*detectComponent
-		scope, comps = n.incrementalComponents()
-		n.fbDirty = nil // consumed: the next incremental run starts clean
-		res.Work.Resets = n.resetScope(scope)
-		res.Work.Components = len(comps)
-	}
-	res.TouchedVars = n.scopeSize(scope)
-	if scope != nil {
-		res.TouchedEdges = make(map[graph.EdgeID]bool, len(scope.vars))
-		for key := range scope.vars {
-			res.TouchedEdges[key.Mapping] = true
-		}
-	}
-	var last map[graph.EdgeID]map[schema.Attribute]float64
-	if scope == nil || res.TouchedVars > 0 {
-		var lr componentResult
-		lr, last = lockstepRounds(tr, shards, scope, opts,
-			func() map[graph.EdgeID]map[schema.Attribute]float64 {
-				return n.scopedPosteriors(opts.DefaultPrior, scope)
-			},
-			func(round int, cur map[graph.EdgeID]map[schema.Attribute]float64) {
-				if opts.Publish != nil && scope == nil {
-					n.PublishSnapshot(DetectResult{Posteriors: cur}, *opts.Publish)
-				}
-				if opts.Trace != nil {
-					opts.Trace(round, clonePosteriors(cur))
-				}
-			})
-		res.Rounds, res.Converged, res.RemoteMessages = lr.rounds, lr.converged, lr.remote
-		res.Work.Add(lr.work)
-	}
-	if scope == nil {
-		res.Posteriors = last
-	} else {
-		// An incremental run converges on the dirty components alone; the
-		// reported posterior map still covers the whole network (untouched
-		// variables kept their converged messages).
-		res.Posteriors = n.snapshotPosteriors(opts.DefaultPrior)
-		res.Converged = res.Converged || res.TouchedVars == 0
-		if opts.Publish != nil {
-			n.PublishSnapshot(DetectResult{Posteriors: res.Posteriors, TouchedEdges: res.TouchedEdges}, *opts.Publish)
-		}
-	}
-	// The lockstep schedule runs every component every round.
-	if scope != nil {
-		res.Work.ComponentRounds = res.Rounds * res.Work.Components
-	}
-	res.Transport = tr.Stats()
-	// A transport backed by a real stream (TCP loopback) cannot report
-	// failures per Send/Step; a broken socket would otherwise degrade into
-	// silently missing messages and a bogus "converged" result.
-	if ec, ok := tr.(interface{ Err() error }); ok {
-		if err := ec.Err(); err != nil {
-			return DetectResult{}, fmt.Errorf("core: transport failed: %w", err)
-		}
-	}
-	return res, nil
+	return tr, nil
 }
 
-// shardPartition buckets the peers along the transport's shard partition so
-// the per-peer compute of a round runs on the same worker that owns the
-// peer's messages. Non-sharded transports get a single bucket.
-func (n *Network) shardPartition(tr network.Transport) [][]*Peer {
-	peers := n.Peers()
-	si, ok := tr.(network.ShardInfo)
-	if !ok || si.Shards() <= 1 {
-		return [][]*Peer{peers}
+// transportErr reports the failure of a transport backed by a real stream
+// (TCP loopback), which cannot report failures per Send/Step; a broken socket
+// would otherwise degrade into silently missing messages and a bogus
+// "converged" result.
+func transportErr(tr network.Transport) error {
+	if ec, ok := tr.(interface{ Err() error }); ok {
+		if err := ec.Err(); err != nil {
+			return fmt.Errorf("core: transport failed: %w", err)
+		}
 	}
-	buckets := make([][]*Peer, si.Shards())
+	return nil
+}
+
+// beginIncremental opens an incremental run: decompose the dirty closure into
+// components, consume the dirty set (the next incremental run starts clean),
+// reset the closure's messages and record in res what the run touches.
+func (n *Network) beginIncremental(res *DetectResult) (*detectScope, []*detectComponent) {
+	scope, comps := n.incrementalComponents()
+	n.fbDirty = nil
+	res.Work.Resets = n.resetScope(scope)
+	res.Work.Components = len(comps)
+	res.TouchedEdges = make(map[graph.EdgeID]bool, len(scope.vars))
+	for key := range scope.vars {
+		res.TouchedEdges[key.Mapping] = true
+	}
+	return scope, comps
+}
+
+// finishRun closes a run: the one place it builds the posterior map it
+// reports — of the whole network, untouched variables of an incremental run
+// having kept their converged messages — and, for an incremental run, the
+// final publication (a full run published its last round already).
+func (n *Network) finishRun(res *DetectResult, opts DetectOptions) {
+	res.Posteriors = n.snapshotPosteriors(opts.DefaultPrior)
+	if opts.Incremental && opts.Publish != nil {
+		n.PublishSnapshot(DetectResult{Posteriors: res.Posteriors, TouchedEdges: res.TouchedEdges}, *opts.Publish)
+	}
+}
+
+// runVar is one variable of a run's work list, resolved once: the rounds
+// iterate these and look nothing up.
+type runVar struct {
+	p  *Peer
+	vs *varState
+	// masked marks a variable whose key is also ⊥-pinned at p: a full run
+	// reports it as 0 whatever its messages say, so its moves do not count
+	// toward convergence.
+	masked bool
+}
+
+// shardVars resolves the variables a run iterates — every variable of the
+// given peers, or those of the scope of an incremental run — in canonical
+// peer-then-key order, bucketed along the transport's shard partition so the
+// per-variable compute of a round runs on the worker that owns the peer's
+// messages. Non-sharded transports get a single bucket.
+func shardVars(tr network.Transport, peers []*Peer, scope *detectScope) [][]runVar {
+	shardOf := func(graph.PeerID) int { return 0 }
+	shards := make([][]runVar, 1)
+	if si, ok := tr.(network.ShardInfo); ok && si.Shards() > 1 {
+		shardOf, shards = si.ShardOf, make([][]runVar, si.Shards())
+	}
 	for _, p := range peers {
-		s := si.ShardOf(p.id)
-		buckets[s] = append(buckets[s], p)
+		s := shardOf(p.id)
+		for _, key := range p.sortedVarKeys() {
+			if scope != nil && !scope.vars[key] {
+				continue
+			}
+			shards[s] = append(shards[s], runVar{p: p, vs: p.vars[key], masked: scope == nil && p.pinned[key] > 0})
+		}
 	}
-	return buckets
+	return shards
+}
+
+// roundTally is what one pass over a bucket of variables adds up.
+type roundTally struct {
+	sent, updates int
+	maxDelta      float64
 }
 
 // eachShard runs f over every bucket — inline for a single bucket, on one
-// goroutine per shard otherwise. Peer state is touched only by the bucket's
-// own worker; everything cross-shard rides the transport as bytes.
-func eachShard(shards [][]*Peer, f func(shard int, peers []*Peer)) {
+// goroutine per shard otherwise — and folds the tallies. Peer state is touched
+// only by the bucket's own worker; everything cross-shard rides the transport
+// as bytes.
+func eachShard(shards [][]runVar, f func(vars []runVar) roundTally) roundTally {
 	if len(shards) == 1 {
-		f(0, shards[0])
-		return
+		return f(shards[0])
 	}
+	tallies := make([]roundTally, len(shards))
 	var wg sync.WaitGroup
-	for si, ps := range shards {
+	for si, vars := range shards {
 		wg.Add(1)
-		go func(si int, ps []*Peer) {
+		go func() {
 			defer wg.Done()
-			f(si, ps)
-		}(si, ps)
+			tallies[si] = f(vars)
+		}()
 	}
 	wg.Wait()
+	var total roundTally
+	for _, t := range tallies {
+		total.sent += t.sent
+		total.updates += t.updates
+		if t.maxDelta > total.maxDelta {
+			total.maxDelta = t.maxDelta
+		}
+	}
+	return total
 }
 
-// lockstepRounds runs the synchronous sweep schedule over the scope (nil: the
-// whole network) until the posteriors read through the given view hold within
-// opts.Tolerance for opts.StableRounds consecutive rounds, or opts.MaxRounds
-// is spent: every round sends every in-scope message, steps the transport and
-// refreshes every in-scope variable. onRound, if non-nil, sees each round's
-// posteriors. Returns the rounds' contribution (rounds, convergence, remote
-// messages, work) and the last posteriors read.
-func lockstepRounds(tr network.Stepped, shards [][]*Peer, scope *detectScope, opts DetectOptions,
-	posteriors func() map[graph.EdgeID]map[schema.Attribute]float64,
-	onRound func(round int, cur map[graph.EdgeID]map[schema.Attribute]float64),
-) (componentResult, map[graph.EdgeID]map[schema.Attribute]float64) {
+// lockstepRounds runs the synchronous sweep schedule over the given variables
+// until the largest posterior move of a round stays under opts.Tolerance for
+// opts.StableRounds consecutive rounds, or opts.MaxRounds is spent: every
+// round sends every message, steps the transport and refreshes every
+// variable. onRound, if non-nil, runs after each round's refresh. Returns the
+// rounds' contribution: rounds, convergence, remote messages, work.
+func lockstepRounds(tr network.Stepped, shards [][]runVar, opts DetectOptions, onRound func(round int)) componentResult {
 	var out componentResult
-	prev := posteriors()
 	stable := 0
 	for round := 1; round <= opts.MaxRounds; round++ {
-		remote, updates := sendRound(tr, shards, opts.DefaultPrior, scope, opts.Blocked)
+		remote, updates := sendRound(tr, shards, opts.DefaultPrior, opts.Blocked)
 		out.remote += remote
 		out.work.MessageUpdates += updates
 		tr.Step()
-		out.work.FactorUpdates += refreshRound(shards, scope)
+		updates, maxDelta := refreshRound(shards, opts.DefaultPrior)
+		out.work.FactorUpdates += updates
 		out.rounds = round
 		out.work.ComponentRounds = round
 
-		cur := posteriors()
 		if onRound != nil {
-			onRound(round, cur)
+			onRound(round)
 		}
-		maxDelta := posteriorDelta(prev, cur)
-		prev = cur
 		if maxDelta < opts.Tolerance {
 			stable++
 			if stable >= opts.StableRounds {
@@ -390,7 +446,7 @@ func lockstepRounds(tr network.Stepped, shards [][]*Peer, scope *detectScope, op
 			stable = 0
 		}
 	}
-	return out, prev
+	return out
 }
 
 // emit puts one variable→factor µ-message on the transport: a single
@@ -422,72 +478,48 @@ func emit(tr network.Transport, p *Peer, f *factorRef, msg factorgraph.Msg, bloc
 	return sent
 }
 
-// sendRound performs phase 1 of a period for every peer: compute, marshal
+// sendRound performs phase 1 of a period for every variable: compute, marshal
 // and emit the variable→factor messages. Messages to factors replicated on
 // the same peer are applied locally (they never touch the network);
-// messages to other peers are sent once per (factor, destination peer).
-// A non-nil scope restricts the round to the dirty components of an
-// incremental run; a non-nil blocked predicate severs links (partition).
-// Returns the number of remote messages handed to the
-// transport and the number of variable→factor messages applied.
-func sendRound(tr network.Transport, shards [][]*Peer, defPrior float64, scope *detectScope, blocked func(from, to graph.PeerID) bool) (int, int) {
-	counts := make([]int, len(shards))
-	updates := make([]int, len(shards))
-	eachShard(shards, func(si int, peers []*Peer) {
-		sent, upd := 0, 0
-		for _, p := range peers {
-			for _, key := range p.sortedVarKeys() {
-				if scope != nil && !scope.vars[key] {
-					continue
-				}
-				vs := p.vars[key]
-				prior := p.PriorFor(key.Mapping, key.Attr, defPrior)
-				outs := vs.outgoingAll(prior)
-				for fi, f := range vs.factors {
-					// Local copy: my own replica records my message so my
-					// other variables in this factor see it.
-					f.replica.setRemote(f.pos, outs[fi])
-					upd++
-					sent += emit(tr, p, f, outs[fi], blocked)
-				}
+// messages to other peers are sent once per (factor, destination peer). A
+// non-nil blocked predicate severs links (partition). Returns the number of
+// remote messages handed to the transport and the number of variable→factor
+// messages applied.
+func sendRound(tr network.Transport, shards [][]runVar, defPrior float64, blocked func(from, to graph.PeerID) bool) (int, int) {
+	total := eachShard(shards, func(vars []runVar) (t roundTally) {
+		for _, rv := range vars {
+			vs := rv.vs
+			outs := vs.outgoingAll(rv.p.PriorFor(vs.key.Mapping, vs.key.Attr, defPrior))
+			for fi, f := range vs.factors {
+				// Local copy: my own replica records my message so my
+				// other variables in this factor see it.
+				f.replica.setRemote(f.pos, outs[fi])
+				t.updates++
+				t.sent += emit(tr, rv.p, f, outs[fi], blocked)
 			}
 		}
-		counts[si] = sent
-		updates[si] = upd
+		return t
 	})
-	total, upd := 0, 0
-	for si := range counts {
-		total += counts[si]
-		upd += updates[si]
-	}
-	return total, upd
+	return total.sent, total.updates
 }
 
-// refreshRound performs phase 2: every peer recomputes factor→variable
-// messages from the replicas' remote messages, restricted to the scope of an
-// incremental run when one is given. Returns the number of factor→variable
-// rebinds applied.
-func refreshRound(shards [][]*Peer, scope *detectScope) int {
-	updates := make([]int, len(shards))
-	eachShard(shards, func(si int, peers []*Peer) {
-		upd := 0
-		for _, p := range peers {
-			for _, key := range p.sortedVarKeys() {
-				if scope != nil && !scope.vars[key] {
-					continue
-				}
-				vs := p.vars[key]
-				vs.refresh()
-				upd += len(vs.factors)
+// refreshRound performs phase 2: every variable recomputes its
+// factor→variable messages from the replicas' remote messages. Returns the
+// number of factor→variable rebinds applied and the largest posterior move —
+// the round's convergence measure.
+func refreshRound(shards [][]runVar, defPrior float64) (int, float64) {
+	total := eachShard(shards, func(vars []runVar) (t roundTally) {
+		for _, rv := range vars {
+			vs := rv.vs
+			d := vs.refresh(rv.p.PriorFor(vs.key.Mapping, vs.key.Attr, defPrior))
+			if d > t.maxDelta && !rv.masked {
+				t.maxDelta = d
 			}
+			t.updates += len(vs.factors)
 		}
-		updates[si] = upd
+		return t
 	})
-	total := 0
-	for _, u := range updates {
-		total += u
-	}
-	return total
+	return total.updates, total.maxDelta
 }
 
 // detectScope is the variable/factor closure of an incremental run: the
@@ -496,19 +528,6 @@ func refreshRound(shards [][]*Peer, scope *detectScope) int {
 type detectScope struct {
 	vars map[varKey]bool
 	evs  map[string]bool
-}
-
-// scopeSize reports how many variables a run will iterate: the scope's for
-// an incremental run, the whole network's otherwise.
-func (n *Network) scopeSize(scope *detectScope) int {
-	if scope != nil {
-		return len(scope.vars)
-	}
-	total := 0
-	for _, p := range n.peers {
-		total += len(p.vars)
-	}
-	return total
 }
 
 // resetScope restores unit messages inside the scope only — the incremental
@@ -539,30 +558,6 @@ func (n *Network) resetScope(scope *detectScope) int {
 	return resets
 }
 
-// scopedPosteriors collects the posteriors the convergence check needs: the
-// scope's variables for an incremental run (everything else is frozen and
-// would only pad the delta computation), or the full map.
-func (n *Network) scopedPosteriors(defPrior float64, scope *detectScope) map[graph.EdgeID]map[schema.Attribute]float64 {
-	if scope == nil {
-		return n.snapshotPosteriors(defPrior)
-	}
-	out := make(map[graph.EdgeID]map[schema.Attribute]float64)
-	for _, p := range n.Peers() {
-		for _, key := range p.sortedVarKeys() {
-			if !scope.vars[key] {
-				continue
-			}
-			mm, ok := out[key.Mapping]
-			if !ok {
-				mm = make(map[schema.Attribute]float64)
-				out[key.Mapping] = mm
-			}
-			mm[key.Attr] = p.vars[key].posterior(p.PriorFor(key.Mapping, key.Attr, defPrior))
-		}
-	}
-	return out
-}
-
 // snapshotPosteriors collects the current posterior of every variable in
 // the network, including pins.
 func (n *Network) snapshotPosteriors(defPrior float64) map[graph.EdgeID]map[schema.Attribute]float64 {
@@ -583,35 +578,6 @@ func (n *Network) snapshotPosteriors(defPrior float64) map[graph.EdgeID]map[sche
 		for key := range p.pinned {
 			put(key.Mapping, key.Attr, 0)
 		}
-	}
-	return out
-}
-
-func posteriorDelta(a, b map[graph.EdgeID]map[schema.Attribute]float64) float64 {
-	max := 0.0
-	for m, mb := range b {
-		ma := a[m]
-		for attr, pb := range mb {
-			pa, ok := ma[attr]
-			if !ok {
-				pa = 0.5
-			}
-			if d := math.Abs(pa - pb); d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
-func clonePosteriors(src map[graph.EdgeID]map[schema.Attribute]float64) map[graph.EdgeID]map[schema.Attribute]float64 {
-	out := make(map[graph.EdgeID]map[schema.Attribute]float64, len(src))
-	for m, mm := range src {
-		c := make(map[schema.Attribute]float64, len(mm))
-		for a, v := range mm {
-			c[a] = v
-		}
-		out[m] = c
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/factorgraph"
 	"repro/internal/graph"
@@ -162,25 +161,11 @@ func (n *Network) RunLazy(workload []LazyQuery, opts LazyOptions) (LazyResult, e
 // re-derives its outgoing µ messages into its relay buffer. Returns the
 // largest posterior change.
 func (st *lazyState) produce(p *Peer, defPrior float64) float64 {
-	maxDelta := 0.0
-	for _, key := range p.sortedVarKeys() {
-		vs := p.vars[key]
-		prior := p.PriorFor(key.Mapping, key.Attr, defPrior)
-		before := vs.posterior(prior)
-		vs.refresh()
-		after := vs.posterior(prior)
-		if d := math.Abs(after - before); d > maxDelta {
-			maxDelta = d
-		}
-		outs := vs.outgoingAll(prior)
-		for fi, f := range vs.factors {
-			out := outs[fi]
-			f.replica.setRemote(f.pos, out)
-			st.seq++
-			st.relay[p.id][lazyKey{ev: f.replica.ev.ID, pos: f.pos}] = lazyEntry{msg: out, seq: st.seq}
-		}
-	}
-	return maxDelta
+	relay := st.relay[p.id]
+	return p.produce(defPrior, func(f *factorRef, msg factorgraph.Msg) {
+		st.seq++
+		relay[lazyKey{ev: f.replica.ev.ID, pos: f.pos}] = lazyEntry{msg: msg, seq: st.seq}
+	})
 }
 
 // propagate runs one query breadth-first through the network, relaying

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync"
@@ -10,8 +9,6 @@ import (
 	"repro/internal/factorgraph"
 	"repro/internal/graph"
 	"repro/internal/network"
-	"repro/internal/schema"
-	"repro/internal/wire"
 )
 
 // escalationPatience is how many consecutive rounds the residual frontier may
@@ -48,12 +45,10 @@ type detectComponent struct {
 	// id is the canonical identity: the smallest member variable. It orders
 	// the merge and seeds the component's transport.
 	id varKey
-	// vars lists the member variables in canonical order; varSet mirrors it
-	// for membership tests, owner resolves each to its owning peer.
-	vars   []varKey
-	varSet map[varKey]bool
-	owner  map[varKey]*Peer
-	evs    map[string]bool
+	// vars lists the member variables, each with its owning peer, in
+	// canonical key order.
+	vars []runVar
+	evs  map[string]bool
 	// peers are the owning peers involved, sorted by ID — the registration
 	// set of the component's private transport.
 	peers []*Peer
@@ -75,7 +70,7 @@ func (n *Network) incrementalComponents() (*detectScope, []*detectComponent) {
 	for key := range n.fbDirty {
 		seeds = append(seeds, key)
 	}
-	sortVarKeys(seeds)
+	sort.Slice(seeds, func(i, j int) bool { return seeds[i].less(seeds[j]) })
 
 	var comps []*detectComponent
 	for _, seed := range seeds {
@@ -94,37 +89,27 @@ func (n *Network) incrementalComponents() (*detectScope, []*detectComponent) {
 // scope as it goes. Returns nil when the seed has no live variable (feedback
 // on state churn already retracted).
 func (n *Network) growComponent(seed varKey, scope *detectScope) *detectComponent {
-	comp := &detectComponent{
-		varSet: make(map[varKey]bool),
-		evs:    make(map[string]bool),
-		owner:  make(map[varKey]*Peer),
-	}
+	comp := &detectComponent{evs: make(map[string]bool)}
 	// The participating peers: every variable owner plus every replica
 	// holder of a member factor (a peer can replicate a factor without
 	// owning any in-scope variable — it still must receive frames).
 	seen := make(map[graph.PeerID]*Peer)
-	var queue []varKey
 	push := func(key varKey) {
 		if scope.vars[key] {
 			return
 		}
 		if p, ok := n.Owner(key.Mapping); ok {
-			if _, exists := p.vars[key]; exists {
+			if vs, exists := p.vars[key]; exists {
 				scope.vars[key] = true
-				comp.varSet[key] = true
-				comp.owner[key] = p
-				comp.vars = append(comp.vars, key)
-				queue = append(queue, key)
+				comp.vars = append(comp.vars, runVar{p: p, vs: vs})
 				seen[p.id] = p
 			}
 		}
 	}
 	push(seed)
-	for len(queue) > 0 {
-		key := queue[0]
-		queue = queue[1:]
-		p := comp.owner[key]
-		for _, f := range p.vars[key].factors {
+	// The member list is the BFS queue: push appends behind the cursor.
+	for i := 0; i < len(comp.vars); i++ {
+		for _, f := range comp.vars[i].vs.factors {
 			ev := f.replica.ev
 			if comp.evs[ev.ID] {
 				continue
@@ -144,24 +129,14 @@ func (n *Network) growComponent(seed varKey, scope *detectScope) *detectComponen
 	if len(comp.vars) == 0 {
 		return nil
 	}
-	sortVarKeys(comp.vars)
-	comp.id = comp.vars[0]
+	sort.Slice(comp.vars, func(i, j int) bool { return comp.vars[i].vs.key.less(comp.vars[j].vs.key) })
+	comp.id = comp.vars[0].vs.key
 	comp.peers = make([]*Peer, 0, len(seen))
 	for _, p := range seen {
 		comp.peers = append(comp.peers, p)
 	}
 	sort.Slice(comp.peers, func(i, j int) bool { return comp.peers[i].id < comp.peers[j].id })
 	return comp
-}
-
-// sortVarKeys orders variable keys canonically (mapping, then attribute).
-func sortVarKeys(keys []varKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Mapping != keys[j].Mapping {
-			return keys[i].Mapping < keys[j].Mapping
-		}
-		return keys[i].Attr < keys[j].Attr
-	})
 }
 
 // splitmix64 is the 64-bit SplitMix64 finalizer — the same mixer the sim
@@ -200,23 +175,9 @@ type componentResult struct {
 // their messages, and converge each on the residual schedule — serially or
 // on a worker pool. The merged result is bit-identical at any worker count.
 func (n *Network) runResidualDetection(opts DetectOptions) (DetectResult, error) {
-	scope, comps := n.incrementalComponents()
-	n.fbDirty = nil // consumed: the next incremental run starts clean
-	res := DetectResult{TouchedVars: n.scopeSize(scope)}
-	res.Work.Resets = n.resetScope(scope)
-	res.Work.Components = len(comps)
-	res.TouchedEdges = make(map[graph.EdgeID]bool, len(scope.vars))
-	for key := range scope.vars {
-		res.TouchedEdges[key.Mapping] = true
-	}
-
-	// Pre-warm the sorted-key caches: snapshotPosteriors iterates them after
-	// the runs, and a lazy rebuild inside a worker would be a write race.
-	for _, c := range comps {
-		for _, p := range c.peers {
-			p.sortedVarKeys()
-		}
-	}
+	var res DetectResult
+	scope, comps := n.beginIncremental(&res)
+	res.TouchedVars = len(scope.vars)
 
 	outs := make([]componentResult, len(comps))
 	run := func(i int) {
@@ -269,10 +230,7 @@ func (n *Network) runResidualDetection(opts DetectOptions) (DetectResult, error)
 		res.Transport.Dropped += o.stats.Dropped
 		res.Work.Add(o.work)
 	}
-	res.Posteriors = n.snapshotPosteriors(opts.DefaultPrior)
-	if opts.Publish != nil {
-		n.PublishSnapshot(DetectResult{Posteriors: res.Posteriors, TouchedEdges: res.TouchedEdges}, *opts.Publish)
-	}
+	n.finishRun(&res, opts)
 	return res, nil
 }
 
@@ -289,40 +247,27 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int6
 		// a frontier schedule. Component parallelism replaces it.
 		kind = network.KindSim
 	}
-	tr, err := network.New(network.Config{Kind: kind, PSend: 1, Seed: seed})
+	tr, err := openTransport(network.Config{Kind: kind, PSend: 1, Seed: seed}, c.peers)
 	if err != nil {
 		return componentResult{err: err}
 	}
 	defer tr.Close()
-	for _, p := range c.peers {
-		p := p
-		err := tr.Register(p.id, func(e network.Envelope) {
-			m, err := wire.Decode(e.Payload)
-			if err != nil {
-				return // malformed frame: drop, exactly like a real node
-			}
-			if rm, ok := m.(wire.Remote); ok {
-				p.handleRemote(rm)
-			}
-		})
-		if err != nil {
-			return componentResult{err: err}
-		}
-	}
 
 	var out componentResult
 	resTol := opts.Tolerance
-	active := c.varSet
+	// The frontier, indexed like c.vars: everything is active in round one.
+	active, next := make([]bool, len(c.vars)), make([]bool, len(c.vars))
+	for i := range active {
+		active[i] = true
+	}
 	minFront, stagnant := len(active)+1, 0
 	for round := 1; round <= opts.MaxRounds; round++ {
-		for _, key := range c.vars {
-			if !active[key] {
+		for i, rv := range c.vars {
+			if !active[i] {
 				continue
 			}
-			p := c.owner[key]
-			vs := p.vars[key]
-			prior := p.PriorFor(key.Mapping, key.Attr, opts.DefaultPrior)
-			outs := vs.outgoingAll(prior)
+			vs := rv.vs
+			outs := vs.outgoingAll(rv.p.PriorFor(vs.key.Mapping, vs.key.Attr, opts.DefaultPrior))
 			for fi, f := range vs.factors {
 				msg := outs[fi]
 				// The local replica copy holds exactly what every receiver
@@ -335,32 +280,31 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int6
 				}
 				f.replica.setRemote(f.pos, msg)
 				out.work.MessageUpdates++
-				out.remote += emit(tr, p, f, msg, opts.Blocked)
+				out.remote += emit(tr, rv.p, f, msg, opts.Blocked)
 			}
 		}
 		tr.Step()
 		// Rebind factor→variable messages; a variable re-enters the frontier
 		// only when one of its inputs moved beyond tolerance.
-		next := make(map[varKey]bool)
-		for _, key := range c.vars {
-			vs := c.owner[key].vars[key]
-			changed := false
-			for _, f := range vs.factors {
+		front := 0
+		for i, rv := range c.vars {
+			next[i] = false
+			for _, f := range rv.vs.factors {
 				nm := f.replica.message(f.pos)
 				if factorgraph.Residual(f.toVar, nm) > resTol {
 					f.toVar = nm
-					changed = true
+					next[i] = true
 					out.work.FactorUpdates++
 				}
 			}
-			if changed {
-				next[key] = true
+			if next[i] {
+				front++
 			}
 		}
-		active = next
+		active, next = next, active
 		out.rounds = round
 		out.work.ComponentRounds = round
-		if len(active) == 0 {
+		if front == 0 {
 			out.converged = true
 			break
 		}
@@ -370,8 +314,8 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int6
 		// rounds — the escalation below then reproduces the scratch
 		// trajectory. Purely a function of the deterministic frontier
 		// sequence, so the early exit is identical at any worker count.
-		if len(active) < minFront {
-			minFront, stagnant = len(active), 0
+		if front < minFront {
+			minFront, stagnant = front, 0
 		} else if stagnant++; stagnant >= escalationPatience {
 			break
 		}
@@ -387,10 +331,8 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int6
 		n.lockstepComponent(c, tr, opts, &out)
 	}
 	out.stats = tr.Stats()
-	if ec, ok := tr.(interface{ Err() error }); ok {
-		if err := ec.Err(); err != nil {
-			return componentResult{err: fmt.Errorf("core: component transport failed: %w", err)}
-		}
+	if err := transportErr(tr); err != nil {
+		return componentResult{err: err}
 	}
 	return out
 }
@@ -402,28 +344,13 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int6
 // computes here, whatever the rest of the network does — so the incremental
 // ≡ scratch differential contract holds on non-converging components too.
 func (n *Network) lockstepComponent(c *detectComponent, tr network.Stepped, opts DetectOptions, out *componentResult) {
-	scope := &detectScope{vars: c.varSet, evs: c.evs}
+	scope := &detectScope{vars: make(map[varKey]bool, len(c.vars)), evs: c.evs}
+	for _, rv := range c.vars {
+		scope.vars[rv.vs.key] = true
+	}
 	out.work.Resets += n.resetScope(scope)
-	r, _ := lockstepRounds(tr, [][]*Peer{c.peers}, scope, opts,
-		func() map[graph.EdgeID]map[schema.Attribute]float64 { return c.posteriors(opts.DefaultPrior) }, nil)
+	r := lockstepRounds(tr, [][]runVar{c.vars}, opts, nil)
 	out.rounds, out.converged = r.rounds, r.converged
 	out.remote += r.remote
 	out.work.Add(r.work)
-}
-
-// posteriors collects the component's current posterior map — the
-// convergence view of the escalated lockstep run. Component-local so worker
-// pools never touch state (or lazy caches) outside their own component.
-func (c *detectComponent) posteriors(defPrior float64) map[graph.EdgeID]map[schema.Attribute]float64 {
-	out := make(map[graph.EdgeID]map[schema.Attribute]float64)
-	for _, key := range c.vars {
-		p := c.owner[key]
-		mm, ok := out[key.Mapping]
-		if !ok {
-			mm = make(map[schema.Attribute]float64)
-			out[key.Mapping] = mm
-		}
-		mm[key.Attr] = p.vars[key].posterior(p.PriorFor(key.Mapping, key.Attr, defPrior))
-	}
-	return out
 }

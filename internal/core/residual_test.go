@@ -40,7 +40,8 @@ func TestIncrementalComponentsOverlap(t *testing.T) {
 		if len(c.vars) != len(wantVars[i]) {
 			t.Fatalf("component %d has vars %v, want mappings %v", i, c.vars, wantVars[i])
 		}
-		for j, key := range c.vars {
+		for j, rv := range c.vars {
+			key := rv.vs.key
 			if string(key.Mapping) != wantVars[i][j] || key.Attr != "a" {
 				t.Errorf("component %d var %d = %v, want %s/a", i, j, key, wantVars[i][j])
 			}
@@ -112,8 +113,8 @@ func TestIncrementalClosureAfterRetraction(t *testing.T) {
 
 	_, comps := live.incrementalComponents()
 	for _, c := range comps {
-		for _, key := range c.vars {
-			if key.Mapping == "m1" {
+		for _, rv := range c.vars {
+			if rv.vs.key.Mapping == "m1" {
 				t.Errorf("component %v still contains the retracted m1", c.id)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/factorgraph"
@@ -173,17 +174,42 @@ func (vs *varState) posterior(prior float64) float64 {
 }
 
 // refresh recomputes every factor→variable message from the replicas'
-// current remote messages.
-func (vs *varState) refresh() {
+// current remote messages and returns how far that moved the posterior — the
+// convergence measure of every schedule. Nothing else writes toVar, so the
+// posterior before one refresh is the posterior after the previous one.
+func (vs *varState) refresh(prior float64) float64 {
+	before := vs.posterior(prior)
 	for _, f := range vs.factors {
 		f.toVar = f.replica.message(f.pos)
 	}
+	return math.Abs(vs.posterior(prior) - before)
+}
+
+// produce is one step of the round-less schedules (lazy, async) at p: refresh
+// every variable, re-derive its outgoing µ messages, record each in the local
+// replica and hand it to sink. Returns the largest posterior move.
+func (p *Peer) produce(defPrior float64, sink func(f *factorRef, msg factorgraph.Msg)) float64 {
+	maxDelta := 0.0
+	for _, key := range p.sortedVarKeys() {
+		vs := p.vars[key]
+		prior := p.PriorFor(key.Mapping, key.Attr, defPrior)
+		if d := vs.refresh(prior); d > maxDelta {
+			maxDelta = d
+		}
+		outs := vs.outgoingAll(prior)
+		for fi, f := range vs.factors {
+			f.replica.setRemote(f.pos, outs[fi])
+			sink(f, outs[fi])
+		}
+	}
+	return maxDelta
 }
 
 // sortedVarKeys returns the peer's variable keys in deterministic order.
-// The slice is cached — every round of every schedule iterates it — and
-// invalidated by whatever mutates p.vars (installEvidence,
-// resetInference). Callers must not mutate it. The length check is a
+// The slice is cached — every run resolves its work list from it and every
+// production of the round-less schedules iterates it — and invalidated by
+// whatever mutates p.vars (installEvidence, resetInference). Callers must
+// not mutate it. The length check is a
 // second line of defense for in-package tests that populate p.vars
 // directly; it cannot detect same-size key replacement, which is why the
 // mutators clear the cache explicitly.
@@ -195,12 +221,7 @@ func (p *Peer) sortedVarKeys() []varKey {
 	for k := range p.vars {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Mapping != keys[j].Mapping {
-			return keys[i].Mapping < keys[j].Mapping
-		}
-		return keys[i].Attr < keys[j].Attr
-	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	p.varKeys = keys
 	return keys
 }

@@ -71,7 +71,14 @@ func TestVarStateMath(t *testing.T) {
 	if len(vs.factors) != 2 {
 		t.Fatalf("factors = %d, want 2", len(vs.factors))
 	}
-	vs.refresh()
+	// From unit messages the posterior is the prior, so the first refresh
+	// moves it by exactly |posterior − prior|; a second one moves nothing.
+	if moved, want := vs.refresh(0.5), math.Abs(vs.posterior(0.5)-0.5); moved != want || moved == 0 {
+		t.Errorf("refresh moved the posterior by %v, want %v (non-zero)", moved, want)
+	}
+	if moved := vs.refresh(0.5); moved != 0 {
+		t.Errorf("idle refresh moved the posterior by %v", moved)
+	}
 	// outgoing to factor 0 must exclude factor 0's own contribution.
 	out0 := vs.outgoing(0, 0.5)
 	manual := factorgraph.Msg{0.5, 0.5}.Mul(vs.factors[1].toVar).Normalized()

@@ -149,6 +149,13 @@ func (s *Simulation) posteriorError(det core.DetectResult) float64 {
 	return sum / float64(n)
 }
 
+// feedbackOpts is the one place the scenario's ingestion options are built,
+// for an assumed verdict error rate: core latches the last batch's NoTrust,
+// so a site that dropped the flag would re-weight every factor by trust.
+func (s *Simulation) feedbackOpts(noise float64) core.FeedbackOptions {
+	return core.FeedbackOptions{Delta: s.sc.Delta, Noise: noise, NoTrust: s.sc.NoTrust}
+}
+
 // ingestAndRedetect performs the network-owning half of a feedback cycle:
 // install the observations as counting factors, then re-run belief
 // propagation over the dirty components only, within the given round budget
@@ -163,7 +170,7 @@ func (s *Simulation) ingestAndRedetect(obs []core.QueryFeedback, noise float64, 
 		// memory for nothing.
 		s.fedback = append(s.fedback, obs...)
 	}
-	rep, err := s.net.IngestFeedback(core.FeedbackOptions{Delta: s.sc.Delta, Noise: noise, NoTrust: s.sc.NoTrust}, obs...)
+	rep, err := s.net.IngestFeedback(s.feedbackOpts(noise), obs...)
 	if err != nil {
 		return nil, core.DetectResult{}, err
 	}

@@ -203,11 +203,7 @@ func (s *Simulation) checkScratchDifferential(det core.DetectResult, psend float
 		return []string{fmt.Sprintf("scratch discovery failed: %v", err)}
 	}
 	if len(s.fedback) > 0 {
-		if _, err := fresh.IngestFeedback(core.FeedbackOptions{
-			Delta:   s.sc.Delta,
-			Noise:   s.sc.FeedbackNoise,
-			NoTrust: s.sc.NoTrust,
-		}, s.fedback...); err != nil {
+		if _, err := fresh.IngestFeedback(s.feedbackOpts(s.sc.FeedbackNoise), s.fedback...); err != nil {
 			return []string{fmt.Sprintf("scratch feedback replay failed: %v", err)}
 		}
 	}

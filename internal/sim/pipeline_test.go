@@ -46,71 +46,88 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 	if testing.Short() {
 		seeds = 8
 	}
-	for seed := 0; seed < seeds; seed++ {
-		spec := feedbackLoadSpec(t, int64(400+seed))
+	// The second row is the regime where a refresh that dropped the scenario's
+	// NoTrust flag shows: noisy verdicts make trust weighting bite, so a tail
+	// ingested with trust on diverges from the barrier run's trust-off state.
+	rows := []struct {
+		name    string
+		noTrust bool
+		noise   float64
+	}{
+		{name: "trust", noise: 0.1},
+		{name: "noTrust-noisy", noTrust: true, noise: 0.3},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for seed := 0; seed < seeds; seed++ {
+				spec := feedbackLoadSpec(t, int64(400+seed))
+				spec.Scenario.NoTrust = row.noTrust
+				spec.Workload.FeedbackNoise = row.noise
 
-		sb, err := New(spec.Scenario)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		barrier, _, err := sb.RunWorkload(spec.Workload, nil)
-		if err != nil {
-			t.Fatalf("seed %d: barrier run: %v", seed, err)
-		}
+				sb, err := New(spec.Scenario)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				barrier, _, err := sb.RunWorkload(spec.Workload, nil)
+				if err != nil {
+					t.Fatalf("seed %d: barrier run: %v", seed, err)
+				}
 
-		wp := spec.Workload
-		wp.Pipeline = true
-		sp, err := New(spec.Scenario)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		piped, _, err := sp.RunWorkload(wp, nil)
-		if err != nil {
-			t.Fatalf("seed %d: pipelined run: %v", seed, err)
-		}
+				wp := spec.Workload
+				wp.Pipeline = true
+				sp, err := New(spec.Scenario)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				piped, _, err := sp.RunWorkload(wp, nil)
+				if err != nil {
+					t.Fatalf("seed %d: pipelined run: %v", seed, err)
+				}
 
-		if len(barrier.Epochs) != len(piped.Epochs) {
-			t.Fatalf("seed %d: epoch count %d vs %d", seed, len(barrier.Epochs), len(piped.Epochs))
-		}
-		for i := range barrier.Epochs {
-			be, pe := barrier.Epochs[i], piped.Epochs[i]
-			if be.Digest != pe.Digest {
-				t.Errorf("seed %d epoch %d: answer digests diverge: %s vs %s", seed, be.Epoch, be.Digest, pe.Digest)
-			}
-			if be.Served != pe.Served || be.CacheHits != pe.CacheHits || be.Errors != pe.Errors {
-				t.Errorf("seed %d epoch %d: serve counts diverge: %d/%d/%d vs %d/%d/%d",
-					seed, be.Epoch, be.Served, be.CacheHits, be.Errors, pe.Served, pe.CacheHits, pe.Errors)
-			}
-			if pe.Feedback == nil || !pe.Feedback.Pipelined {
-				t.Fatalf("seed %d epoch %d: pipelined run missing pipelined feedback trace", seed, be.Epoch)
-			}
-			// Both modes ingest the same epoch's observations before the next
-			// epoch begins — the pipeline only splits the batch in two.
-			if be.Feedback.Observations != pe.Feedback.Observations {
-				t.Errorf("seed %d epoch %d: ingested %d vs %d observations",
-					seed, be.Epoch, be.Feedback.Observations, pe.Feedback.Observations)
-			}
-		}
-		if barrier.Digest != piped.Digest {
-			t.Errorf("seed %d: run digests diverge", seed)
-		}
-		if piped.FinalRefresh == nil {
-			t.Fatalf("seed %d: pipelined run has no final refresh", seed)
-		}
-		if barrier.FinalRefresh != nil {
-			t.Errorf("seed %d: barrier run has a final refresh", seed)
-		}
+				if len(barrier.Epochs) != len(piped.Epochs) {
+					t.Fatalf("seed %d: epoch count %d vs %d", seed, len(barrier.Epochs), len(piped.Epochs))
+				}
+				for i := range barrier.Epochs {
+					be, pe := barrier.Epochs[i], piped.Epochs[i]
+					if be.Digest != pe.Digest {
+						t.Errorf("seed %d epoch %d: answer digests diverge: %s vs %s", seed, be.Epoch, be.Digest, pe.Digest)
+					}
+					if be.Served != pe.Served || be.CacheHits != pe.CacheHits || be.Errors != pe.Errors {
+						t.Errorf("seed %d epoch %d: serve counts diverge: %d/%d/%d vs %d/%d/%d",
+							seed, be.Epoch, be.Served, be.CacheHits, be.Errors, pe.Served, pe.CacheHits, pe.Errors)
+					}
+					if pe.Feedback == nil || !pe.Feedback.Pipelined {
+						t.Fatalf("seed %d epoch %d: pipelined run missing pipelined feedback trace", seed, be.Epoch)
+					}
+					// Both modes ingest the same epoch's observations before the next
+					// epoch begins — the pipeline only splits the batch in two.
+					if be.Feedback.Observations != pe.Feedback.Observations {
+						t.Errorf("seed %d epoch %d: ingested %d vs %d observations",
+							seed, be.Epoch, be.Feedback.Observations, pe.Feedback.Observations)
+					}
+				}
+				if barrier.Digest != piped.Digest {
+					t.Errorf("seed %d: run digests diverge", seed)
+				}
+				if piped.FinalRefresh == nil {
+					t.Fatalf("seed %d: pipelined run has no final refresh", seed)
+				}
+				if barrier.FinalRefresh != nil {
+					t.Errorf("seed %d: barrier run has a final refresh", seed)
+				}
 
-		pb, pp := finalPosteriors(sb), finalPosteriors(sp)
-		if len(pb) == 0 || len(pb) != len(pp) {
-			t.Fatalf("seed %d: posterior coverage %d vs %d", seed, len(pb), len(pp))
-		}
-		for id, want := range pb {
-			got, ok := pp[id]
-			if !ok || math.Abs(got-want) > 1e-6 {
-				t.Errorf("seed %d: final posterior for %s: barrier %.9f, pipelined %.9f", seed, id, want, got)
+				pb, pp := finalPosteriors(sb), finalPosteriors(sp)
+				if len(pb) == 0 || len(pb) != len(pp) {
+					t.Fatalf("seed %d: posterior coverage %d vs %d", seed, len(pb), len(pp))
+				}
+				for id, want := range pb {
+					got, ok := pp[id]
+					if !ok || math.Abs(got-want) > 1e-6 {
+						t.Errorf("seed %d: final posterior for %s: barrier %.9f, pipelined %.9f", seed, id, want, got)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

@@ -371,23 +371,23 @@ func (s *Simulation) RunWorkload(w Workload, obs Observer) (*WorkloadResult, *Wo
 			Queries:  w.QueriesPerEpoch,
 		}
 		snap := s.publish(w, det, &wtr.SnapshotEpoch, &wtr.DeltaFull, &wtr.DeltaEdges)
-		// In pipelined mode the feedback refresh launches mid-phase: the mid
-		// hook runs at the serving phase's quiescent split point, drains the
-		// observations collected so far (a deterministic batch — every
-		// client has served exactly its head quota) and hands them to a
-		// background goroutine while the clients serve the rest of the epoch
-		// from the unchanged snapshot.
+		// The feedback refresh launches from the mid hook, which runs at the
+		// serving phase's quiescent split point: it drains the observations
+		// collected so far (a deterministic batch — every client has served
+		// exactly its head quota) and hands them to a background goroutine.
+		// A pipelined run splits mid-phase, so the clients serve the rest of
+		// the epoch from the unchanged snapshot while the refresh runs; a
+		// barrier run is the same cycle with the split at the end of the phase.
 		var job chan pipelineJob
-		var pipeErrBefore float64
+		var errBefore float64
 		var mid func()
-		if w.Feedback && w.Pipeline {
-			epochIdx := i
+		if w.Feedback {
 			job = make(chan pipelineJob, 1)
 			mid = func() {
 				batch := srv.DrainFeedback()
-				pipeErrBefore = s.posteriorError(det)
+				errBefore = s.posteriorError(det)
 				go func() {
-					ft, det2, err := s.ingestAndRedetect(batch, w.FeedbackNoise, w.FeedbackMaxRounds, s.epochSeed(epochIdx+1)+2)
+					ft, det2, err := s.ingestAndRedetect(batch, w.FeedbackNoise, w.FeedbackMaxRounds, s.epochSeed(i+1)+2)
 					job <- pipelineJob{ft: ft, det: det2, err: err}
 				}()
 			}
@@ -408,13 +408,7 @@ func (s *Simulation) RunWorkload(w Workload, obs Observer) (*WorkloadResult, *Wo
 
 		if w.Feedback {
 			fbStart := time.Now()
-			var err error
-			if w.Pipeline {
-				err = s.pipelineJoin(w, srv, job, pipeErrBefore, &wtr)
-			} else {
-				err = s.feedbackPhase(i, w, srv, det, &wtr)
-			}
-			if err != nil {
+			if err := s.pipelineJoin(w, srv, job, errBefore, &wtr); err != nil {
 				return nil, nil, fmt.Errorf("sim: epoch %d feedback: %w", i+1, err)
 			}
 			perf.FeedbackWait += time.Since(fbStart)
@@ -508,13 +502,13 @@ func (cl *workloadClient) serve(s *Simulation, w Workload, srv *serve.Server, sn
 }
 
 // servePhase runs one epoch's concurrent client phase and fills the
-// answer-derived trace fields. It returns the observed latencies. A non-nil
-// mid hook splits the phase: every client serves the first
-// pipelineSplit fraction of its quota, the hook runs on the calling
-// goroutine at the resulting quiescent point (no client in flight — so it
-// can drain feedback deterministically), and the clients then finish their
-// quotas. The split is invisible to the trace: client state persists across
-// it and the served snapshot does not change.
+// answer-derived trace fields. It returns the observed latencies. Every
+// client serves the head of its quota — all of it, or the first
+// pipelineSplit fraction when the workload is pipelined — a non-nil mid hook
+// then runs on the calling goroutine at the resulting quiescent point (no
+// client in flight — so it can drain feedback deterministically), and the
+// clients finish their quotas. The split is invisible to the trace: client
+// state persists across it and the served snapshot does not change.
 func (s *Simulation) servePhase(epoch int, w Workload, srv *serve.Server, snap *core.RoutingSnapshot,
 	det core.DetectResult, obs Observer, wtr *WorkloadEpochTrace, mid func()) []time.Duration {
 	if w.QueriesPerEpoch == 0 {
@@ -570,19 +564,19 @@ func (s *Simulation) servePhase(epoch int, w Workload, srv *serve.Server, snap *
 		}
 		wg.Wait()
 	}
-	if mid == nil {
-		run(quotas)
-	} else {
-		heads := make([]int, w.Clients)
-		tails := make([]int, w.Clients)
+	heads, tails := quotas, make([]int, w.Clients)
+	if w.Pipeline {
+		heads = make([]int, w.Clients)
 		for c, q := range quotas {
 			heads[c] = int(float64(q) * pipelineSplit)
 			tails[c] = q - heads[c]
 		}
-		run(heads)
-		mid()
-		run(tails)
 	}
+	run(heads)
+	if mid != nil {
+		mid()
+	}
+	run(tails)
 
 	var lats []time.Duration
 	epochDigest := sha256.New()
@@ -613,24 +607,6 @@ func (s *Simulation) publish(w Workload, det core.DetectResult, epoch *uint64, f
 	return snap
 }
 
-// feedbackPhase is the barrier step after an epoch's serving phase: drain
-// the verdict-derived observations every client enqueued on the server,
-// ingest them as counting factors, re-run belief propagation over the dirty
-// components only, and republish an epoch-bumped snapshot — so the next
-// epoch (and any concurrent reader) routes on posteriors that learned from
-// this epoch's traffic.
-func (s *Simulation) feedbackPhase(epoch int, w Workload, srv *serve.Server, det core.DetectResult, wtr *WorkloadEpochTrace) error {
-	errBefore := s.posteriorError(det)
-	ft, det2, err := s.ingestAndRedetect(srv.DrainFeedback(), w.FeedbackNoise, w.FeedbackMaxRounds, s.epochSeed(epoch+1)+2)
-	if err != nil {
-		return err
-	}
-	ft.ErrBefore = errBefore
-	s.publish(w, det2, &ft.SnapshotEpoch, &ft.DeltaFull, &ft.DeltaEdges)
-	wtr.Feedback = ft
-	return nil
-}
-
 // pipelineJob carries a background feedback refresh to the epoch barrier.
 type pipelineJob struct {
 	ft  *FeedbackTrace
@@ -638,25 +614,28 @@ type pipelineJob struct {
 	err error
 }
 
-// pipelineJoin is the epoch-barrier half of the pipelined feedback cycle:
-// wait for the refresh launched mid-phase, ingest the tail observations the
-// clients collected while it ran (their factor bumps apply now; their
-// re-detection rides the next refresh — or the final drain — via the dirty
+// pipelineJoin is the epoch-barrier half of the feedback cycle (drain the
+// clients' verdict-derived observations, ingest them as counting factors,
+// re-detect over the dirty components only, republish): wait for the refresh
+// the mid hook launched, ingest the tail observations the clients collected
+// while it ran — none in barrier mode; their factor bumps apply now and their
+// re-detection rides the next refresh, or the final drain, via the dirty
 // marks, since feedback factors fold chunked ingestion exactly like one
-// batch), and publish the refreshed snapshot.
+// batch — and publish the refreshed snapshot, so the next epoch (and any
+// concurrent reader) routes on posteriors that learned from this epoch.
 func (s *Simulation) pipelineJoin(w Workload, srv *serve.Server, job chan pipelineJob, errBefore float64, wtr *WorkloadEpochTrace) error {
 	r := <-job
 	if r.err != nil {
 		return r.err
 	}
 	ft := r.ft
-	ft.Pipelined = true
+	ft.Pipelined = w.Pipeline
 	ft.ErrBefore = errBefore
 	tail := srv.DrainFeedback()
 	if s.sc.Verify {
 		s.fedback = append(s.fedback, tail...)
 	}
-	rep, err := s.net.IngestFeedback(core.FeedbackOptions{Delta: s.sc.Delta, Noise: w.FeedbackNoise}, tail...)
+	rep, err := s.net.IngestFeedback(s.feedbackOpts(w.FeedbackNoise), tail...)
 	if err != nil {
 		return err
 	}
