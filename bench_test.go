@@ -1,12 +1,10 @@
-// Benchmarks regenerating every experiment of the paper's evaluation
-// (Figures 7–12), the §4.5 walkthrough and the §4.3.1 overhead bound, plus
-// micro-benchmarks of the core machinery. Run with:
+// Micro-benchmarks of the core machinery. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Each figure benchmark reports the headline quantity of its figure as a
-// custom metric so `go test -bench` output doubles as the reproduction
-// record (see EXPERIMENTS.md).
+// The paper's figures are reproduced by internal/experiments' TestFig* /
+// Test*Ablation assertions and printed by cmd/pdmsbench -fig; nothing here
+// times them.
 package pdms_test
 
 import (
@@ -15,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/factorgraph"
 	"repro/internal/feedback"
 	"repro/internal/graph"
@@ -24,134 +21,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/schema"
 )
-
-// BenchmarkFig7Convergence regenerates Figure 7: convergence of the
-// iterative message passing algorithm on the example graph (priors 0.7,
-// Δ=0.1). Reports iterations-to-convergence.
-func BenchmarkFig7Convergence(b *testing.B) {
-	var rounds int
-	for i := 0; i < b.N; i++ {
-		_, res, err := experiments.Fig7()
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = res.Rounds
-	}
-	b.ReportMetric(float64(rounds), "iterations")
-}
-
-// BenchmarkFig9RelativeError regenerates Figure 9: error of the iterative
-// scheme against exact inference while cycles grow. Reports the worst mean
-// error (%) across cycle lengths (paper: < 6%).
-func BenchmarkFig9RelativeError(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig9(6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst = 0
-		for _, p := range pts {
-			if p.MeanAbsErr > worst {
-				worst = p.MeanAbsErr
-			}
-		}
-	}
-	b.ReportMetric(100*worst, "worst-error-%")
-}
-
-// BenchmarkFig10CycleLength regenerates Figure 10: posterior of a positive
-// cycle of 2–20 mappings for Δ ∈ {0.2, 0.1, 0.01}. Reports the posterior of
-// the 20-mapping cycle at Δ=0.1 (paper: ≈0.5, no evidence left).
-func BenchmarkFig10CycleLength(b *testing.B) {
-	var last float64
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig10(2, 20, []float64{0.2, 0.1, 0.01})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			if p.Delta == 0.1 && p.CycleLen == 20 {
-				last = p.Posterior
-			}
-		}
-	}
-	b.ReportMetric(last, "posterior-at-20")
-}
-
-// BenchmarkFig11FaultTolerance regenerates Figure 11: rounds to convergence
-// under message loss (3 seeds per point to keep the benchmark fast).
-// Reports mean rounds at P(send)=0.1 (paper: converges even at 90% loss).
-func BenchmarkFig11FaultTolerance(b *testing.B) {
-	var rounds float64
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig11([]float64{1.0, 0.5, 0.1}, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = pts[len(pts)-1].MeanRounds
-	}
-	b.ReportMetric(rounds, "rounds-at-psend-0.1")
-}
-
-// BenchmarkFig12Precision regenerates Figure 12: precision of erroneous-
-// mapping detection on the automatically aligned bibliographic ontologies.
-// Reports precision at θ=0.3 (paper: ≥0.8 at low θ).
-func BenchmarkFig12Precision(b *testing.B) {
-	var precision float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12([]float64{0.3, 0.6})
-		if err != nil {
-			b.Fatal(err)
-		}
-		precision = res.Points[0].Precision
-	}
-	b.ReportMetric(precision, "precision-at-0.3")
-}
-
-// BenchmarkIntroExample regenerates the §4.5 walkthrough. Reports the
-// posterior of the faulty mapping (paper: 0.3).
-func BenchmarkIntroExample(b *testing.B) {
-	var post float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Intro()
-		if err != nil {
-			b.Fatal(err)
-		}
-		post = res.Posterior["m24"]
-	}
-	b.ReportMetric(post, "m24-posterior")
-}
-
-// BenchmarkOverheadBound measures the §4.3.1 per-round remote message count
-// on the Fig 5 network against the paper's bound.
-func BenchmarkOverheadBound(b *testing.B) {
-	var per int
-	for i := 0; i < b.N; i++ {
-		pt, err := experiments.Overhead()
-		if err != nil {
-			b.Fatal(err)
-		}
-		per = pt.PerRound
-	}
-	b.ReportMetric(float64(per), "remote-msgs/round")
-}
-
-// BenchmarkTopologyStats measures the §3.2.1 clustering claim on a
-// 150-peer scale-free overlay.
-func BenchmarkTopologyStats(b *testing.B) {
-	var cc float64
-	for i := 0; i < b.N; i++ {
-		stats, err := experiments.Topology(150, 3, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cc = stats[0].Clustering
-	}
-	b.ReportMetric(cc, "clustering")
-}
-
-// --- Micro-benchmarks of the core machinery ---
 
 // BenchmarkProbeDiscovery measures the TTL-6 probe flood on the Fig 5
 // network.

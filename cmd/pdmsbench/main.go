@@ -16,7 +16,6 @@
 //	pdmsbench -fig schedules # §4.3 periodic / lazy / async schedules
 //	pdmsbench -fig priors    # §4.4 prior learning across epochs
 //	pdmsbench -fig churn     # maintenance after churn
-//	pdmsbench -fig engine    # compiled BP kernel throughput at scale
 //	pdmsbench -fig feedback  # posterior error vs queries served-and-fed-back
 //	pdmsbench -fig all       # everything
 //
@@ -39,7 +38,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pdmsbench: ")
-	fig := flag.String("fig", "all", "experiment to run: 7, 9, 10, 11, 12, intro, overhead, topology, scale, ablation, schedules, priors, churn, engine, feedback, all")
+	fig := flag.String("fig", "all", "experiment to run: 7, 9, 10, 11, 12, intro, overhead, topology, scale, ablation, schedules, priors, churn, feedback, all")
 	flag.Parse()
 
 	runners := map[string]func() error{
@@ -56,11 +55,10 @@ func main() {
 		"schedules": schedules,
 		"priors":    priors,
 		"churn":     churn,
-		"engine":    engine,
 		"feedback":  feedbackFig,
 	}
 	if *fig == "all" {
-		for _, k := range []string{"intro", "7", "9", "10", "11", "12", "overhead", "topology", "scale", "ablation", "schedules", "priors", "churn", "engine", "feedback"} {
+		for _, k := range []string{"intro", "7", "9", "10", "11", "12", "overhead", "topology", "scale", "ablation", "schedules", "priors", "churn", "feedback"} {
 			if err := runners[k](); err != nil {
 				log.Fatal(err)
 			}
@@ -378,28 +376,6 @@ func churn() error {
 		rows))
 	fmt.Println("every epoch churns the network (join/leave/corrupt/fix), re-detects incrementally,")
 	fmt.Println("and revalidates the maintained evidence against full rediscovery (see TESTING.md).")
-	return nil
-}
-
-func engine() error {
-	header("engine — compiled belief-propagation kernel throughput (see PERFORMANCE.md)")
-	pts, err := experiments.EngineScale([]int{500, 2000, 8000}, 6, []int{1, 2, 4}, 20, 17)
-	if err != nil {
-		return err
-	}
-	rows := make([][]string, 0, len(pts))
-	for _, p := range pts {
-		rows = append(rows, []string{
-			fmt.Sprint(p.Vars), fmt.Sprint(p.Factors), fmt.Sprint(p.Edges),
-			fmt.Sprint(p.Workers), fmt.Sprintf("%.0fµs", p.SweepMicros),
-			fmt.Sprintf("%.1fM", p.EdgesPerSec/1e6),
-		})
-	}
-	fmt.Println(eval.Table(
-		[]string{"vars", "factors", "edges", "workers", "sweep", "msg-updates/s"},
-		rows))
-	fmt.Println("one sweep = every edge carries one message in each direction; steady state allocates nothing.")
-	fmt.Println("worker counts beyond the machine's cores cannot help (this is CPU-bound).")
 	return nil
 }
 

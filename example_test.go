@@ -49,10 +49,10 @@ func ExampleDelta() {
 	// 0.1
 }
 
-// ExampleNetwork_RouteQuery routes a query with the θ gate on priors alone
-// (no detection yet): every attribute must clear θ through a mapping for
-// the query to cross it.
-func ExampleNetwork_RouteQuery() {
+// ExampleRoutingSnapshot_RouteQuery routes a query with the θ gate on priors
+// alone (no detection yet): every attribute must clear θ through a mapping
+// for the query to cross it.
+func ExampleRoutingSnapshot_RouteQuery() {
 	s := pdms.MustNewSchema("S", "Creator")
 	net := pdms.NewNetwork(true)
 	net.MustAddPeer("a", s)
@@ -60,7 +60,8 @@ func ExampleNetwork_RouteQuery() {
 	net.MustAddMapping("m", "a", "b", pdms.IdentityPairs(s))
 
 	q := pdms.MustNewQuery(s, pdms.Op{Kind: pdms.Project, Attr: "Creator"})
-	route, err := net.RouteQuery("a", q, pdms.RouteOptions{DefaultTheta: 0.4})
+	snap := net.PublishSnapshot(pdms.DetectResult{}, pdms.SnapshotOptions{DefaultTheta: 0.4})
+	route, err := snap.RouteQuery("a", q)
 	if err != nil {
 		panic(err)
 	}

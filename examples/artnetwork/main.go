@@ -81,12 +81,12 @@ func main() {
 	fmt.Printf("query at p2: %v\n\n", q)
 
 	// Standard PDMS: no quality information, forward everywhere.
-	naive, err := net.RouteQuery("p2", q, pdms.RouteOptions{DefaultTheta: 0.01})
+	naive, err := net.PublishSnapshot(pdms.DetectResult{}, pdms.SnapshotOptions{DefaultTheta: 0.01}).RouteQuery("p2", q)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("— standard PDMS (mappings trusted blindly) —")
-	printResults(naive)
+	printResults(net, naive)
 
 	// With detection: discover evidence, infer, route with θ=0.5.
 	if _, err := net.DiscoverStructural([]pdms.Attribute{"Creator", "CreatedOn"}, 6, 0.1); err != nil {
@@ -96,20 +96,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	informed, err := net.RouteQuery("p2", q, pdms.RouteOptions{Posteriors: res, DefaultTheta: 0.5})
+	informed, err := net.PublishSnapshot(res, pdms.SnapshotOptions{DefaultTheta: 0.5}).RouteQuery("p2", q)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("— with probabilistic message passing (θ = 0.5) —")
-	printResults(informed)
+	printResults(net, informed)
 	fmt.Printf("hops blocked by the θ gate: %d\n", informed.Blocked)
 }
 
-func printResults(r pdms.RouteResult) {
+// printResults executes every visit's rewritten query at the visited peer's
+// store — the route itself carries no records — and prints the answers.
+func printResults(net *pdms.Network, r pdms.RouteResult) {
 	fmt.Printf("  visited peers: %v\n", r.Reached())
 	total := 0
 	for _, v := range r.Visits {
-		for _, rec := range v.Results {
+		p, _ := net.Peer(v.Peer)
+		st, ok := p.Store()
+		if !ok {
+			continue
+		}
+		recs, err := st.Execute(v.Query)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, rec := range recs {
 			total++
 			fmt.Printf("  answer from %s via %v: %v  (query arrived as %v)\n", v.Peer, v.Via, rec, v.Query)
 		}

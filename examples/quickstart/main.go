@@ -84,7 +84,7 @@ func main() {
 		pdms.Op{Kind: pdms.Project, Attr: "Creator"},
 		pdms.Op{Kind: pdms.Select, Attr: "Subject", Literal: "river"},
 	)
-	route, err := net.RouteQuery("p2", q, pdms.RouteOptions{Posteriors: res, DefaultTheta: 0.5})
+	route, err := net.PublishSnapshot(res, pdms.SnapshotOptions{DefaultTheta: 0.5}).RouteQuery("p2", q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -83,14 +83,10 @@ type DetectOptions struct {
 	Blocked func(from, to graph.PeerID) bool
 	// Trace, if non-nil, receives after every round the posterior map of the
 	// whole network, freshly allocated each call. A run builds that map every
-	// round only when Trace or Publish is set; convergence does not read it.
+	// round only when Trace is set; convergence does not read it. Calling
+	// Network.PublishSnapshot on it from the hook gives concurrent query
+	// servers the latest posteriors without ever blocking the BP rounds.
 	Trace func(round int, posteriors map[graph.EdgeID]map[schema.Attribute]float64)
-	// Publish, if non-nil, makes the run publish a fresh RoutingSnapshot
-	// under this policy after every round (and a final one when the run
-	// ends), so concurrent query servers reading Network.Snapshot always see
-	// the latest posteriors without ever blocking the BP rounds. Like Trace,
-	// it makes the run build the posterior map every round.
-	Publish *SnapshotOptions
 }
 
 func (o DetectOptions) withDefaults() (DetectOptions, error) {
@@ -250,16 +246,9 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 	}
 	if scope == nil || res.TouchedVars > 0 {
 		var onRound func(round int)
-		publish := opts.Publish != nil && scope == nil
-		if publish || opts.Trace != nil {
+		if opts.Trace != nil {
 			onRound = func(round int) {
-				cur := n.snapshotPosteriors(opts.DefaultPrior)
-				if publish {
-					n.PublishSnapshot(DetectResult{Posteriors: cur}, *opts.Publish)
-				}
-				if opts.Trace != nil {
-					opts.Trace(round, cur)
-				}
+				opts.Trace(round, n.snapshotPosteriors(opts.DefaultPrior))
 			}
 		}
 		lr := lockstepRounds(tr, shards, opts, onRound)
@@ -272,7 +261,7 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 		res.Converged = res.Converged || res.TouchedVars == 0
 		res.Work.ComponentRounds = res.Rounds * res.Work.Components
 	}
-	n.finishRun(&res, opts)
+	res.Posteriors = n.snapshotPosteriors(opts.DefaultPrior)
 	res.Transport = tr.Stats()
 	if err := transportErr(tr); err != nil {
 		return DetectResult{}, err
@@ -332,17 +321,6 @@ func (n *Network) beginIncremental(res *DetectResult) (*detectScope, []*detectCo
 		res.TouchedEdges[key.Mapping] = true
 	}
 	return scope, comps
-}
-
-// finishRun closes a run: the one place it builds the posterior map it
-// reports — of the whole network, untouched variables of an incremental run
-// having kept their converged messages — and, for an incremental run, the
-// final publication (a full run published its last round already).
-func (n *Network) finishRun(res *DetectResult, opts DetectOptions) {
-	res.Posteriors = n.snapshotPosteriors(opts.DefaultPrior)
-	if opts.Incremental && opts.Publish != nil {
-		n.PublishSnapshot(DetectResult{Posteriors: res.Posteriors, TouchedEdges: res.TouchedEdges}, *opts.Publish)
-	}
 }
 
 // runVar is one variable of a run's work list, resolved once: the rounds

@@ -193,6 +193,10 @@ func (st *lazyState) propagate(lq LazyQuery, opts LazyOptions, res *LazyResult) 
 				continue
 			}
 			m := p.out[eid]
+			// Piggyback propagation keeps a gate of its own, apart from the
+			// routing verdicts freezeAttr decides at publication: it reads
+			// beliefs that move mid-query (every hop may re-produce the
+			// receiver's posteriors), so there is no frozen verdict to follow.
 			forward := true
 			for _, a := range cur.q.Attributes() {
 				if _, mapped := m.Map(a); !mapped {

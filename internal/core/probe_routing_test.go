@@ -132,6 +132,22 @@ func introStores(t *testing.T, n *core.Network) {
 	}
 }
 
+// execute runs the visit's rewritten query at the visited peer's store: a
+// route carries no records, callers execute Visit.Query themselves.
+func execute(t *testing.T, n *core.Network, v core.Visit) []xmldb.Record {
+	t.Helper()
+	p, _ := n.Peer(v.Peer)
+	st, ok := p.Store()
+	if !ok {
+		return nil
+	}
+	recs, err := st.Execute(v.Query)
+	if err != nil {
+		t.Fatalf("executing at %s: %v", v.Peer, err)
+	}
+	return recs
+}
+
 // TestRouteQueryAvoidsFaultyMapping reproduces the introduction end to end:
 // after detection, the river query from p2 reaches every peer while avoiding
 // m24, and returns no false positives.
@@ -150,7 +166,7 @@ func TestRouteQueryAvoidsFaultyMapping(t *testing.T) {
 		query.Op{Kind: query.Project, Attr: paper.Creator},
 		query.Op{Kind: query.Select, Attr: "Subject", Literal: "river"},
 	)
-	route, err := n.RouteQuery("p2", q, core.RouteOptions{Posteriors: res, DefaultTheta: 0.5})
+	route, err := routeOn(n, res, core.SnapshotOptions{DefaultTheta: 0.5}, "p2", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +186,11 @@ func TestRouteQueryAvoidsFaultyMapping(t *testing.T) {
 		t.Error("θ gate never blocked anything; m24 should have been blocked")
 	}
 	// All river artists, no false positives.
-	creators := xmldb.Values(route.AllResults(), paper.Creator)
+	var all []xmldb.Record
+	for _, v := range route.Visits {
+		all = append(all, execute(t, n, v)...)
+	}
+	creators := xmldb.Values(all, paper.Creator)
 	if len(creators) != 2 || creators[0] != "Hokusai" || creators[1] != "Turner" {
 		t.Errorf("creators = %v, want [Hokusai Turner]", creators)
 	}
@@ -189,7 +209,7 @@ func TestRouteQueryWithoutDetectionProducesFalsePositives(t *testing.T) {
 		query.Op{Kind: query.Project, Attr: paper.Creator},
 		query.Op{Kind: query.Select, Attr: paper.Creator, Literal: "18"},
 	)
-	route, err := n.RouteQuery("p2", q, core.RouteOptions{DefaultTheta: 0.01})
+	route, err := routeOn(n, core.DetectResult{}, core.SnapshotOptions{DefaultTheta: 0.01}, "p2", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +224,8 @@ func TestRouteQueryWithoutDetectionProducesFalsePositives(t *testing.T) {
 			}
 			// At p4 the query now selects CreatedOn LIKE "18": a false
 			// positive (Hokusai's 1831) that the origin never asked for.
-			if len(v.Results) != 1 {
-				t.Errorf("expected the false positive at p4, got %v", v.Results)
+			if recs := execute(t, n, v); len(recs) != 1 {
+				t.Errorf("expected the false positive at p4, got %v", recs)
 			}
 		}
 	}
@@ -218,14 +238,15 @@ func TestRouteQueryValidation(t *testing.T) {
 	n := paper.IntroNetwork()
 	p2, _ := n.Peer("p2")
 	q := query.MustNew(p2.Schema(), query.Op{Kind: query.Project, Attr: paper.Creator})
-	if _, err := n.RouteQuery("ghost", q, core.RouteOptions{}); err == nil {
+	snap := n.PublishSnapshot(core.DetectResult{}, core.SnapshotOptions{})
+	if _, err := snap.RouteQuery("ghost", q); err == nil {
 		t.Error("unknown origin: want error")
 	}
-	if _, err := n.RouteQuery("p1", query.Query{SchemaName: "Wrong"}, core.RouteOptions{}); err == nil {
+	if _, err := snap.RouteQuery("p1", query.Query{SchemaName: "Wrong"}); err == nil {
 		t.Error("schema mismatch: want error")
 	}
 	bogus := query.Query{SchemaName: p2.Schema().Name(), Ops: []query.Op{{Kind: query.Project, Attr: "zzz"}}}
-	if _, err := n.RouteQuery("p2", bogus, core.RouteOptions{}); err == nil {
+	if _, err := snap.RouteQuery("p2", bogus); err == nil {
 		t.Error("unknown attribute: want error")
 	}
 }
@@ -234,7 +255,7 @@ func TestRouteQueryMaxHops(t *testing.T) {
 	n := paper.IntroNetwork()
 	p1, _ := n.Peer("p1")
 	q := query.MustNew(p1.Schema(), query.Op{Kind: query.Project, Attr: paper.Creator})
-	route, err := n.RouteQuery("p1", q, core.RouteOptions{MaxHops: 1, DefaultTheta: 0.01})
+	route, err := routeOn(n, core.DetectResult{}, core.SnapshotOptions{MaxHops: 1, DefaultTheta: 0.01}, "p1", q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,7 +230,7 @@ func (n *Network) runResidualDetection(opts DetectOptions) (DetectResult, error)
 		res.Transport.Dropped += o.stats.Dropped
 		res.Work.Add(o.work)
 	}
-	n.finishRun(&res, opts)
+	res.Posteriors = n.snapshotPosteriors(opts.DefaultPrior)
 	return res, nil
 }
 

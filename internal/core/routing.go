@@ -1,35 +1,15 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/graph"
 	"repro/internal/query"
-	"repro/internal/schema"
-	"repro/internal/xmldb"
 )
 
-// RouteOptions configures θ-gated query forwarding (§2): a query is
-// forwarded through a mapping only if every attribute it references is
-// preserved with probability above the attribute's semantic threshold.
-type RouteOptions struct {
-	// Theta is the per-attribute semantic threshold θ_a. Attributes not in
-	// the map use DefaultTheta.
-	Theta map[schema.Attribute]float64
-	// DefaultTheta defaults to 0.5 when left at its zero value; use
-	// ExplicitZero for a true θ_a = 0 policy.
-	DefaultTheta float64
-	// Posteriors are the mapping-quality beliefs from a detection run.
-	// A zero-value DetectResult routes on priors alone.
-	Posteriors DetectResult
-	// DefaultPosterior is used for variables absent from Posteriors
-	// (mappings never covered by any cycle). Defaults to 0.5 when left at
-	// its zero value; ExplicitZero selects a true 0.0 default.
-	DefaultPosterior float64
-	// MaxHops bounds propagation. Defaults to the number of peers.
-	MaxHops int
-}
+// This file holds the result types of θ-gated query forwarding (§2): a query
+// is forwarded through a mapping only if every attribute it references is
+// preserved with probability above the attribute's semantic threshold. The
+// decision itself lives in snapshot.go — freezeAttr decides each verdict at
+// publication and RoutingSnapshot.RouteQuery is the only walk.
 
 // Visit records the query's arrival at one peer.
 type Visit struct {
@@ -38,8 +18,6 @@ type Visit struct {
 	Query query.Query
 	// Via is the chain of mappings from the origin.
 	Via []graph.EdgeID
-	// Results holds the local answers if the peer has a store attached.
-	Results []xmldb.Record
 }
 
 // RouteResult is the outcome of a routed query.
@@ -53,115 +31,9 @@ type RouteResult struct {
 	DroppedAttr int
 	// Sig is a bloom signature of every mapping edge the walk
 	// examined — crossed, blocked, or skipped because the destination was
-	// already reached. Only frozen walks (RoutingSnapshot.RouteQuery) set
-	// it; the serve layer intersects it with snapshot deltas to decide
-	// whether a cached answer survives a publication.
+	// already reached. The serve layer intersects it with snapshot deltas to
+	// decide whether a cached answer survives a publication.
 	Sig Sig
-}
-
-// RouteQuery propagates q from the origin peer through the mapping network,
-// rewriting it hop by hop and honouring the θ gate. Each peer is visited at
-// most once (first arrival wins, breadth-first, deterministic order).
-func (n *Network) RouteQuery(origin graph.PeerID, q query.Query, opts RouteOptions) (RouteResult, error) {
-	op, ok := n.peers[origin]
-	if !ok {
-		return RouteResult{}, fmt.Errorf("core: unknown origin peer %q", origin)
-	}
-	if q.SchemaName != op.schema.Name() {
-		return RouteResult{}, fmt.Errorf("core: query schema %q does not match origin schema %q",
-			q.SchemaName, op.schema.Name())
-	}
-	for _, a := range q.Attributes() {
-		if !op.schema.Has(a) {
-			return RouteResult{}, fmt.Errorf("core: origin schema %q has no attribute %q", op.schema.Name(), a)
-		}
-	}
-	// Zero values select the historical 0.5 defaults; ExplicitZero (any
-	// negative, or NaN) requests a true 0.0 policy — same convention as
-	// SnapshotOptions, so live and frozen routing agree attribute for
-	// attribute.
-	opts.DefaultTheta = resolveDefault(opts.DefaultTheta, 0.5)
-	opts.DefaultPosterior = resolveDefault(opts.DefaultPosterior, 0.5)
-	if opts.MaxHops <= 0 {
-		opts.MaxHops = n.NumPeers()
-	}
-
-	theta := func(a schema.Attribute) float64 {
-		if t, ok := opts.Theta[a]; ok {
-			return t
-		}
-		return opts.DefaultTheta
-	}
-
-	type item struct {
-		peer graph.PeerID
-		q    query.Query
-		via  []graph.EdgeID
-	}
-	res := RouteResult{}
-	visited := map[graph.PeerID]bool{origin: true}
-	queue := []item{{peer: origin, q: q}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		p := n.peers[cur.peer]
-		visit := Visit{Peer: cur.peer, Query: cur.q, Via: cur.via}
-		if st, ok := p.Store(); ok {
-			recs, err := st.Execute(cur.q)
-			if err != nil {
-				return RouteResult{}, fmt.Errorf("core: executing at %q: %w", cur.peer, err)
-			}
-			visit.Results = recs
-		}
-		res.Visits = append(res.Visits, visit)
-
-		if len(cur.via) >= opts.MaxHops {
-			continue
-		}
-		outIDs := p.Outgoing()
-		sort.Slice(outIDs, func(i, j int) bool { return outIDs[i] < outIDs[j] })
-		for _, eid := range outIDs {
-			e, _ := n.topo.Edge(eid)
-			if visited[e.To] {
-				continue
-			}
-			m := p.out[eid]
-			// θ gate: every referenced attribute must be preserved with
-			// sufficient probability, and must be expressible at all.
-			ok := true
-			for _, a := range cur.q.Attributes() {
-				if _, mapped := m.Map(a); !mapped {
-					res.DroppedAttr++
-					ok = false
-					break
-				}
-				post := opts.Posteriors.Posterior(eid, a, opts.DefaultPosterior)
-				if p.Pinned(eid, a) {
-					post = 0
-				}
-				if post <= theta(a) {
-					res.Blocked++
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			rewritten, dropped := cur.q.Rewrite(m)
-			if len(dropped) > 0 {
-				res.DroppedAttr++
-				continue
-			}
-			visited[e.To] = true
-			queue = append(queue, item{
-				peer: e.To,
-				q:    rewritten,
-				via:  append(append([]graph.EdgeID(nil), cur.via...), eid),
-			})
-		}
-	}
-	return res, nil
 }
 
 // Reached returns the IDs of the peers the query reached, in visit order.
@@ -169,15 +41,6 @@ func (r RouteResult) Reached() []graph.PeerID {
 	out := make([]graph.PeerID, len(r.Visits))
 	for i, v := range r.Visits {
 		out[i] = v.Peer
-	}
-	return out
-}
-
-// AllResults merges the result records of every visit.
-func (r RouteResult) AllResults() []xmldb.Record {
-	var out []xmldb.Record
-	for _, v := range r.Visits {
-		out = append(out, v.Results...)
 	}
 	return out
 }

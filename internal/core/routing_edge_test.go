@@ -35,6 +35,11 @@ func posteriors(vals map[graph.EdgeID]float64) core.DetectResult {
 	return out
 }
 
+// routeOn publishes det under opts and walks the snapshot — the only router.
+func routeOn(n *core.Network, det core.DetectResult, opts core.SnapshotOptions, origin graph.PeerID, q query.Query) (core.RouteResult, error) {
+	return n.PublishSnapshot(det, opts).RouteQuery(origin, q)
+}
+
 // TestRouteQueryThetaEdgeCases: table-driven edge cases of the θ gate —
 // a posterior exactly at θ is blocked (the gate is strict), barely above
 // passes, per-attribute thresholds override the default, unmapped
@@ -45,7 +50,8 @@ func TestRouteQueryThetaEdgeCases(t *testing.T) {
 		name        string
 		origin      graph.PeerID
 		attr        schema.Attribute
-		opts        core.RouteOptions
+		opts        core.SnapshotOptions
+		det         core.DetectResult
 		wantReached []graph.PeerID
 		wantBlocked int
 		wantDropped int
@@ -53,39 +59,33 @@ func TestRouteQueryThetaEdgeCases(t *testing.T) {
 		{
 			name:   "posterior exactly at theta is blocked",
 			origin: "p1", attr: "a",
-			opts: core.RouteOptions{
-				DefaultTheta: 0.5,
-				Posteriors:   posteriors(map[graph.EdgeID]float64{"m12": 0.5, "m15": 0.9}),
-			},
+			opts:        core.SnapshotOptions{DefaultTheta: 0.5},
+			det:         posteriors(map[graph.EdgeID]float64{"m12": 0.5, "m15": 0.9}),
 			wantReached: []graph.PeerID{"p1", "p5"},
 			wantBlocked: 1,
 		},
 		{
 			name:   "posterior barely above theta passes",
 			origin: "p1", attr: "a",
-			opts: core.RouteOptions{
-				DefaultTheta: 0.5,
-				Posteriors:   posteriors(map[graph.EdgeID]float64{"m12": 0.5 + 1e-12, "m23": 0.9, "m15": 0.9}),
-			},
+			opts:        core.SnapshotOptions{DefaultTheta: 0.5},
+			det:         posteriors(map[graph.EdgeID]float64{"m12": 0.5 + 1e-12, "m23": 0.9, "m15": 0.9}),
 			wantReached: []graph.PeerID{"p1", "p2", "p5", "p3"},
 		},
 		{
 			name:   "per-attribute theta overrides the default",
 			origin: "p1", attr: "a",
-			opts: core.RouteOptions{
+			opts: core.SnapshotOptions{
 				DefaultTheta: 0.1,
 				Theta:        map[schema.Attribute]float64{"a": 0.95},
-				Posteriors:   posteriors(map[graph.EdgeID]float64{"m12": 0.9, "m15": 0.96}),
 			},
+			det:         posteriors(map[graph.EdgeID]float64{"m12": 0.9, "m15": 0.96}),
 			wantReached: []graph.PeerID{"p1", "p5"},
 			wantBlocked: 1,
 		},
 		{
 			name:   "unmapped attribute drops the hop",
 			origin: "p1", attr: "b",
-			opts: core.RouteOptions{
-				Posteriors: posteriors(map[graph.EdgeID]float64{"m12": 0.9, "m23": 0.9}),
-			},
+			det: posteriors(map[graph.EdgeID]float64{"m12": 0.9, "m23": 0.9}),
 			// m15 lacks b entirely; m12 carries b but its posterior for b
 			// is absent, so the 0.5 default meets the default θ and blocks
 			// (m23 is never evaluated — p2 stays unreached).
@@ -96,27 +96,22 @@ func TestRouteQueryThetaEdgeCases(t *testing.T) {
 		{
 			name:   "uncovered mappings route on the default posterior",
 			origin: "p1", attr: "a",
-			opts: core.RouteOptions{
-				DefaultTheta:     0.4,
-				DefaultPosterior: 0.45,
-				Posteriors:       posteriors(nil),
-			},
+			opts:        core.SnapshotOptions{DefaultTheta: 0.4, DefaultPosterior: 0.45},
+			det:         posteriors(nil),
 			wantReached: []graph.PeerID{"p1", "p2", "p5", "p3"},
 		},
 		{
 			name:   "disconnected origin is a zero-hop query",
 			origin: "p4", attr: "a",
-			opts: core.RouteOptions{Posteriors: posteriors(map[graph.EdgeID]float64{"m12": 0.9})},
+			det: posteriors(map[graph.EdgeID]float64{"m12": 0.9}),
 			// p4 has no outgoing mappings: the query executes locally only.
 			wantReached: []graph.PeerID{"p4"},
 		},
 		{
 			name:   "max hops bounds propagation",
 			origin: "p1", attr: "a",
-			opts: core.RouteOptions{
-				MaxHops:    1,
-				Posteriors: posteriors(map[graph.EdgeID]float64{"m12": 0.9, "m23": 0.9, "m15": 0.9}),
-			},
+			opts:        core.SnapshotOptions{MaxHops: 1},
+			det:         posteriors(map[graph.EdgeID]float64{"m12": 0.9, "m23": 0.9, "m15": 0.9}),
 			wantReached: []graph.PeerID{"p1", "p2", "p5"},
 		},
 	}
@@ -125,7 +120,7 @@ func TestRouteQueryThetaEdgeCases(t *testing.T) {
 			n := thetaNet(t)
 			op, _ := n.Peer(tc.origin)
 			q := query.MustNew(op.Schema(), query.Op{Kind: query.Project, Attr: tc.attr})
-			res, err := n.RouteQuery(tc.origin, q, tc.opts)
+			res, err := routeOn(n, tc.det, tc.opts, tc.origin, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,10 +156,8 @@ func TestRouteQueryZeroMaxHopsMeansDefault(t *testing.T) {
 	n := thetaNet(t)
 	op, _ := n.Peer("p1")
 	q := query.MustNew(op.Schema(), query.Op{Kind: query.Project, Attr: schema.Attribute("a")})
-	res, err := n.RouteQuery("p1", q, core.RouteOptions{
-		MaxHops:    0,
-		Posteriors: posteriors(map[graph.EdgeID]float64{"m12": 0.9, "m23": 0.9, "m15": 0.9}),
-	})
+	res, err := routeOn(n, posteriors(map[graph.EdgeID]float64{"m12": 0.9, "m23": 0.9, "m15": 0.9}),
+		core.SnapshotOptions{MaxHops: 0}, "p1", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +171,11 @@ func TestRouteQueryErrors(t *testing.T) {
 	n := thetaNet(t)
 	op, _ := n.Peer("p1")
 	q := query.MustNew(op.Schema(), query.Op{Kind: query.Project, Attr: schema.Attribute("a")})
-	if _, err := n.RouteQuery("ghost", q, core.RouteOptions{}); err == nil {
+	snap := n.PublishSnapshot(core.DetectResult{}, core.SnapshotOptions{})
+	if _, err := snap.RouteQuery("ghost", q); err == nil {
 		t.Error("unknown origin: want error")
 	}
-	if _, err := n.RouteQuery("p2", q, core.RouteOptions{}); err == nil {
+	if _, err := snap.RouteQuery("p2", q); err == nil {
 		t.Error("schema mismatch: want error")
 	}
 }

@@ -36,16 +36,15 @@ import (
 // TouchedEdges sharing fast path (Network.inferVersion).
 
 // ExplicitZero is a sentinel for SnapshotOptions.DefaultTheta and
-// SnapshotOptions.DefaultPosterior (and their RouteOptions counterparts): the
-// zero value of those fields keeps selecting the historical 0.5 default, so a
-// policy of literally 0.0 — θ_a = 0 routes through everything not ⊥-pinned —
-// is requested with this sentinel. Any negative value (or NaN) is treated the
-// same way.
+// SnapshotOptions.DefaultPosterior: the zero value of those fields keeps
+// selecting the historical 0.5 default, so a policy of literally 0.0 — θ_a = 0
+// routes through everything not ⊥-pinned — is requested with this sentinel.
+// Any negative value (or NaN) is treated the same way.
 const ExplicitZero = -1.0
 
-// SnapshotOptions fixes the routing policy a snapshot is published under.
-// The θ gate is evaluated once at publication: serving threads only follow
-// precomputed verdicts.
+// SnapshotOptions fixes the routing policy a snapshot is published under —
+// the only routing-policy type. The θ gate is evaluated once at publication:
+// walks only follow precomputed verdicts.
 type SnapshotOptions struct {
 	// Theta is the per-attribute semantic threshold θ_a; attributes not in
 	// the map use DefaultTheta. Explicit zeros in the map are honoured as-is.
@@ -193,7 +192,7 @@ type snapEdge struct {
 type snapPeer struct {
 	schema *schema.Schema
 	store  *xmldb.Store
-	out    []snapEdge // sorted by edge ID, matching live RouteQuery order
+	out    []snapEdge // sorted by edge ID: the order RouteQuery examines them in
 }
 
 // RoutingSnapshot is an immutable, epoch-stamped view of the network for
@@ -396,11 +395,14 @@ func (s *RoutingSnapshot) Digest() string {
 
 // RouteQuery propagates q from the origin peer through the frozen overlay,
 // breadth-first and deterministic, honouring the θ verdicts precomputed at
-// publication. It mirrors Network.RouteQuery exactly — same visit order,
-// same Blocked/DroppedAttr accounting — but executes nothing: visits carry
-// the hop-by-hop rewritten query and the mapping chain only, and the serve
-// layer re-derives and executes the rewrite per reachable peer. The returned
-// Sig covers every edge the walk examined, whether or not it was crossed.
+// publication. It is the only router: each peer is visited at most once
+// (first arrival wins, outgoing mappings examined in edge-ID order), and
+// sim.ReferenceRoute — the specification written against the live network's
+// exported API — must agree with it visit for visit. It executes nothing:
+// visits carry the hop-by-hop rewritten query and the mapping chain only, and
+// callers execute Visit.Query at the peer's store (the serve layer re-derives
+// the rewrite per reachable peer). The returned Sig covers every edge the
+// walk examined, whether or not it was crossed.
 func (s *RoutingSnapshot) RouteQuery(origin graph.PeerID, q query.Query) (RouteResult, error) {
 	op, ok := s.peers[origin]
 	if !ok {

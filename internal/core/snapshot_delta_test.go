@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/schema"
+	"repro/internal/sim"
 )
 
 // oracleSeeds is the seed count of the differential oracles below: 50 in a
@@ -57,16 +58,15 @@ func TestExplicitZeroTheta(t *testing.T) {
 		t.Fatalf("ExplicitZero theta reached %v, want %v", got, want)
 	}
 
-	// The live walk accepts the same sentinel, so frozen and live policies
-	// stay expressible in the same terms.
-	live, err := n.RouteQuery("p1", q, core.RouteOptions{
-		DefaultTheta: core.ExplicitZero, Posteriors: low,
-	})
+	// The snapshot reports the sentinel resolved to a true 0, so the
+	// reference walk — which takes its policy already defaulted — routes the
+	// same way.
+	live, err := sim.ReferenceRoute(n, low, s.Options(), "p1", q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if live.Blocked != 0 || fmt.Sprint(live.Reached()) != fmt.Sprint(want) {
-		t.Fatalf("live ExplicitZero route reached %v (blocked %d), want %v",
+		t.Fatalf("reference ExplicitZero route reached %v (blocked %d), want %v",
 			live.Reached(), live.Blocked, want)
 	}
 }
@@ -287,7 +287,10 @@ func TestDeltaDigestOracle(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		pub := core.SnapshotOptions{DefaultTheta: 0.3}
-		dopts := core.DetectOptions{MaxRounds: 20, Tolerance: 1e-9, Publish: &pub}
+		perRound := func(_ int, p map[graph.EdgeID]map[schema.Attribute]float64) {
+			n.PublishSnapshot(core.DetectResult{Posteriors: p}, pub)
+		}
+		dopts := core.DetectOptions{MaxRounds: 20, Tolerance: 1e-9, Trace: perRound}
 		if seed%3 == 0 {
 			// Loss epochs: per-round publications under message loss.
 			dopts.PSend, dopts.Seed = 0.7, seed
@@ -340,11 +343,12 @@ func TestDeltaDigestOracle(t *testing.T) {
 			t.Fatalf("seed %d: ingest: %v", seed, err)
 		}
 		iopts := dopts
-		iopts.Incremental = true
+		iopts.Incremental, iopts.Trace = true, nil
 		ires, err := n.RunDetection(iopts)
 		if err != nil {
 			t.Fatalf("seed %d: incremental: %v", seed, err)
 		}
+		n.PublishSnapshot(ires, pub)
 		check("incremental", ires)
 
 		// Phase 3: churn severs the chain; the forced-full successor still
@@ -370,7 +374,10 @@ func TestDeltaRouteEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		pub := core.SnapshotOptions{DefaultTheta: 0.3}
-		res, err := n.RunDetection(core.DetectOptions{MaxRounds: 15, Tolerance: 1e-9, Publish: &pub})
+		res, err := n.RunDetection(core.DetectOptions{MaxRounds: 15, Tolerance: 1e-9,
+			Trace: func(_ int, p map[graph.EdgeID]map[schema.Attribute]float64) {
+				n.PublishSnapshot(core.DetectResult{Posteriors: p}, pub)
+			}})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/schema"
+	"repro/internal/sim"
 	"repro/internal/xmldb"
 )
 
@@ -63,8 +64,9 @@ func TestPublishSnapshotEpochs(t *testing.T) {
 }
 
 // TestSnapshotRouteMatchesLive: on random networks with random posteriors,
-// the snapshot's frozen θ-gated BFS must reproduce the live
-// Network.RouteQuery exactly — same visits, same rewritten queries, same
+// the snapshot's frozen θ-gated BFS must reproduce the reference walk over
+// the live network (sim.ReferenceRoute, hop-by-hop θ decisions through
+// core's exported API) exactly — same visits, same rewritten queries, same
 // Blocked/DroppedAttr accounting.
 func TestSnapshotRouteMatchesLive(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -110,7 +112,7 @@ func TestSnapshotRouteMatchesLive(t *testing.T) {
 				query.Op{Kind: query.Project, Attr: attrs[rng.Intn(len(attrs))]},
 				query.Op{Kind: query.Select, Attr: attrs[rng.Intn(len(attrs))], Literal: "x"},
 			)
-			live, err := n.RouteQuery(origin, q, core.RouteOptions{DefaultTheta: 0.4, Posteriors: det})
+			live, err := sim.ReferenceRoute(n, det, snap.Options(), origin, q)
 			if err != nil {
 				t.Fatalf("seed %d: live route: %v", seed, err)
 			}
@@ -166,9 +168,9 @@ func TestSnapshotImmutableUnderChurn(t *testing.T) {
 	}
 }
 
-// TestDetectionPublishesSnapshots: DetectOptions.Publish makes RunDetection
-// publish a snapshot per round, and the final snapshot's posteriors match
-// the detection result.
+// TestDetectionPublishesSnapshots: publishing from DetectOptions.Trace gives
+// a snapshot per round, and the final snapshot's posteriors match the
+// detection result.
 func TestDetectionPublishesSnapshots(t *testing.T) {
 	n := core.NewNetwork(true)
 	mk := func(name string) *schema.Schema { return schema.MustNew(name, "a", "b") }
@@ -182,13 +184,15 @@ func TestDetectionPublishesSnapshots(t *testing.T) {
 	if _, err := n.Discover(core.DiscoverConfig{Attrs: []schema.Attribute{"a"}, MaxLen: 4}); err != nil {
 		t.Fatal(err)
 	}
-	det, err := n.RunDetection(core.DetectOptions{Publish: &core.SnapshotOptions{DefaultTheta: 0.5}})
+	det, err := n.RunDetection(core.DetectOptions{Trace: func(_ int, p map[graph.EdgeID]map[schema.Attribute]float64) {
+		n.PublishSnapshot(core.DetectResult{Posteriors: p}, core.SnapshotOptions{DefaultTheta: 0.5})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := n.Snapshot()
 	if snap == nil {
-		t.Fatal("detection with Publish set left no snapshot")
+		t.Fatal("detection publishing from Trace left no snapshot")
 	}
 	if snap.Epoch() != uint64(det.Rounds) {
 		t.Fatalf("snapshot epoch %d, want one per round = %d", snap.Epoch(), det.Rounds)

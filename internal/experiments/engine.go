@@ -12,7 +12,8 @@ import (
 // engine every schedule (periodic, lazy, async) and every figure
 // reproduction ultimately spins — on synthetic inference workloads far
 // beyond the paper's 8-peer examples, toward the ROADMAP's
-// million-variable regime.
+// million-variable regime. Its one caller is the kernel rung of the
+// benchmark (bench/probes.go, factorgraph.sweep_updates_per_s).
 
 // EngineScalePoint is one measurement of the compiled kernel.
 type EngineScalePoint struct {

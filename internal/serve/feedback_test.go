@@ -160,10 +160,11 @@ func TestServeFeedbackLoopEndToEnd(t *testing.T) {
 	if rep.NewFactors != 2 || rep.Observations != 16 {
 		t.Fatalf("ingest report %+v, want 2 factors from 16 observations", rep)
 	}
-	det, err := n.RunDetection(core.DetectOptions{Incremental: true, Publish: &core.SnapshotOptions{}})
+	det, err := n.RunDetection(core.DetectOptions{Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.PublishSnapshot(det, core.SnapshotOptions{})
 	// m23 took the blame: it is the only mapping in the contradicted chain
 	// that is not also in a confirmed one.
 	if p23, p12 := det.Posterior("m23", "a", -1), det.Posterior("m12", "a", -1); !(p23 < 0.5 && p12 > 0.5) {

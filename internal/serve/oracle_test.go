@@ -10,14 +10,16 @@ import (
 	"repro/internal/query"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/xmldb"
 )
 
 // TestSnapshotSerialDifferentialOracle is the correctness oracle of the
 // serving plane: across 50 generated churn scenarios, every answer the
 // concurrent snapshot-serving path produces must byte-equal (after
 // canonical ordering) the answer computed by a fresh single-threaded
-// Network.RouteQuery + rewrite + Execute walk over the live network at the
-// same epoch, with identical θ-gate accounting. The workload engine's
+// reference walk (sim.ReferenceRoute: hop-by-hop θ decisions and rewrites
+// over the live network) + Execute at every visited peer at the same epoch,
+// with identical θ-gate accounting. The workload engine's
 // Observer hook delivers every answer together with the epoch's detection
 // result, and the serial walk runs inside it — the epochs are barriered, so
 // the live network is quiescent while the clients and the oracle read it.
@@ -39,14 +41,10 @@ func TestSnapshotSerialDifferentialOracle(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		net := s.Network()
-		theta := s.Scenario().Theta
 
 		var checked atomic.Int64
 		obs := func(epoch int, det core.DetectResult, origin graph.PeerID, q query.Query, ans serve.Answer) {
-			live, err := net.RouteQuery(origin, q, core.RouteOptions{
-				DefaultTheta: theta,
-				Posteriors:   det,
-			})
+			live, err := sim.ReferenceRoute(net, det, net.Snapshot().Options(), origin, q)
 			if err != nil {
 				t.Errorf("seed %d epoch %d: serial walk %s from %s: %v", seed, epoch, q, origin, err)
 				return
@@ -57,7 +55,21 @@ func TestSnapshotSerialDifferentialOracle(t *testing.T) {
 					len(live.Visits), live.Blocked, live.DroppedAttr)
 				return
 			}
-			want := serve.CanonicalBytes(live.AllResults())
+			var recs []xmldb.Record
+			for _, v := range live.Visits {
+				p, _ := net.Peer(v.Peer)
+				st, ok := p.Store()
+				if !ok {
+					continue
+				}
+				out, err := st.Execute(v.Query)
+				if err != nil {
+					t.Errorf("seed %d epoch %d: executing %s at %s: %v", seed, epoch, v.Query, v.Peer, err)
+					return
+				}
+				recs = append(recs, out...)
+			}
+			want := serve.CanonicalBytes(recs)
 			got := serve.CanonicalBytes(ans.Records)
 			if !bytes.Equal(got, want) {
 				t.Errorf("seed %d epoch %d: %s from %s: served answer diverges from the serial walk:\n got %q\nwant %q",

@@ -338,11 +338,11 @@ func TestConcurrentDeltaSwapServing(t *testing.T) {
 }
 
 // TestConcurrentServeDuringDetection serves queries while RunDetection
-// itself publishes a snapshot after every BP round (DetectOptions.Publish).
-// Detection rounds are deterministic, so two answers for the same (epoch,
-// query) must always be identical even with the cache disabled — any
-// difference is a torn snapshot. A second cached server runs alongside to
-// exercise the coalescing path under the same churn.
+// itself publishes a snapshot after every BP round (from its
+// DetectOptions.Trace hook). Detection rounds are deterministic, so two
+// answers for the same (epoch, query) must always be identical even with the
+// cache disabled — any difference is a torn snapshot. A second cached server
+// runs alongside to exercise the coalescing path under the same churn.
 func TestConcurrentServeDuringDetection(t *testing.T) {
 	net := ringNet(t, ringSize)
 	if _, err := net.Discover(core.DiscoverConfig{Attrs: []schema.Attribute{"a"}, MaxLen: ringSize}); err != nil {
@@ -388,7 +388,9 @@ func TestConcurrentServeDuringDetection(t *testing.T) {
 		net.ResetMessages()
 		if _, err := net.RunDetection(core.DetectOptions{
 			Tolerance: 1e-9,
-			Publish:   &core.SnapshotOptions{},
+			Trace: func(_ int, p map[graph.EdgeID]map[schema.Attribute]float64) {
+				net.PublishSnapshot(core.DetectResult{Posteriors: p}, core.SnapshotOptions{})
+			},
 		}); err != nil {
 			t.Fatal(err)
 		}

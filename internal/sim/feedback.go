@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/network"
-	"repro/internal/query"
 	"repro/internal/schema"
 	"repro/internal/serve"
 	"repro/internal/xmldb"
@@ -63,11 +61,12 @@ type FeedbackTrace struct {
 	Pipelined        bool `json:"pipelined,omitempty"`
 	TailObservations int  `json:"tailObservations,omitempty"`
 	// SnapshotEpoch is the republished routing snapshot's epoch (workload
-	// engine only; the replay engine does not publish). DeltaFull is true
-	// when that republication was from scratch, DeltaEdges the number of
-	// θ-verdict-changed edges it carried as a delta — the feedback
-	// republication is the one the serve plane used to cold-start on every
-	// epoch, so its delta size is the whole point of the trace.
+	// engine only; the replay publishes for its bursts, not after the
+	// feedback re-detection). DeltaFull is true when that republication was
+	// from scratch, DeltaEdges the number of θ-verdict-changed edges it
+	// carried as a delta — the feedback republication is the one the serve
+	// plane used to cold-start on every epoch, so its delta size is the whole
+	// point of the trace.
 	SnapshotEpoch uint64 `json:"snapshotEpoch,omitempty"`
 	DeltaFull     bool   `json:"deltaFull,omitempty"`
 	DeltaEdges    int    `json:"deltaEdges,omitempty"`
@@ -199,37 +198,24 @@ func (s *Simulation) ingestAndRedetect(obs []core.QueryFeedback, noise float64, 
 	return ft, det, nil
 }
 
-// collectFeedbackObs routes n queries on the given posteriors and judges
-// every traversed path with the (noisy) ground-truth oracle, returning the
-// classified observations.
-func (s *Simulation) collectFeedbackObs(n int, det core.DetectResult, seed int64) ([]core.QueryFeedback, []string) {
-	rng := rand.New(rand.NewSource(seed))
-	live := s.livePeers()
+// collectFeedbackObs routes n queries on the given posteriors (routeBurst)
+// and judges every traversed path with the (noisy) ground-truth oracle,
+// returning the classified observations.
+func (s *Simulation) collectFeedbackObs(n int, det core.DetectResult, seed int64) ([]core.QueryFeedback, []string, error) {
 	attr := schema.Attribute(s.sc.AnalysisAttr)
 	attrs := []schema.Attribute{attr}
 	var obs []core.QueryFeedback
-	var viol []string
-	for q := 0; q < n; q++ {
-		origin := graph.PeerID(live[rng.Intn(len(live))])
-		op, _ := s.net.Peer(origin)
-		qry := query.MustNew(op.Schema(), query.Op{Kind: query.Project, Attr: attr})
-		res, err := s.net.RouteQuery(origin, qry, core.RouteOptions{
-			DefaultTheta: s.sc.Theta,
-			Posteriors:   det,
-		})
-		if err != nil {
-			viol = append(viol, fmt.Sprintf("feedback query %d from %s failed: %v", q, origin, err))
-			continue
-		}
-		for _, v := range res.Visits {
-			if len(v.Via) == 0 {
-				continue
+	viol, err := s.routeBurst("feedback query", n, det, seed,
+		func(origin graph.PeerID, res core.RouteResult, rng *rand.Rand) {
+			for _, v := range res.Visits {
+				if len(v.Via) == 0 {
+					continue
+				}
+				verdict := noisyVerdict(s.pathVerdict(attrs, v.Via), s.sc.FeedbackNoise, rng)
+				obs = append(obs, core.QueryFeedback{Attr: attr, Chain: v.Via, Polarity: serve.VerdictPolarity(verdict), Reporter: origin})
 			}
-			verdict := noisyVerdict(s.pathVerdict(attrs, v.Via), s.sc.FeedbackNoise, rng)
-			obs = append(obs, core.QueryFeedback{Attr: attr, Chain: v.Via, Polarity: serve.VerdictPolarity(verdict), Reporter: origin})
-		}
-	}
-	return obs, viol
+		})
+	return obs, viol, err
 }
 
 // feedbackBurst is the scenario replay's feedback epoch: route n queries on
@@ -237,7 +223,10 @@ func (s *Simulation) collectFeedbackObs(n int, det core.DetectResult, seed int64
 // append the adversarial cliques' fabrications to the same batch, ingest,
 // and re-detect incrementally.
 func (s *Simulation) feedbackBurst(n int, det core.DetectResult, seed int64) (*FeedbackTrace, core.DetectResult, []string, error) {
-	obs, viol := s.collectFeedbackObs(n, det, seed)
+	obs, viol, err := s.collectFeedbackObs(n, det, seed)
+	if err != nil {
+		return nil, core.DetectResult{}, viol, err
+	}
 	injected := s.adversaryObs()
 	obs = append(obs, injected...)
 	errBefore := s.posteriorError(det)

@@ -49,9 +49,9 @@ func BenchmarkRedetect1000Peers(b *testing.B) {
 		// ground-truth verdicts at 10% noise. Re-ingesting the same batch
 		// each iteration bumps the same factors (counts saturate), so the
 		// dirty scope is steady across iterations.
-		obs, viol := s.collectFeedbackObs(40, det, 99)
-		if len(obs) == 0 || len(viol) != 0 {
-			b.Fatalf("feedback batch: %d observations, violations %v", len(obs), viol)
+		obs, viol, err := s.collectFeedbackObs(40, det, 99)
+		if err != nil || len(obs) == 0 || len(viol) != 0 {
+			b.Fatalf("feedback batch: %d observations, violations %v, err %v", len(obs), viol, err)
 		}
 		return s, obs
 	}
@@ -138,9 +138,9 @@ func TestRedetectResidualCounter1000Peers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obs, viol := s.collectFeedbackObs(40, det, 99)
-		if len(obs) == 0 || len(viol) != 0 {
-			t.Fatalf("feedback batch: %d observations, violations %v", len(obs), viol)
+		obs, viol, err := s.collectFeedbackObs(40, det, 99)
+		if err != nil || len(obs) == 0 || len(viol) != 0 {
+			t.Fatalf("feedback batch: %d observations, violations %v, err %v", len(obs), viol, err)
 		}
 		if _, err := s.net.IngestFeedback(core.FeedbackOptions{Delta: s.sc.Delta, Noise: 0.1}, obs...); err != nil {
 			t.Fatal(err)

@@ -348,8 +348,10 @@ func TestScratchDifferentialDetectsDrift(t *testing.T) {
 	delete(s.corrupted, victim)
 }
 
-// TestRouteVerifierDetectsGateBreach: the independent route re-verification
-// must flag a path that crosses a sub-θ mapping.
+// TestRouteVerifierDetectsGateBreach: the route check is full equality with
+// the reference walk, so it must flag an unsound route (a sub-θ mapping
+// crossed) and every incomplete one — a reachable visit dropped, two visits
+// reordered, a gate count off by one — while the snapshot's own route passes.
 func TestRouteVerifierDetectsGateBreach(t *testing.T) {
 	s, err := New(Scenario{Peers: 8, Seed: 6})
 	if err != nil {
@@ -362,19 +364,65 @@ func TestRouteVerifierDetectsGateBreach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Forge a route that walks an arbitrary real mapping while its
-	// posterior is forced to zero: the verifier must object.
-	e := s.net.Topology().Edges()[0]
-	origin := e.From
-	op, _ := s.net.Peer(origin)
-	q := query.MustNew(op.Schema(), query.Op{Kind: query.Project, Attr: schema.Attribute(s.sc.AnalysisAttr)})
-	if det.Posteriors[e.ID] == nil {
-		det.Posteriors[e.ID] = map[schema.Attribute]float64{}
+	attr := schema.Attribute(s.sc.AnalysisAttr)
+	snap := s.net.PublishSnapshot(det, core.SnapshotOptions{DefaultTheta: s.sc.Theta})
+
+	// An origin whose honest route is long enough to drop from and reorder.
+	var origin graph.PeerID
+	var q query.Query
+	var honest core.RouteResult
+	for _, p := range s.net.Peers() {
+		q = query.MustNew(p.Schema(), query.Op{Kind: query.Project, Attr: attr})
+		res, err := snap.RouteQuery(p.ID(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Visits) >= 3 {
+			origin, honest = p.ID(), res
+			break
+		}
 	}
-	det.Posteriors[e.ID][schema.Attribute(s.sc.AnalysisAttr)] = 0
-	forged := core.RouteResult{Visits: []core.Visit{{Peer: e.To, Via: []graph.EdgeID{e.ID}}}}
-	if viol := s.verifyRoute(origin, q, forged, det); len(viol) == 0 {
-		t.Fatal("forged sub-θ route passed verification")
+	if origin == "" {
+		t.Fatal("no origin reaches three peers")
+	}
+	if viol := s.verifyRoute(snap, det, origin, q, honest); len(viol) != 0 {
+		t.Fatalf("the snapshot's own route failed verification: %v", viol)
+	}
+
+	visits := func(edit func(v []core.Visit) []core.Visit) core.RouteResult {
+		r := honest
+		r.Visits = edit(append([]core.Visit(nil), honest.Visits...))
+		return r
+	}
+	// The sub-θ row walks an arbitrary real mapping from its source while
+	// the mapping's posterior is forced to zero.
+	e := s.net.Topology().Edges()[0]
+	zeroed := core.DetectResult{Posteriors: map[graph.EdgeID]map[schema.Attribute]float64{e.ID: {attr: 0}}}
+	ep, _ := s.net.Peer(e.From)
+	eq := query.MustNew(ep.Schema(), query.Op{Kind: query.Project, Attr: attr})
+
+	cases := []struct {
+		name   string
+		det    core.DetectResult
+		origin graph.PeerID
+		q      query.Query
+		forged core.RouteResult
+	}{
+		{"crosses a sub-θ mapping", zeroed, e.From, eq,
+			core.RouteResult{Visits: []core.Visit{{Peer: e.From, Query: eq}, {Peer: e.To, Query: eq, Via: []graph.EdgeID{e.ID}}}}},
+		{"drops a reachable visit", det, origin, q,
+			visits(func(v []core.Visit) []core.Visit { return v[:len(v)-1] })},
+		{"reorders two visits", det, origin, q,
+			visits(func(v []core.Visit) []core.Visit { v[1], v[2] = v[2], v[1]; return v })},
+		{"Blocked off by one", det, origin, q,
+			core.RouteResult{Visits: honest.Visits, Blocked: honest.Blocked + 1, DroppedAttr: honest.DroppedAttr}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if viol := s.verifyRoute(snap, tc.det, tc.origin, tc.q, tc.forged); len(viol) == 0 {
+				t.Fatal("forged route passed verification")
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -117,50 +118,107 @@ func (s *Simulation) checkInvariants(det core.DetectResult) []string {
 	return viol
 }
 
-// verifyRoute independently re-walks every path RouteQuery reported and
-// confirms the θ gate held on each hop: the mapping preserved every
-// attribute of the query as rewritten up to that hop, the posterior of each
-// such attribute cleared θ, and no pinned variable was crossed. Routing must
-// never cross a sub-θ mapping.
-func (s *Simulation) verifyRoute(origin graph.PeerID, q query.Query, res core.RouteResult, det core.DetectResult) []string {
-	var viol []string
-	for _, v := range res.Visits {
-		cur := q
-		at := origin
-		for _, eid := range v.Via {
-			e, ok := s.net.Topology().Edge(eid)
-			if !ok {
-				viol = append(viol, fmt.Sprintf("route to %s crossed unknown mapping %s", v.Peer, eid))
-				break
+// ReferenceRoute is the specification of θ-gated query forwarding (§2) that
+// RoutingSnapshot.RouteQuery — the product's only router — is held to: the
+// same breadth-first walk (each peer visited once, first arrival wins,
+// outgoing mappings examined in edge-ID order, a hop forwarded only if the
+// mapping carries every query attribute and each one's posterior, 0 when
+// ⊥-pinned, is strictly above θ_a), decided hop by hop on the live network
+// through core's exported API instead of following verdicts frozen at
+// publication. opts is the policy already defaulted, as snap.Options()
+// reports it, and det the detection result the snapshot was published from;
+// the network must not have churned since. It is the one reference walk: the
+// scenario replay checks every routed query against it (verifyRoute), and
+// the frozen ≡ reference differentials of core, serve and the root package
+// call it too. Sig is left zero — the reference predicts routes, not cache
+// signatures.
+//
+//pdms:deterministic
+func ReferenceRoute(n *core.Network, det core.DetectResult, opts core.SnapshotOptions, origin graph.PeerID, q query.Query) (core.RouteResult, error) {
+	if _, ok := n.Peer(origin); !ok {
+		return core.RouteResult{}, fmt.Errorf("sim: reference route: unknown origin peer %q", origin)
+	}
+	var res core.RouteResult
+	visited := map[graph.PeerID]bool{origin: true}
+	queue := []core.Visit{{Peer: origin, Query: q}}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		res.Visits = append(res.Visits, cur)
+		if len(cur.Via) >= opts.MaxHops {
+			continue
+		}
+		p, _ := n.Peer(cur.Peer)
+		for _, eid := range p.Outgoing() {
+			e, _ := n.Topology().Edge(eid)
+			if visited[e.To] {
+				continue
 			}
-			if e.From != at {
-				viol = append(viol, fmt.Sprintf("route to %s is not a path: %s departs %s, not %s", v.Peer, eid, e.From, at))
-				break
-			}
-			m, _ := s.net.Mapping(eid)
-			owner, _ := s.net.Peer(e.From)
-			broken := false
-			for _, a := range cur.Attributes() {
+			m, _ := n.Mapping(eid)
+			forward := true
+			for _, a := range cur.Query.Attributes() {
 				if _, mapped := m.Map(a); !mapped {
-					viol = append(viol, fmt.Sprintf("route to %s crossed %s, which drops attribute %s", v.Peer, eid, a))
-					broken = true
-					continue
+					res.DroppedAttr++
+					forward = false
+					break
 				}
-				post := det.Posterior(eid, a, 0.5)
-				if owner != nil && owner.Pinned(eid, a) {
+				post := det.Posterior(eid, a, opts.DefaultPosterior)
+				if p.Pinned(eid, a) {
 					post = 0
 				}
-				if post <= s.sc.Theta {
-					viol = append(viol, fmt.Sprintf(
-						"route to %s crossed sub-θ mapping %s (%s: %.6f <= %.2f)",
-						v.Peer, eid, a, post, s.sc.Theta))
+				theta, ok := opts.Theta[a]
+				if !ok {
+					theta = opts.DefaultTheta
+				}
+				if post <= theta {
+					res.Blocked++
+					forward = false
+					break
 				}
 			}
-			if broken {
-				break
+			if !forward {
+				continue
 			}
-			cur, _ = cur.Rewrite(m)
-			at = e.To
+			rewritten, dropped := cur.Query.Rewrite(m)
+			if len(dropped) > 0 {
+				res.DroppedAttr++
+				continue
+			}
+			visited[e.To] = true
+			queue = append(queue, core.Visit{
+				Peer:  e.To,
+				Query: rewritten,
+				Via:   append(append([]graph.EdgeID(nil), cur.Via...), eid),
+			})
+		}
+	}
+	return res, nil
+}
+
+// verifyRoute holds one frozen route to the reference: the snapshot's walk
+// must equal ReferenceRoute over the live network visit for visit — peer,
+// rewritten query and Via chain — with equal Blocked and DroppedAttr counts.
+// Equality is soundness (no sub-θ or ⊥ hop crossed) and completeness (no
+// reachable peer skipped, no gate count off) in one check.
+func (s *Simulation) verifyRoute(snap *core.RoutingSnapshot, det core.DetectResult, origin graph.PeerID, q query.Query, got core.RouteResult) []string {
+	want, err := ReferenceRoute(s.net, det, snap.Options(), origin, q)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var viol []string
+	if got.Blocked != want.Blocked || got.DroppedAttr != want.DroppedAttr {
+		viol = append(viol, fmt.Sprintf("route from %s: gate counts (blocked %d, dropped %d) differ from the reference (%d, %d)",
+			origin, got.Blocked, got.DroppedAttr, want.Blocked, want.DroppedAttr))
+	}
+	if len(got.Visits) != len(want.Visits) {
+		return append(viol, fmt.Sprintf("route from %s: %d visits %v, the reference has %d %v",
+			origin, len(got.Visits), got.Reached(), len(want.Visits), want.Reached()))
+	}
+	for i, w := range want.Visits {
+		g := got.Visits[i]
+		if g.Peer != w.Peer || !g.Query.Equal(w.Query) || !slices.Equal(g.Via, w.Via) {
+			viol = append(viol, fmt.Sprintf("route from %s: visit %d is %s via %v (%s), the reference has %s via %v (%s)",
+				origin, i, g.Peer, g.Via, g.Query, w.Peer, w.Via, w.Query))
 		}
 	}
 	return viol

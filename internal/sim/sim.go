@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -678,8 +679,16 @@ func (s *Simulation) runEpoch(i int) (EpochTrace, error) {
 	}
 
 	// 5. θ-gated query burst over the fresh posteriors.
-	rt, viol := s.queryBurst(ep.Queries, det, s.epochSeed(i+1)+1)
-	tr.Routing = rt
+	tr.Routing.Queries = ep.Queries
+	viol, err := s.routeBurst("query", ep.Queries, det, s.epochSeed(i+1)+1,
+		func(_ graph.PeerID, res core.RouteResult, _ *rand.Rand) {
+			tr.Routing.Visits += len(res.Visits)
+			tr.Routing.Blocked += res.Blocked
+			tr.Routing.DroppedAttr += res.DroppedAttr
+		})
+	if err != nil {
+		return tr, err
+	}
 	tr.Violations = append(tr.Violations, viol...)
 
 	// 6. Result-feedback cycle: judge routed answers against ground truth,
@@ -752,36 +761,43 @@ func (s *Simulation) summarize(tr *EpochTrace, det core.DetectResult) {
 	}
 }
 
-// queryBurst routes n projection queries on the analysis attribute from
-// deterministically drawn origins and independently re-verifies the θ gate
-// along every reported path.
+// errNoLivePeers fails an epoch that asks for queries after churn emptied the
+// network: there is no origin to draw.
+var errNoLivePeers = errors.New("no live peers to route from")
+
+// routeBurst is the scenario replay's one query loop. It publishes det under
+// the scenario's θ — the line (*Simulation).publish uses for workloads, so
+// replays exercise full and delta publication — then draws n origins from
+// the seeded stream, walks the snapshot with a projection on the analysis
+// attribute from each, holds every route to the reference walk
+// (verifyRoute) and hands it to visit together with the stream, which the
+// feedback burst keeps drawing verdict noise from.
 //
 //pdms:deterministic
-func (s *Simulation) queryBurst(n int, det core.DetectResult, seed int64) (RoutingTrace, []string) {
-	tr := RoutingTrace{Queries: n}
-	var viol []string
+func (s *Simulation) routeBurst(kind string, n int, det core.DetectResult, seed int64,
+	visit func(origin graph.PeerID, res core.RouteResult, rng *rand.Rand)) ([]string, error) {
 	if n == 0 {
-		return tr, nil
+		return nil, nil
 	}
-	rng := rand.New(rand.NewSource(seed))
 	live := s.livePeers()
+	if len(live) == 0 {
+		return nil, errNoLivePeers
+	}
+	snap := s.net.PublishSnapshot(det, core.SnapshotOptions{DefaultTheta: s.sc.Theta})
+	rng := rand.New(rand.NewSource(seed))
 	attr := schema.Attribute(s.sc.AnalysisAttr)
+	var viol []string
 	for q := 0; q < n; q++ {
 		origin := graph.PeerID(live[rng.Intn(len(live))])
-		op, _ := s.net.Peer(origin)
-		qry := query.MustNew(op.Schema(), query.Op{Kind: query.Project, Attr: attr})
-		res, err := s.net.RouteQuery(origin, qry, core.RouteOptions{
-			DefaultTheta: s.sc.Theta,
-			Posteriors:   det,
-		})
+		sch, _ := snap.Schema(origin)
+		qry := query.MustNew(sch, query.Op{Kind: query.Project, Attr: attr})
+		res, err := snap.RouteQuery(origin, qry)
 		if err != nil {
-			viol = append(viol, fmt.Sprintf("query %d from %s failed: %v", q, origin, err))
+			viol = append(viol, fmt.Sprintf("%s %d from %s failed: %v", kind, q, origin, err))
 			continue
 		}
-		tr.Visits += len(res.Visits)
-		tr.Blocked += res.Blocked
-		tr.DroppedAttr += res.DroppedAttr
-		viol = append(viol, s.verifyRoute(origin, qry, res, det)...)
+		viol = append(viol, s.verifyRoute(snap, det, origin, qry, res)...)
+		visit(origin, res, rng)
 	}
-	return tr, viol
+	return viol, nil
 }

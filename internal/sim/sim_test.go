@@ -113,6 +113,44 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
+// TestQueriesOnEmptiedNetworkFail: a scenario file whose churn empties the
+// network and then asks for queries passes validation, so the replay and the
+// workload engine must fail the epoch with an error — not panic drawing an
+// origin from nobody.
+func TestQueriesOnEmptiedNetworkFail(t *testing.T) {
+	const leaveAll = `"events":[{"op":"leave","peer":"p0"},{"op":"leave","peer":"p1"},{"op":"leave","peer":"p2"}]`
+	cases := []struct {
+		name, scenario string
+		run            func(s *Simulation) error
+	}{
+		{"replay query burst", `{"peers":3,"epochs":[{` + leaveAll + `,"queries":2}]}`,
+			func(s *Simulation) error { _, err := s.Run(); return err }},
+		{"replay feedback burst", `{"peers":3,"epochs":[{` + leaveAll + `,"feedbackQueries":2}]}`,
+			func(s *Simulation) error { _, err := s.Run(); return err }},
+		{"workload serve phase", `{"peers":3,"epochs":[{` + leaveAll + `}]}`,
+			func(s *Simulation) error {
+				_, _, err := s.RunWorkload(Workload{Clients: 2, QueriesPerEpoch: 4}, nil)
+				return err
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := ParseScenario([]byte(tc.scenario))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const want = "sim: epoch 1: no live peers to route from"
+			if err := tc.run(s); err == nil || err.Error() != want {
+				t.Fatalf("got error %v, want %q", err, want)
+			}
+		})
+	}
+}
+
 // TestApplyEventErrors: events referencing missing entities fail loudly.
 func TestApplyEventErrors(t *testing.T) {
 	s, err := New(Scenario{Peers: 6, Seed: 1})

@@ -395,7 +395,10 @@ func (s *Simulation) RunWorkload(w Workload, obs Observer) (*WorkloadResult, *Wo
 
 		before := srv.Stats()
 		serveStart := time.Now()
-		lats := s.servePhase(i, w, srv, snap, det, obs, &wtr, mid)
+		lats, err := s.servePhase(i, w, srv, snap, det, obs, &wtr, mid)
+		if err != nil {
+			return nil, nil, fmt.Errorf("sim: epoch %d: %w", i+1, err)
+		}
 		perf.ServeElapsed += time.Since(serveStart)
 		after := srv.Stats()
 		wtr.Served = int(after.Served - before.Served)
@@ -508,18 +511,23 @@ func (cl *workloadClient) serve(s *Simulation, w Workload, srv *serve.Server, sn
 // then runs on the calling goroutine at the resulting quiescent point (no
 // client in flight — so it can drain feedback deterministically), and the
 // clients finish their quotas. The split is invisible to the trace: client
-// state persists across it and the served snapshot does not change.
+// state persists across it and the served snapshot does not change. Queries
+// against a network churn has emptied fail the epoch before any client
+// starts: there is no origin to draw.
 func (s *Simulation) servePhase(epoch int, w Workload, srv *serve.Server, snap *core.RoutingSnapshot,
-	det core.DetectResult, obs Observer, wtr *WorkloadEpochTrace, mid func()) []time.Duration {
+	det core.DetectResult, obs Observer, wtr *WorkloadEpochTrace, mid func()) ([]time.Duration, error) {
 	if w.QueriesPerEpoch == 0 {
 		sum := sha256.Sum256(nil)
 		wtr.Digest = hex.EncodeToString(sum[:])
 		if mid != nil {
 			mid()
 		}
-		return nil
+		return nil, nil
 	}
 	live := s.livePeers()
+	if len(live) == 0 {
+		return nil, errNoLivePeers
+	}
 	hot := w.HotKeys
 	if hot > len(live) {
 		hot = len(live)
@@ -587,7 +595,7 @@ func (s *Simulation) servePhase(epoch int, w Workload, srv *serve.Server, snap *
 		lats = append(lats, cl.lats...)
 	}
 	wtr.Digest = hex.EncodeToString(epochDigest.Sum(nil))
-	return lats
+	return lats, nil
 }
 
 // publish freezes det into the network's next routing snapshot — the one

@@ -21,9 +21,12 @@
 //     small remote messages — and yields P(mapping correct) per attribute.
 //     RunLazy piggybacks the same messages on query traffic instead, with
 //     zero dedicated communication.
-//  4. RouteQuery forwards queries only through mappings whose posteriors
-//     clear the per-attribute semantic threshold θ, eliminating the false
-//     positives erroneous mappings would produce.
+//  4. PublishSnapshot freezes the posteriors under a routing policy
+//     (SnapshotOptions) and RoutingSnapshot.RouteQuery forwards queries only
+//     through mappings whose posteriors clear the per-attribute semantic
+//     threshold θ, eliminating the false positives erroneous mappings would
+//     produce. The snapshot is the only router; NewServer answers queries
+//     end to end on top of it.
 //
 // Networks are dynamic: peers leave (Network.RemovePeer) and mappings churn
 // (Network.RemoveMapping) with all derived evidence retracted eagerly, new
@@ -49,13 +52,13 @@
 // same choice through the replay engine and cmd/pdmssim's -transport flag.
 //
 // On top of detection sits the query-serving plane: Network.PublishSnapshot
-// (or DetectOptions.Publish) freezes the posteriors and the θ-gated overlay
-// into an immutable, epoch-stamped RoutingSnapshot behind an atomic pointer,
-// and NewServer answers queries end-to-end against the current snapshot —
-// routing, per-path rewriting, store execution, canonical merge — from any
-// number of goroutines, with a coalescing LRU result cache keyed by (origin,
-// query, snapshot epoch). cmd/pdmsload drives the plane with seeded
-// concurrent workloads and emits deterministic aggregate traces.
+// freezes the posteriors and the θ-gated overlay into an immutable,
+// epoch-stamped RoutingSnapshot behind an atomic pointer, and NewServer
+// answers queries end-to-end against the current snapshot — routing,
+// per-path rewriting, store execution, canonical merge — from any number of
+// goroutines, with a coalescing LRU result cache keyed by (origin, query,
+// snapshot epoch). cmd/pdmsload drives the plane with seeded concurrent
+// workloads and emits deterministic aggregate traces.
 //
 // Serving feeds back into inference: every Answer carries its provenance
 // (the mapping chain each surviving path traversed), consumers judge results
@@ -143,8 +146,6 @@ type (
 	LazyQuery = core.LazyQuery
 	// LazyResult reports a lazy run.
 	LazyResult = core.LazyResult
-	// RouteOptions configures θ-gated query forwarding.
-	RouteOptions = core.RouteOptions
 	// RouteResult is the outcome of a routed query.
 	RouteResult = core.RouteResult
 	// Visit records a routed query's arrival at one peer.
@@ -191,10 +192,10 @@ type (
 
 // Query-serving plane types (see TESTING.md, "Serving plane"): detection
 // publishes immutable, epoch-stamped RoutingSnapshots via an atomic pointer
-// swap (Network.PublishSnapshot / DetectOptions.Publish), and a Server
-// answers queries end-to-end against the current snapshot — θ-gated routing,
-// per-path rewriting, store execution at every reachable peer, canonical
-// merge — with an LRU result cache keyed by (origin, query, snapshot epoch).
+// swap (Network.PublishSnapshot), and a Server answers queries end-to-end
+// against the current snapshot — θ-gated routing, per-path rewriting, store
+// execution at every reachable peer, canonical merge — with an LRU result
+// cache keyed by (origin, query, snapshot epoch).
 type (
 	// RoutingSnapshot is an immutable, epoch-stamped serving view.
 	RoutingSnapshot = core.RoutingSnapshot
@@ -334,8 +335,7 @@ func NewDurableSimulation(sc Scenario, lg *WAL) (*Simulation, error) {
 }
 
 // NewServer builds a query server reading snapshots from the network.
-// Publish a snapshot (Network.PublishSnapshot or DetectOptions.Publish)
-// before the first Answer call.
+// Publish a snapshot (Network.PublishSnapshot) before the first Answer call.
 func NewServer(n *Network, opts ServeOptions) *Server { return serve.New(n, opts) }
 
 // ParseLoadSpec decodes a load spec from JSON, rejecting unknown fields.

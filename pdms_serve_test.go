@@ -33,12 +33,13 @@ func TestPublicServingSurface(t *testing.T) {
 	if _, err := net.DiscoverStructural([]pdms.Attribute{"Creator"}, 6, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.RunDetection(pdms.DetectOptions{Publish: &pdms.SnapshotOptions{}}); err != nil {
+	det, err := net.RunDetection(pdms.DetectOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := net.Snapshot()
-	if snap == nil {
-		t.Fatal("detection did not publish a snapshot")
+	snap := net.PublishSnapshot(det, pdms.SnapshotOptions{})
+	if net.Snapshot() != snap {
+		t.Fatal("the published snapshot is not the network's current one")
 	}
 
 	srv := pdms.NewServer(net, pdms.ServeOptions{})
@@ -87,10 +88,12 @@ func TestPublicFeedbackSurface(t *testing.T) {
 	// A line topology carries no structural evidence (no cycles, no
 	// parallel paths): query feedback is the only evidence source, and
 	// uncovered mappings route on an optimistic default posterior.
-	pub := &pdms.SnapshotOptions{DefaultPosterior: 0.9}
-	if _, err := net.RunDetection(pdms.DetectOptions{Publish: pub}); err != nil {
+	pub := pdms.SnapshotOptions{DefaultPosterior: 0.9}
+	det, err := net.RunDetection(pdms.DetectOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	net.PublishSnapshot(det, pub)
 	srv := pdms.NewServer(net, pdms.ServeOptions{})
 	q := pdms.MustNewQuery(s, pdms.Op{Kind: pdms.Select, Attr: "Creator", Literal: "Robi"})
 	ans, err := srv.Answer("p1", q)
@@ -115,10 +118,11 @@ func TestPublicFeedbackSurface(t *testing.T) {
 	if rep.NewFactors != 2 {
 		t.Fatalf("ingest report %+v, want 2 new factors", rep)
 	}
-	det, err := net.RunDetection(pdms.DetectOptions{Incremental: true, Publish: pub})
+	det, err = net.RunDetection(pdms.DetectOptions{Incremental: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	net.PublishSnapshot(det, pub)
 	if p := det.Posterior("m23", "Creator", -1); p <= 0.5 {
 		t.Errorf("confirmed mapping posts %v, want > 0.5", p)
 	}

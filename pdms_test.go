@@ -2,9 +2,11 @@ package pdms_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	pdms "repro"
+	"repro/internal/sim"
 )
 
 // buildPublicNetwork assembles the introductory network purely through the
@@ -80,11 +82,32 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	route, err := net.RouteQuery("p2", q, pdms.RouteOptions{Posteriors: res, DefaultTheta: 0.5})
+	snap := net.PublishSnapshot(res, pdms.SnapshotOptions{DefaultTheta: 0.5})
+	route, err := snap.RouteQuery("p2", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	creators := pdms.Values(route.AllResults(), "Creator")
+	// The frozen route equals the reference walk over the live network.
+	ref, err := sim.ReferenceRoute(net, res, snap.Options(), "p2", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(route.Visits, ref.Visits) || route.Blocked != ref.Blocked || route.DroppedAttr != ref.DroppedAttr {
+		t.Errorf("frozen route %+v differs from the reference %+v", route, ref)
+	}
+	// Executing each visit's rewritten query at its peer yields the answer.
+	var recs []pdms.Record
+	for _, v := range route.Visits {
+		p, _ := net.Peer(v.Peer)
+		if st, ok := p.Store(); ok {
+			out, err := st.Execute(v.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, out...)
+		}
+	}
+	creators := pdms.Values(recs, "Creator")
 	if len(creators) != 1 || creators[0] != "Turner" {
 		t.Errorf("creators = %v, want [Turner]", creators)
 	}

@@ -1,0 +1,33 @@
+#!/usr/bin/env bash
+# Prints ROADMAP's tracked size counters, one fixed definition each, from the
+# root of a checkout. A PR's "Counts:" line in CHANGES.md is this output at
+# the parent and at the change — not a recount. Lines are `wc -l` lines
+# (comments and blanks included), so moving a comment moves the counter.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# gofiles PATTERN...: tracked-or-not Go files under the checkout, build
+# outputs excluded, filtered by find(1) predicates.
+gofiles() { find . -name '*.go' -not -path './.bench_build/*' "$@"; }
+lines() { xargs cat | wc -l | tr -d ' '; }
+# fields FILE TYPE: field lines of one struct declaration.
+fields() {
+  awk -v t="$2" '$0 ~ "^type " t " struct \\{" { on = 1; next }
+                 on && /^}/ { on = 0 }
+                 on && /^\t[A-Za-z_]/ { n++ }
+                 END { print n + 0 }' "$1"
+}
+
+printf 'non-test Go outside bench/:        %s\n' "$(gofiles -not -name '*_test.go' -not -path './bench/*' | lines)"
+printf 'internal/core non-test:            %s\n' "$(gofiles -not -name '*_test.go' -path './internal/core/*' | lines)"
+printf 'test Go outside bench/:            %s\n' "$(gofiles -name '*_test.go' -not -path './bench/*' | lines)"
+printf 'bench/ (all Go):                   %s\n' "$(gofiles -path './bench/*' | lines)"
+printf 'Benchmark* funcs:                  %s\n' "$(gofiles -name '*_test.go' | xargs grep -h '^func Benchmark' | wc -l | tr -d ' ')"
+# One runners-map entry per -fig value ("all" runs them in turn).
+printf 'pdmsbench -fig values:             %s\n' "$(grep -c '^		"[a-z0-9]*": ' cmd/pdmsbench/main.go)"
+printf 'CI steps:                          %s\n' "$(grep -c '^      - name: ' .github/workflows/ci.yml)"
+printf 'DetectOptions+Workload+Scenario:   %s fields\n' "$(( $(fields internal/core/detect.go DetectOptions) + $(fields internal/sim/workload.go Workload) + $(fields internal/sim/scenario.go Scenario) ))"
+# Suppressions in product code: the analyzer's own source and fixtures name
+# the marker without using it.
+printf 'pdms:nojournal-ok suppressions:    %s\n' "$(gofiles -not -name '*_test.go' -not -path './internal/analysis/*' | xargs grep -h 'pdms:nojournal-ok' | wc -l | tr -d ' ')"
+printf 'context.Context in non-test Go:    %s\n' "$(gofiles -not -name '*_test.go' | xargs grep -l 'context\.Context' | wc -l | tr -d ' ')"
