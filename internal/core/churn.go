@@ -108,6 +108,7 @@ func (n *Network) RemovePeer(id graph.PeerID) []graph.EdgeID {
 	for _, e := range removedEdges {
 		rm[e] = true
 		delete(n.mappings, e)
+		delete(n.pending, e)
 	}
 	for _, q := range n.peers {
 		for e := range q.out {
@@ -161,6 +162,10 @@ func (n *Network) DiscoverIncremental(cfg DiscoverConfig, changed ...graph.EdgeI
 		Changed: append([]graph.EdgeID(nil), changed...),
 	}); err != nil {
 		return DiscoveryReport{}, err
+	}
+	n.discovered = &cfgCopy
+	for _, id := range changed {
+		delete(n.pending, id)
 	}
 	cycles := n.topo.CyclesThrough(cfg.MaxLen, changed...)
 	var pairs []graph.ParallelPair

@@ -52,11 +52,18 @@ type Network struct {
 	fbDirty   map[varKey]bool
 	// fbTrust is the sparse per-reporter trust map (absent = full trust),
 	// recomputed from the factors' tallies after every feedback mutation;
-	// fbNoTrust remembers the last batch's NoTrust option so retractions
-	// triggered outside an ingestion (RemovePeer) refresh factors under the
-	// same weighting regime.
-	fbTrust   map[graph.PeerID]float64
-	fbNoTrust bool //pdms:durable
+	// fbOpts remembers the last journaled batch's post-default options, so
+	// retractions triggered outside an ingestion (RemovePeer) refresh factors
+	// under the same weighting regime and DurableState exports the feedback
+	// under the options it was ingested with.
+	fbTrust map[graph.PeerID]float64
+	fbOpts  FeedbackOptions //pdms:durable
+	// discovered is the configuration of the last journaled discovery pass
+	// (nil before the first) and pending the mappings added since the pass
+	// that last covered them — what DurableState needs to place each
+	// mapping before or after its one MutDiscover record (see durable.go).
+	discovered *DiscoverConfig       //pdms:durable
+	pending    map[graph.EdgeID]bool //pdms:durable
 
 	// Serving plane (snapshot.go): the current published snapshot and the
 	// monotone epoch counter stamping each publication, plus two version
@@ -95,6 +102,7 @@ func NewNetwork(directed bool) *Network {
 		topo:     topo,
 		peers:    make(map[graph.PeerID]*Peer),
 		mappings: make(map[graph.EdgeID]*schema.Mapping),
+		pending:  make(map[graph.EdgeID]bool),
 	}
 }
 
@@ -219,22 +227,16 @@ func (n *Network) AddMapping(id graph.EdgeID, from, to graph.PeerID, pairs map[s
 			return nil, err
 		}
 	}
-	// The edge is inserted first so journaling sees a validated mutation,
-	// and is rolled back below if the journal fails.
-	// pdms:nojournal-ok — write precedes journal only under rollback cover.
-	if err := n.topo.AddEdge(id, from, to); err != nil {
+	// Validate what the topology would reject, so the journal only ever
+	// sees a mutation that applies.
+	if err := n.topo.CheckEdge(id, from, to); err != nil {
 		return nil, err
 	}
-	if err := n.journal(Mutation{
-		Kind:  MutAddMapping,
-		Edge:  id,
-		From:  from,
-		To:    to,
-		Pairs: sortedPairs(pairs),
-	}); err != nil {
-		n.topo.RemoveEdge(id)
+	if err := n.journal(mappingRecord(id, from, to, m)); err != nil {
 		return nil, err
 	}
+	n.topo.MustAddEdge(id, from, to)
+	n.pending[id] = true
 	n.mappings[id] = m
 	pf.out[id] = m
 	n.bumpStruct()
@@ -274,6 +276,7 @@ func (n *Network) RemoveMapping(id graph.EdgeID) {
 	n.journal(Mutation{Kind: MutRemoveMapping, Edge: id})
 	n.topo.RemoveEdge(id)
 	delete(n.mappings, id)
+	delete(n.pending, id)
 	if p, ok := n.peers[e.From]; ok {
 		delete(p.out, id)
 	}

@@ -131,6 +131,8 @@ func (n *Network) Discover(cfg DiscoverConfig) (DiscoveryReport, error) {
 	if err := n.journal(Mutation{Kind: MutDiscover, Cfg: &cfgCopy}); err != nil {
 		return DiscoveryReport{}, err
 	}
+	n.discovered = &cfgCopy
+	clear(n.pending)
 	n.bumpInfer()
 	n.resetInference()
 

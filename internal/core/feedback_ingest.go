@@ -308,8 +308,8 @@ func (n *Network) IngestFeedbackGroups(opts FeedbackOptions, batch ...FeedbackGr
 		if err := n.journal(Mutation{Kind: MutFeedback, FbOpts: &optsCopy, Groups: batch}); err != nil {
 			return FeedbackReport{}, err
 		}
+		n.fbOpts = opts
 	}
-	n.fbNoTrust = opts.NoTrust
 
 	if n.fbFactors == nil {
 		n.fbFactors = make(map[string]*fbFactor)
@@ -397,7 +397,7 @@ func (n *Network) IngestFeedbackGroups(opts FeedbackOptions, batch ...FeedbackGr
 // the final structure. A no-op whenever no score actually changes, which is
 // every honest network.
 func (n *Network) resyncTrust() {
-	if n.fbNoTrust || len(n.fbFactors) == 0 {
+	if n.fbOpts.NoTrust || len(n.fbFactors) == 0 {
 		return
 	}
 	touched := make(map[string]bool)
@@ -408,7 +408,7 @@ func (n *Network) resyncTrust() {
 // retrust recomputes the per-reporter trust map from the accumulated tallies
 // and adds every factor affected by a score change to touched.
 func (n *Network) retrust(touched map[string]bool) {
-	if n.fbNoTrust {
+	if n.fbOpts.NoTrust {
 		n.fbTrust = nil
 		return
 	}
@@ -738,7 +738,7 @@ func (n *Network) refreshFeedback(touched map[string]bool) {
 		if !ok {
 			continue
 		}
-		ff.refresh(n.fbTrust, n.fbNoTrust)
+		ff.refresh(n.fbTrust, n.fbOpts.NoTrust)
 		// The replicas cache their outgoing messages against the old
 		// values; every owner must recompute on the next read.
 		for _, o := range ff.ref.Owners {

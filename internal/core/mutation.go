@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/schema"
@@ -13,12 +12,13 @@ import (
 // (churn), explicit and learned priors, evidence discovery passes and
 // feedback ingestion — is described by a Mutation record and journaled
 // through an attached Journal *before* it is applied. The journal
-// implementation (internal/wal) persists the records, compacts them into
-// checkpoints and replays them through the same exported entry points to
-// recover a bit-equivalent network. Belief-propagation messages are
-// deliberately not journaled: they are recomputed deterministically by
-// ResetMessages + RunDetection, so a crashed detection round is simply
-// re-run from the durable evidence state.
+// implementation (internal/wal) persists the records and knows nothing of
+// their meaning: its checkpoints are the network's own canonical export
+// (DurableState, durable.go) and its recovery is Apply over checkpoint + log
+// suffix, which rebuilds a bit-equivalent network. Belief-propagation
+// messages are deliberately not journaled: they are recomputed
+// deterministically by ResetMessages + RunDetection, so a crashed detection
+// round is simply re-run from the durable evidence state.
 
 // MutKind discriminates mutation records. Values are part of the WAL format;
 // never renumber.
@@ -49,7 +49,7 @@ const (
 	// without re-deriving which variables existed at commit time.
 	MutPriorSamples MutKind = 10
 	// MutCheckpoint is the header record of a checkpoint file: summary
-	// counts, the last log sequence number folded in, and a digest of the
+	// counts, the last log sequence number covered, and a digest of the
 	// network's inference state at checkpoint time.
 	MutCheckpoint MutKind = 11
 	// MutMark is a no-op marker. The crash injector appends one without
@@ -115,11 +115,12 @@ type PriorSample struct {
 	Sample  float64
 }
 
-// CheckpointInfo is the checkpoint header: what the compacted snapshot
-// contains and the fingerprint recovery must land on.
+// CheckpointInfo is the checkpoint header: what the body that follows it —
+// the network's DurableState at checkpoint time — contains and the
+// fingerprint recovery must land on.
 type CheckpointInfo struct {
-	// LastSeq is the highest log sequence number folded into the
-	// checkpoint; recovery skips log records at or below it.
+	// LastSeq is the highest log sequence number the checkpoint covers;
+	// recovery skips log records at or below it.
 	LastSeq uint64
 	// Peers and Mappings count the live topology at checkpoint time.
 	Peers, Mappings int
@@ -127,8 +128,7 @@ type CheckpointInfo struct {
 	// replicas, correctness variables, ⊥ pins network-wide).
 	Replicas, Vars, Pins int
 	// Digest is the SHA-256 (hex) of the network's InferenceDigest at
-	// checkpoint time; empty when the checkpoint was written without a
-	// live network to stamp it from.
+	// checkpoint time.
 	Digest string
 }
 
@@ -172,7 +172,8 @@ type Journal interface {
 // appended to it before it mutates the network. Detach with AttachWAL(nil).
 // Attaching does not journal the network's existing state — attach to a
 // fresh network (wal.Log.AttachTo does this and writes the opening MutInit),
-// or to one just rebuilt by wal.Recover, whose log already holds its history.
+// or to one just rebuilt by wal.Recover, whose log already holds its history
+// (or a checkpoint of it: the DurableState some earlier run exported).
 func (n *Network) AttachWAL(j Journal) {
 	n.wal = j
 	n.walErr = nil
@@ -200,26 +201,6 @@ func (n *Network) journal(m Mutation) error {
 		return n.walErr
 	}
 	return nil
-}
-
-// sortedPairs renders a correspondence map as a deterministic pair list.
-func sortedPairs(pairs map[schema.Attribute]schema.Attribute) []AttrPair {
-	out := make([]AttrPair, 0, len(pairs))
-	for f, t := range pairs {
-		out = append(out, AttrPair{From: f, To: t})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].From < out[j].From })
-	return out
-}
-
-// PairMap converts a journaled pair list back to the correspondence map
-// AddMapping consumes.
-func PairMap(pairs []AttrPair) map[schema.Attribute]schema.Attribute {
-	out := make(map[schema.Attribute]schema.Attribute, len(pairs))
-	for _, pr := range pairs {
-		out[pr.From] = pr.To
-	}
-	return out
 }
 
 // ApplyPriorSamples appends prior samples: each entry is appended to the

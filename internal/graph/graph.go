@@ -90,10 +90,10 @@ func (g *Graph) AddPeer(p PeerID) {
 // HasPeer reports whether p is in the graph.
 func (g *Graph) HasPeer(p PeerID) bool { return g.peerSet[p] }
 
-// AddEdge adds a mapping edge. Both endpoints are added implicitly. It
-// returns an error on duplicate edge IDs or self-loops (a mapping from a
-// schema to itself carries no integration information).
-func (g *Graph) AddEdge(id EdgeID, from, to PeerID) error {
+// CheckEdge reports the error AddEdge would return for the edge, without
+// adding it: an empty ID, a self-loop (a mapping from a schema to itself
+// carries no integration information) or a duplicate edge ID.
+func (g *Graph) CheckEdge(id EdgeID, from, to PeerID) error {
 	if id == "" {
 		return fmt.Errorf("graph: empty edge id")
 	}
@@ -102,6 +102,15 @@ func (g *Graph) AddEdge(id EdgeID, from, to PeerID) error {
 	}
 	if _, dup := g.edges[id]; dup {
 		return fmt.Errorf("graph: duplicate edge id %q", id)
+	}
+	return nil
+}
+
+// AddEdge adds a mapping edge. Both endpoints are added implicitly. It
+// returns CheckEdge's error and adds nothing when the edge is invalid.
+func (g *Graph) AddEdge(id EdgeID, from, to PeerID) error {
+	if err := g.CheckEdge(id, from, to); err != nil {
+		return err
 	}
 	g.AddPeer(from)
 	g.AddPeer(to)

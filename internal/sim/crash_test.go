@@ -25,9 +25,12 @@ func runScenario(t *testing.T, sc Scenario) *Result {
 // each replayed twice, once straight through and once with an injected
 // crash (a seeded kill mid-detection plus a seeded, possibly frame-tearing
 // cut of the write-ahead log's unsynced tail, then recovery from checkpoint
-// + replay). The crashed run must recover the exact inference state (digest
-// equality, checked inside the epoch) and land on the same posteriors as
-// the never-crashed run within 1e-6, with zero invariant violations.
+// + replay; a third of the seeds checkpoint every epoch and crash in every
+// epoch after the first, so each of their recoveries reads a checkpoint
+// written the epoch before). The crashed run must recover the exact
+// inference state (digest equality, checked inside the epoch) and land on
+// the same posteriors as the never-crashed run within 1e-6, with zero
+// invariant violations.
 func TestFiftySeedCrashRecoveryDifferential(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
@@ -58,15 +61,23 @@ func TestFiftySeedCrashRecoveryDifferential(t *testing.T) {
 
 		crash := sc
 		crash.WAL = true
+		crashEpochs := map[int]bool{1 + seed%(len(crash.Epochs)-1): true}
+		if seed%5 == 0 {
+			crashEpochs[len(crash.Epochs)-1] = true // a second crash later on
+		}
 		switch seed % 3 {
 		case 0:
 			crash.CheckpointEvery = 8 // checkpoints fire before the crash
 		case 1:
 			crash.CheckpointEvery = -1 // log-only recovery
-		}
-		crashEpochs := map[int]bool{1 + seed%(len(crash.Epochs)-1): true}
-		if seed%5 == 0 {
-			crashEpochs[len(crash.Epochs)-1] = true // a second crash later on
+		case 2:
+			// A checkpoint at the end of every epoch and a crash in every
+			// epoch after the first: each recovery goes through the export
+			// the network wrote the epoch before, plus that epoch's log.
+			crash.CheckpointEvery = 1
+			for i := 1; i < len(crash.Epochs); i++ {
+				crashEpochs[i] = true
+			}
 		}
 		for i := range crash.Epochs {
 			if crashEpochs[i] {
@@ -86,6 +97,9 @@ func TestFiftySeedCrashRecoveryDifferential(t *testing.T) {
 			}
 			if tr.Crash != nil && !tr.Crash.DigestMatch {
 				t.Errorf("seed %d epoch %d: recovery digest mismatch", seed, i+1)
+			}
+			if tr.Crash != nil && seed%3 == 2 && tr.Crash.CheckpointRecords == 0 {
+				t.Errorf("seed %d epoch %d: recovery read no checkpoint although one is due every epoch", seed, i+1)
 			}
 			ref := base.Epochs[i].Posteriors
 			got := tr.Posteriors

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/feedback"
 	"repro/internal/graph"
+	"repro/internal/schema"
 )
 
 // splitFrames cuts a valid log into its frames.
@@ -122,8 +123,8 @@ func TestCheckpointAfterChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen (folds the whole history through the compactor), checkpoint
-	// from the recovered network, and verify a second recovery matches.
+	// Reopen (replays the whole history), checkpoint from the recovered
+	// network, and verify a second recovery matches.
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +164,96 @@ func TestCheckpointAfterChurn(t *testing.T) {
 	samePosteriors(t, posteriors(t, n), posteriors(t, rec2), 0)
 }
 
+// Per-reporter feedback state survives both recovery paths. A departed
+// reporter's tallies were retracted with it and must not come back from a
+// checkpoint; two reporters of one chain keep one tally each, since trust
+// weighs them apart. Each row recovers once by log replay and once through a
+// checkpoint; both must land on the live network's tallies, trust and
+// bit-equal posteriors.
+func TestCheckpointKeepsReporters(t *testing.T) {
+	verdicts := func(count int, reporter graph.PeerID, pol feedback.Polarity, attr string, chain ...graph.EdgeID) []core.QueryFeedback {
+		out := make([]core.QueryFeedback, count)
+		for i := range out {
+			out[i] = core.QueryFeedback{Attr: schema.Attribute(attr), Chain: chain, Polarity: pol, Reporter: reporter}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name      string
+		reporters []graph.PeerID
+		mutate    func(t *testing.T, n *core.Network)
+	}{
+		{"departed reporter", []graph.PeerID{"p9"}, func(t *testing.T, n *core.Network) {
+			if _, err := n.AddPeer("p9", testSchema("p9")); err != nil {
+				t.Fatal(err)
+			}
+			obs := append(verdicts(2, "p9", feedback.Negative, "year", "m12"),
+				verdicts(1, "p9", feedback.Positive, "year", "m13")...)
+			if _, err := n.IngestFeedback(core.FeedbackOptions{}, obs...); err != nil {
+				t.Fatal(err)
+			}
+			n.RemovePeer("p9")
+		}},
+		{"two reporters, one chain", []graph.PeerID{"p3", "p4"}, func(t *testing.T, n *core.Network) {
+			obs := append(verdicts(6, "p3", feedback.Negative, "year", "m12"),
+				verdicts(6, "p4", feedback.Positive, "year", "m12")...)
+			if _, err := n.IngestFeedback(core.FeedbackOptions{}, obs...); err != nil {
+				t.Fatal(err)
+			}
+			if tr := n.ReporterTrust("p3"); tr >= 1 {
+				t.Fatalf("fixture: dissenter p3 holds trust %v, want it discounted", tr)
+			}
+		}},
+	} {
+		for _, checkpoint := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/checkpoint=%v", tc.name, checkpoint), func(t *testing.T) {
+				st := NewMemStorage()
+				n, lg := buildJournaled(t, st, Options{})
+				tc.mutate(t, n)
+				if err := n.JournalError(); err != nil {
+					t.Fatal(err)
+				}
+				if checkpoint {
+					if err := lg.Checkpoint(n); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := lg.Close(); err != nil {
+					t.Fatal(err)
+				}
+				lg2, err := Open(st, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer lg2.Close()
+				rec, rep, err := lg2.Recover()
+				if err != nil {
+					t.Fatalf("Recover: %v", err)
+				}
+				if !rep.DigestOK || (rep.CheckpointRecords > 0) != checkpoint {
+					t.Errorf("report = %+v, want DigestOK and checkpoint records iff checkpointed", rep)
+				}
+				sameDigest(t, n, rec)
+				lf, lw := n.FeedbackFactors()
+				if rf, rw := rec.FeedbackFactors(); lf != rf || lw != rw {
+					t.Errorf("feedback factors %d/%d, recovered %d/%d", lf, lw, rf, rw)
+				}
+				for _, r := range tc.reporters {
+					lf, lw := n.ReporterContribution(r)
+					rf, rw := rec.ReporterContribution(r)
+					if lf != rf || lw != rw {
+						t.Errorf("reporter %s contributes %d/%d, recovered %d/%d", r, lf, lw, rf, rw)
+					}
+					if lt, rt := n.ReporterTrust(r), rec.ReporterTrust(r); lt != rt {
+						t.Errorf("reporter %s trust %v, recovered %v", r, lt, rt)
+					}
+				}
+				samePosteriors(t, posteriors(t, n), posteriors(t, rec), 0)
+			})
+		}
+	}
+}
+
 func TestCorruptCheckpointIsHardError(t *testing.T) {
 	st := NewMemStorage()
 	n, lg := buildJournaled(t, st, Options{})
@@ -192,6 +283,27 @@ func TestCorruptCheckpointIsHardError(t *testing.T) {
 				t.Fatal("Open accepted a damaged checkpoint")
 			}
 		})
+	}
+}
+
+// A checkpoint whose stamped digest is not a digest at all (damage that kept
+// the CRC, or a foreign writer) fails recovery with the mismatch error.
+func TestMalformedCheckpointDigestIsMismatch(t *testing.T) {
+	st := NewMemStorage()
+	buf := appendRecord(nil, 1, core.Mutation{Kind: core.MutCheckpoint, Checkpoint: &core.CheckpointInfo{LastSeq: 1, Digest: "abc"}})
+	buf = appendRecord(buf, 0, core.Mutation{Kind: core.MutInit, Directed: true})
+	buf = appendRecord(buf, 0, core.Mutation{Kind: core.MutAddPeer, Peer: "p1", SchemaName: "p1", Attrs: testAttrs})
+	f, _ := st.Create(ckptName)
+	f.Write(buf)
+	f.Sync()
+	f.Close()
+	lg, err := Open(st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	if _, rep, err := lg.Recover(); err == nil || rep.DigestOK {
+		t.Errorf("Recover = %v, DigestOK %v; want a digest mismatch", err, rep.DigestOK)
 	}
 }
 
@@ -285,7 +397,25 @@ func TestSyncAndCloseAfterClose(t *testing.T) {
 	if err := lg.Sync(); err == nil {
 		t.Error("Sync after Close: want error")
 	}
-	if err := lg.Checkpoint(nil); err == nil {
+	if err := lg.Checkpoint(core.NewNetwork(true)); err == nil {
 		t.Error("Checkpoint after Close: want error")
+	}
+}
+
+// A checkpoint is the network's export: without the network there is nothing
+// to write, and the log must stay as it was.
+func TestCheckpointNeedsNetwork(t *testing.T) {
+	st := NewMemStorage()
+	_, lg := buildJournaled(t, st, Options{})
+	defer lg.Close()
+	before := lg.SinceCheckpoint()
+	if err := lg.Checkpoint(nil); err == nil {
+		t.Fatal("Checkpoint(nil): want error")
+	}
+	if _, err := st.ReadAll(ckptName); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Checkpoint(nil) left a checkpoint file behind (ReadAll: %v)", err)
+	}
+	if got := lg.SinceCheckpoint(); got != before || lg.Stats().Checkpoints != 0 {
+		t.Errorf("Checkpoint(nil) moved the log: since=%d (was %d), checkpoints=%d", got, before, lg.Stats().Checkpoints)
 	}
 }

@@ -2,10 +2,12 @@
 // write-ahead log for every state mutation the network ingests — evidence
 // discovery, mapping/peer churn, priors and feedback observations — with
 // CRC-framed records in the internal/wire encoding conventions, configurable
-// fsync policies, periodic checkpoints that compact the log into an
-// order-aware snapshot, and a recovery path that rebuilds a bit-equivalent
-// network by replaying checkpoint + log suffix through the same exported
-// core entry points the live system uses.
+// fsync policies, periodic checkpoints that replace the log with the
+// network's own canonical export (core.Network.DurableState), and a recovery
+// path that rebuilds a bit-equivalent network by applying checkpoint + log
+// suffix through core.Network.Apply. The package knows frames, CRCs, sequence
+// numbers, fsync policy, torn tails and checkpoint files; what a mutation
+// does to a network is internal/core's business alone.
 //
 // Belief-propagation messages are not logged: detection is deterministic
 // given the durable evidence state and a seed, so a crashed run is simply
@@ -23,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/schema"
 )
 
 // SyncPolicy selects when appends reach the disk.
@@ -154,7 +155,6 @@ type Log struct {
 	buf    []byte // scratch frame buffer
 	closed bool
 
-	comp      *compactor
 	recovered []record // checkpoint+log records scanned by Open, for Recover
 	ckptInfo  *core.CheckpointInfo
 	ckptCount int // replayable records that came from the checkpoint
@@ -169,11 +169,12 @@ type Log struct {
 
 // Open scans the storage — checkpoint first, then log — validates every
 // frame, truncates a torn tail (an interrupted final write) and returns a
-// Log positioned to append. A corrupt checkpoint or a mid-log CRC failure is
-// a hard error: recovery must never replay guessed state. Use Recover to
+// Log positioned to append. The scanned records are kept for Recover and
+// interpreted by nobody here. A corrupt checkpoint or a mid-log CRC failure
+// is a hard error: recovery must never replay guessed state. Use Recover to
 // rebuild the network, then AttachTo to resume journaling onto it.
 func Open(st Storage, opts Options) (*Log, error) {
-	l := &Log{st: st, opts: opts.withDefaults(), comp: newCompactor()}
+	l := &Log{st: st, opts: opts.withDefaults()}
 
 	ckpt, err := st.ReadAll(ckptName)
 	switch {
@@ -189,10 +190,7 @@ func Open(st Storage, opts Options) (*Log, error) {
 			return nil, fmt.Errorf("wal: checkpoint does not start with a header record")
 		}
 		l.ckptInfo = recs[0].mut.Checkpoint
-		for _, r := range recs[1:] {
-			l.comp.fold(r.mut)
-			l.recovered = append(l.recovered, r)
-		}
+		l.recovered = recs[1:]
 		l.ckptCount = len(recs) - 1
 		l.seq = l.ckptInfo.LastSeq
 	case isNotExist(err):
@@ -232,7 +230,7 @@ func Open(st Storage, opts Options) (*Log, error) {
 	last := l.seq
 	for _, r := range recs {
 		if l.ckptInfo != nil && r.seq <= l.ckptInfo.LastSeq {
-			// Already folded into the checkpoint (the post-checkpoint log
+			// Already covered by the checkpoint (the post-checkpoint log
 			// truncation did not land before the crash).
 			continue
 		}
@@ -240,7 +238,6 @@ func Open(st Storage, opts Options) (*Log, error) {
 			return nil, &CorruptError{Err: fmt.Errorf("sequence %d not increasing after %d", r.seq, last)}
 		}
 		last = r.seq
-		l.comp.fold(r.mut)
 		l.recovered = append(l.recovered, r)
 		l.sinceCkpt++
 	}
@@ -266,23 +263,25 @@ func (l *Log) Empty() bool {
 }
 
 // AttachTo wires the log to a network: a virgin log journals the opening
-// MutInit record, a recovered one verifies directedness matches, and the
-// network's future mutations flow through Append.
+// MutInit record, a recovered one verifies directedness matches its first
+// record, and the network's future mutations flow through Append.
 func (l *Log) AttachTo(n *core.Network) error {
 	if l.Empty() {
 		if err := l.Append(core.Mutation{Kind: core.MutInit, Directed: n.Directed()}); err != nil {
 			return err
 		}
-	} else if l.comp.init != nil && l.comp.init.Directed != n.Directed() {
-		return fmt.Errorf("wal: log records a directed=%v network, got directed=%v",
-			l.comp.init.Directed, n.Directed())
+	} else if len(l.recovered) > 0 {
+		if first := l.recovered[0].mut; first.Kind == core.MutInit && first.Directed != n.Directed() {
+			return fmt.Errorf("wal: log records a directed=%v network, got directed=%v",
+				first.Directed, n.Directed())
+		}
 	}
 	n.AttachWAL(l)
 	return nil
 }
 
-// Append implements core.Journal: frame, sequence, persist (per the fsync
-// policy) and fold into the running compaction.
+// Append implements core.Journal: frame, sequence and persist (per the fsync
+// policy). Nothing of the record is retained in memory.
 func (l *Log) Append(m core.Mutation) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -313,7 +312,6 @@ func (l *Log) Append(m core.Mutation) error {
 			l.unsynced = 0
 		}
 	}
-	l.comp.fold(m)
 	l.sinceCkpt++
 	ns := time.Since(start).Nanoseconds()
 	l.stats.AppendNs += ns
@@ -354,7 +352,7 @@ func (l *Log) Stats() Stats {
 }
 
 // Recover rebuilds a network from the scanned checkpoint + log records by
-// replaying them through the exported core entry points. The returned
+// applying them in order (core.Network.Apply). The returned
 // network has no journal attached (replay must not re-journal); call
 // AttachTo to resume journaling onto it. The report's DigestOK confirms the
 // checkpoint's stamped inference digest against the rebuilt state at the
@@ -382,7 +380,7 @@ func (l *Log) Recover() (*core.Network, RecoverReport, error) {
 		if i == 0 {
 			continue
 		}
-		if err := replay(n, r.mut); err != nil {
+		if err := n.Apply(r.mut); err != nil {
 			return nil, rep, fmt.Errorf("wal: replaying record %d (%s): %w", i, r.mut.Kind, err)
 		}
 		switch r.mut.Kind {
@@ -395,57 +393,12 @@ func (l *Log) Recover() (*core.Network, RecoverReport, error) {
 		if i == rep.CheckpointRecords-1 && rep.Checkpoint != nil && rep.Checkpoint.Digest != "" {
 			if got := DigestNetwork(n); got != rep.Checkpoint.Digest {
 				rep.DigestOK = false
-				return nil, rep, fmt.Errorf("wal: checkpoint digest mismatch: log %s, rebuilt %s",
-					rep.Checkpoint.Digest[:12], got[:12])
+				return nil, rep, fmt.Errorf("wal: checkpoint digest mismatch: log %.12s, rebuilt %.12s",
+					rep.Checkpoint.Digest, got)
 			}
 		}
 	}
 	return n, rep, nil
-}
-
-// replay applies one journaled mutation through the same entry point that
-// produced it.
-func replay(n *core.Network, m core.Mutation) error {
-	switch m.Kind {
-	case core.MutInit:
-		return fmt.Errorf("init record after the first position")
-	case core.MutAddPeer:
-		s, err := schema.New(m.SchemaName, m.Attrs...)
-		if err != nil {
-			return err
-		}
-		_, err = n.AddPeer(m.Peer, s)
-		return err
-	case core.MutAddMapping:
-		_, err := n.AddMapping(m.Edge, m.From, m.To, core.PairMap(m.Pairs))
-		return err
-	case core.MutRemovePeer:
-		n.RemovePeer(m.Peer)
-	case core.MutRemoveMapping:
-		n.RemoveMapping(m.Edge)
-	case core.MutSetPrior:
-		p, ok := n.Peer(m.Peer)
-		if !ok {
-			return nil // peer removed later; its priors die with it anyway
-		}
-		p.SetPrior(m.Edge, m.Attr, m.Prior)
-	case core.MutDiscover:
-		_, err := n.Discover(*m.Cfg)
-		return err
-	case core.MutDiscoverInc:
-		_, err := n.DiscoverIncremental(*m.Cfg, m.Changed...)
-		return err
-	case core.MutFeedback:
-		_, err := n.IngestFeedbackGroups(*m.FbOpts, m.Groups...)
-		return err
-	case core.MutPriorSamples:
-		n.ApplyPriorSamples(m.Samples)
-	case core.MutCheckpoint, core.MutMark:
-		// no state
-	default:
-		return fmt.Errorf("unknown mutation kind %d", m.Kind)
-	}
-	return nil
 }
 
 // DigestNetwork fingerprints a network's inference state: the SHA-256 (hex)
@@ -460,16 +413,20 @@ func DigestNetwork(n *core.Network) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Checkpoint compacts the journaled history into a fresh checkpoint file
-// (written to a temp name, synced, atomically renamed) and truncates the
-// log. Passing the live network stamps the checkpoint with its inference
-// digest and summary counts, which Recover then verifies; a nil network
-// writes an unstamped checkpoint.
+// Checkpoint writes the live network's canonical export (n.DurableState())
+// behind a header stamped with its inference digest and summary counts —
+// which Recover then verifies — to a fresh checkpoint file (temp name,
+// synced, atomically renamed) and truncates the log. n must be the network
+// the log is attached to: the checkpoint replaces the journaled history with
+// the state that history produced.
 func (l *Log) Checkpoint(n *core.Network) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("wal: log is closed")
+	}
+	if n == nil {
+		return fmt.Errorf("wal: checkpoint needs the live network to export")
 	}
 	// Everything checkpointed must first be durable in the log: if the
 	// rename lands and the truncation doesn't, replay dedups by sequence.
@@ -478,29 +435,25 @@ func (l *Log) Checkpoint(n *core.Network) error {
 	}
 	l.unsynced = 0
 
-	info := core.CheckpointInfo{LastSeq: l.seq}
-	if n != nil {
-		info.Peers = n.NumPeers()
-		info.Mappings = n.Topology().NumEdges()
-		for _, line := range n.InferenceDigest() {
-			switch {
-			case strings.Contains(line, " ev "):
-				info.Replicas++
-			case strings.Contains(line, " var "):
-				info.Vars++
-			case strings.Contains(line, " pin "):
-				info.Pins++
-			}
+	info := core.CheckpointInfo{
+		LastSeq:  l.seq,
+		Peers:    n.NumPeers(),
+		Mappings: n.Topology().NumEdges(),
+		Digest:   DigestNetwork(n),
+	}
+	for _, line := range n.InferenceDigest() {
+		switch {
+		case strings.Contains(line, " ev "):
+			info.Replicas++
+		case strings.Contains(line, " var "):
+			info.Vars++
+		case strings.Contains(line, " pin "):
+			info.Pins++
 		}
-		info.Digest = DigestNetwork(n)
-	} else {
-		info.Peers = len(l.comp.peers)
-		info.Mappings = len(l.comp.maps)
 	}
 
-	body := l.comp.snapshot()
 	buf := appendRecord(nil, info.LastSeq, core.Mutation{Kind: core.MutCheckpoint, Checkpoint: &info})
-	for _, m := range body {
+	for _, m := range n.DurableState() {
 		buf = appendRecord(buf, 0, m)
 	}
 

@@ -73,11 +73,12 @@
 // All of this state can be made durable: OpenWAL attaches a write-ahead log
 // that journals every mutation — churn, discovered evidence, feedback,
 // learned priors — as CRC-framed records before it applies (fsync policy
-// selectable, group commit by default in the tools), periodically folds the
-// history into a compacted checkpoint, and rebuilds the exact network after
-// a crash (WAL.Recover): same inference digest, same posteriors, torn final
-// frames discarded cleanly. cmd/pdmsload -wal runs the closed loop durably,
-// and examples/faulttolerance demonstrates kill → recover → continue.
+// selectable, group commit by default in the tools), periodically replaces
+// the history with a checkpoint of the network's own canonical export
+// (Network.DurableState), and rebuilds the exact network after a crash
+// (WAL.Recover, by Network.Apply): same inference digest, same posteriors,
+// torn final frames discarded cleanly. cmd/pdmsload -wal runs the closed loop
+// durably, and examples/faulttolerance demonstrates kill → recover → continue.
 //
 // Quickstart:
 //
@@ -271,11 +272,12 @@ type (
 // Durability plane types (see TESTING.md, "Durability plane"): a write-ahead
 // log journals every network mutation — peer/mapping churn, evidence
 // discovery, feedback observations, learned priors — as versioned,
-// CRC32-framed records before it applies, checkpoints fold the history into a
-// compacted snapshot, and recovery replays checkpoint + log tail through the
-// same public entry points, rebuilding the exact inference state (posteriors
-// and digests match the uncrashed network bit-for-bit). A torn final frame —
-// the half-written record a real crash leaves — is a clean log end; a corrupt
+// CRC32-framed records before it applies, a checkpoint is the network's own
+// canonical export (Network.DurableState), and recovery applies checkpoint +
+// log tail (Network.Apply) through the same public entry points the live
+// system uses, rebuilding the exact inference state (posteriors and digests
+// match the uncrashed network bit-for-bit). A torn final frame — the
+// half-written record a real crash leaves — is a clean log end; a corrupt
 // mid-log frame is a hard WALCorruptError.
 type (
 	// WAL is the append-only write-ahead log a network journals to.

@@ -30,4 +30,7 @@ printf 'DetectOptions+Workload+Scenario:   %s fields\n' "$(( $(fields internal/c
 # Suppressions in product code: the analyzer's own source and fixtures name
 # the marker without using it.
 printf 'pdms:nojournal-ok suppressions:    %s\n' "$(gofiles -not -name '*_test.go' -not -path './internal/analysis/*' | xargs grep -h 'pdms:nojournal-ok' | wc -l | tr -d ' ')"
+# How many places outside core must change when a mutation kind is added:
+# the byte codec (record.go) and the log's framing checks (wal.go).
+printf 'case core.Mut files outside core:  %s\n' "$(gofiles -not -name '*_test.go' -not -path './internal/core/*' | xargs grep -l 'case core\.Mut' | wc -l | tr -d ' ')"
 printf 'context.Context in non-test Go:    %s\n' "$(gofiles -not -name '*_test.go' | xargs grep -l 'context\.Context' | wc -l | tr -d ' ')"
