@@ -70,17 +70,16 @@ func (s *Series) Add(x, y float64) {
 	s.Y = append(s.Y, y)
 }
 
-// Table renders rows as an aligned plain-text table.
+// Table renders rows as an aligned plain-text table. A row may have more
+// cells than there are headers; the extra cells are printed.
 func Table(headers []string, rows [][]string) string {
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len([]rune(h))
-	}
-	for _, r := range rows {
+	var widths []int
+	for _, r := range append([][]string{headers}, rows...) {
 		for i, c := range r {
-			if i < len(widths) && len([]rune(c)) > widths[i] {
-				widths[i] = len([]rune(c))
+			if i == len(widths) {
+				widths = append(widths, 0)
 			}
+			widths[i] = max(widths[i], len([]rune(c)))
 		}
 	}
 	var b strings.Builder
@@ -206,27 +205,22 @@ func (t *Trace) Series() []Series {
 	return out
 }
 
-// Final returns the last recorded value per name.
-func (t *Trace) Final() map[string]float64 {
-	out := make(map[string]float64, len(t.names))
-	for _, n := range t.names {
-		vs := t.rows[n]
-		if len(vs) > 0 {
-			out[n] = vs[len(vs)-1]
-		}
-	}
-	return out
-}
-
 // MeanAbsError returns the mean absolute difference between two posterior
-// maps over the keys of want — the error measure of Fig 9.
+// maps over the keys of want — the error measure of Fig 9. The terms are
+// summed in key order: float addition is not associative, and map order
+// would leak into the last bits.
 func MeanAbsError(got, want map[string]float64) float64 {
 	if len(want) == 0 {
 		return 0
 	}
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	sum := 0.0
-	for k, w := range want {
-		sum += math.Abs(got[k] - w)
+	for _, k := range keys {
+		sum += math.Abs(got[k] - want[k])
 	}
 	return sum / float64(len(want))
 }

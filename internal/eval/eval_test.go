@@ -52,6 +52,10 @@ func TestTable(t *testing.T) {
 	if len(lines) != 4 {
 		t.Errorf("table has %d lines, want 4", len(lines))
 	}
+	// A row wider than the header is printed in full.
+	if out := Table([]string{"a"}, [][]string{{"x", "y"}}); !strings.Contains(out, "x  y") {
+		t.Errorf("wide row lost its extra cell:\n%s", out)
+	}
 }
 
 func TestPlot(t *testing.T) {
@@ -86,10 +90,6 @@ func TestTrace(t *testing.T) {
 	if tr.Len() != 2 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	fin := tr.Final()
-	if fin["a"] != 0.7 || fin["b"] != 0.4 {
-		t.Errorf("Final = %v", fin)
-	}
 	series := tr.Series()
 	if len(series) != 2 {
 		t.Fatalf("Series = %d", len(series))
@@ -111,5 +111,17 @@ func TestMeanAbsError(t *testing.T) {
 	}
 	if e := MeanAbsError(nil, nil); e != 0 {
 		t.Errorf("empty error = %v", e)
+	}
+	// The terms are summed in key order, not map order: every call returns
+	// the same bits.
+	want = map[string]float64{}
+	for i := 0; i < 9; i++ {
+		want[string(rune('a'+i))] = math.Pow(10, -float64(i))
+	}
+	first := MeanAbsError(nil, want)
+	for i := 0; i < 2000; i++ {
+		if e := MeanAbsError(nil, want); e != first {
+			t.Fatalf("call %d returned %b, the first %b", i, e, first)
+		}
 	}
 }

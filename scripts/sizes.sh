@@ -23,8 +23,11 @@ printf 'internal/core non-test:            %s\n' "$(gofiles -not -name '*_test.g
 printf 'test Go outside bench/:            %s\n' "$(gofiles -name '*_test.go' -not -path './bench/*' | lines)"
 printf 'bench/ (all Go):                   %s\n' "$(gofiles -path './bench/*' | lines)"
 printf 'Benchmark* funcs:                  %s\n' "$(gofiles -name '*_test.go' | xargs grep -h '^func Benchmark' | wc -l | tr -d ' ')"
-# One runners-map entry per -fig value ("all" runs them in turn).
-printf 'pdmsbench -fig values:             %s\n' "$(grep -c '^		"[a-z0-9]*": ' cmd/pdmsbench/main.go)"
+# Rows of experiments.All (one per pdmsbench -fig value; "all" runs them in
+# turn) against the functions that lay a table out for the terminal.
+printf 'reproduction rows / printers:      %s / %s\n' "$(grep -c '^		ID: ' internal/experiments/reproduction.go)" \
+  "$(gofiles -not -name '*_test.go' \( -path './cmd/pdmsbench/*' -o -path './internal/experiments/*' \) | xargs awk '/^func /{f=FILENAME $0} /eval\.Table\(/{p[f]=1} END{print length(p)}')"
+printf 'internal/experiments exported:     %s\n' "$(gofiles -not -name '*_test.go' -path './internal/experiments/*' | xargs grep -hE '^(func|type|var|const) [A-Z]' | wc -l | tr -d ' ')"
 printf 'CI steps:                          %s\n' "$(grep -c '^      - name: ' .github/workflows/ci.yml)"
 printf 'DetectOptions+Workload+Scenario:   %s fields\n' "$(( $(fields internal/core/detect.go DetectOptions) + $(fields internal/sim/workload.go Workload) + $(fields internal/sim/scenario.go Scenario) ))"
 # Suppressions in product code: the analyzer's own source and fixtures name
