@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -33,41 +34,49 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pdmsdetect: ")
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("pdmsdetect", flag.ContinueOnError)
 	var (
-		in      = flag.String("in", "", "network description (JSON); - for stdin")
-		theta   = flag.Float64("theta", 0.5, "semantic threshold θ")
-		maxLen  = flag.Int("maxlen", 6, "maximum cycle / parallel-path length")
-		delta   = flag.Float64("delta", 0, "Δ (0 derives it from the schema size)")
-		attrsF  = flag.String("attrs", "", "comma-separated analysis attributes (default: all)")
-		probes  = flag.Bool("probes", false, "discover evidence by probe flooding instead of enumeration")
-		coarse  = flag.Bool("coarse", false, "coarse granularity: one value per mapping")
-		asJSON  = flag.Bool("json", false, "emit results as JSON")
-		example = flag.Bool("example", false, "print an example network description and exit")
+		in      = fs.String("in", "", "network description (JSON); - for stdin")
+		theta   = fs.Float64("theta", 0.5, "semantic threshold θ")
+		maxLen  = fs.Int("maxlen", 6, "maximum cycle / parallel-path length")
+		delta   = fs.Float64("delta", 0, "Δ (0 derives it from the schema size)")
+		attrsF  = fs.String("attrs", "", "comma-separated analysis attributes (default: all)")
+		probes  = fs.Bool("probes", false, "discover evidence by probe flooding instead of enumeration")
+		coarse  = fs.Bool("coarse", false, "coarse granularity: one value per mapping")
+		asJSON  = fs.Bool("json", false, "emit results as JSON")
+		example = fs.Bool("example", false, "print an example network description and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *example {
-		if err := netio.Save(os.Stdout, paper.IntroNetwork()); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return netio.Save(stdout, paper.IntroNetwork())
 	}
 	if *in == "" {
-		flag.Usage()
-		os.Exit(2)
+		return fmt.Errorf("nothing to do: pass -in <file> or -example (see -h)")
 	}
-	r := os.Stdin
+	if *probes && *coarse {
+		return fmt.Errorf("-probes and -coarse cannot be combined: probe discovery is fine-grained only")
+	}
+	r := stdin
 	if *in != "-" {
 		f, err := os.Open(*in)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer f.Close()
 		r = f
 	}
 	net, err := netio.Load(r)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	attrs := analysisAttrs(net, *attrsF)
@@ -84,11 +93,11 @@ func main() {
 		})
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := net.RunDetection(core.DetectOptions{MaxRounds: 300})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	type finding struct {
@@ -104,11 +113,17 @@ func main() {
 			}
 		}
 	}
+	// Posteriors is a map of maps: the order must be total, or attributes of
+	// one mapping that tie on the posterior print in map order.
 	sort.Slice(findings, func(i, j int) bool {
-		if findings[i].Posterior != findings[j].Posterior {
-			return findings[i].Posterior < findings[j].Posterior
+		a, b := findings[i], findings[j]
+		if a.Posterior != b.Posterior {
+			return a.Posterior < b.Posterior
 		}
-		return findings[i].Mapping < findings[j].Mapping
+		if a.Mapping != b.Mapping {
+			return a.Mapping < b.Mapping
+		}
+		return a.Attribute < b.Attribute
 	})
 
 	if *asJSON {
@@ -127,25 +142,25 @@ func main() {
 			Theta:    *theta,
 			Findings: findings,
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return enc.Encode(out)
 	}
 
-	fmt.Printf("network: %d peers, %d mappings; evidence: %d+/%d−; converged=%v in %d rounds\n\n",
+	var text strings.Builder
+	fmt.Fprintf(&text, "network: %d peers, %d mappings; evidence: %d+/%d−; converged=%v in %d rounds\n\n",
 		net.NumPeers(), net.Topology().NumEdges(), rep.Positive, rep.Negative, res.Converged, res.Rounds)
 	if len(findings) == 0 {
-		fmt.Printf("no mapping fell below θ=%.2f\n", *theta)
-		return
+		fmt.Fprintf(&text, "no mapping fell below θ=%.2f\n", *theta)
+	} else {
+		rows := make([][]string, 0, len(findings))
+		for _, f := range findings {
+			rows = append(rows, []string{f.Mapping, f.Attribute, fmt.Sprintf("%.3f", f.Posterior)})
+		}
+		fmt.Fprintln(&text, eval.Table([]string{"mapping", "attribute", "P(correct)"}, rows))
 	}
-	rows := make([][]string, 0, len(findings))
-	for _, f := range findings {
-		rows = append(rows, []string{f.Mapping, f.Attribute, fmt.Sprintf("%.3f", f.Posterior)})
-	}
-	fmt.Println(eval.Table([]string{"mapping", "attribute", "P(correct)"}, rows))
+	_, err = io.WriteString(stdout, text.String())
+	return err
 }
 
 func analysisAttrs(net *core.Network, csv string) []schema.Attribute {

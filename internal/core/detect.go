@@ -58,21 +58,14 @@ type DetectOptions struct {
 	// Incremental runs under reliable delivery use the residual schedule
 	// (see residual.go): each dirty component runs on its own transport and
 	// only messages whose inputs moved beyond Tolerance are recomputed and
-	// resent. FixedSweeps opts back into the synchronous lockstep sweeps.
+	// resent. Lossy and traced runs keep the synchronous lockstep sweeps.
 	Incremental bool
-	// FixedSweeps forces an incremental run onto the pre-residual
-	// synchronous sweep schedule: every in-scope message recomputed and
-	// resent every round. It exists as the baseline the residual work
-	// counters are asserted against and for the residual ≡ synchronous
-	// differentials; full (non-incremental) runs always sweep.
-	FixedSweeps bool
 	// Workers is the worker-pool size for component-parallel incremental
 	// re-detection: dirty components are independent (messages never cross
 	// component boundaries), so the residual schedule runs up to Workers of
-	// them concurrently, each on its own transport with a seed derived from
-	// the component's canonical identity. Results are merged in canonical
-	// component order, so any Workers value — including 0/1, fully serial —
-	// produces bit-identical DetectResults.
+	// them concurrently, each on its own reliable transport. Results are
+	// merged in canonical component order, so any Workers value — including
+	// 0/1, fully serial — produces bit-identical DetectResults.
 	Workers int
 	// Blocked, if non-nil, reports whether the directed link from one peer
 	// to another is currently severed — a network partition. Blocked frames
@@ -220,7 +213,7 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 	// heal dropped frames by resending every round, which a residual skip
 	// would not. Trace wants per-round posteriors of the whole scope, which
 	// only the lockstep schedule produces.
-	if opts.Incremental && !opts.FixedSweeps && opts.PSend >= 1 && opts.Trace == nil {
+	if opts.Incremental && opts.PSend >= 1 && opts.Trace == nil {
 		return n.runResidualDetection(opts)
 	}
 	peers := n.Peers()

@@ -16,54 +16,9 @@ import (
 // messages with a certain Time-To-Live or by examining the trace of routed
 // queries"). The probe carries the image of the origin attribute under the
 // mappings traversed so far, so the destination can compare transitive
-// closures without any further communication. On the transport a probe
-// travels as a wire.Probe frame.
-type probeMsg struct {
-	Origin graph.PeerID
-	Attr   schema.Attribute
-	// Image is the attribute's current image; meaningless once Lost != "".
-	Image schema.Attribute
-	// Lost is the first edge whose mapping had no correspondence (⊥).
-	Lost  graph.EdgeID
-	Steps []graph.Step
-	TTL   int
-}
-
-// toWire marshals the probe into its wire frame.
-func (pm probeMsg) toWire() wire.Probe {
-	w := wire.Probe{
-		Origin: pm.Origin,
-		Attr:   pm.Attr,
-		Image:  pm.Image,
-		Lost:   pm.Lost,
-		TTL:    pm.TTL,
-	}
-	if len(pm.Steps) > 0 {
-		w.Steps = make([]wire.ProbeStep, len(pm.Steps))
-		for i, s := range pm.Steps {
-			w.Steps[i] = wire.ProbeStep{Edge: s.Edge, Forward: s.Forward}
-		}
-	}
-	return w
-}
-
-// probeFromWire unmarshals a wire frame back into a probe.
-func probeFromWire(w wire.Probe) probeMsg {
-	pm := probeMsg{
-		Origin: w.Origin,
-		Attr:   w.Attr,
-		Image:  w.Image,
-		Lost:   w.Lost,
-		TTL:    w.TTL,
-	}
-	if len(w.Steps) > 0 {
-		pm.Steps = make([]graph.Step, len(w.Steps))
-		for i, s := range w.Steps {
-			pm.Steps[i] = graph.Step{Edge: s.Edge, Forward: s.Forward}
-		}
-	}
-	return pm
-}
+// closures without any further communication. It is the wire frame itself:
+// what a peer forwards is exactly what travels on the transport.
+type probeMsg = wire.Probe
 
 // probeRun accumulates discovery state across the flood.
 type probeRun struct {
@@ -124,7 +79,7 @@ func (n *Network) DiscoverByProbes(attrs []schema.Attribute, ttl int, delta floa
 				return
 			}
 			if pb, ok := m.(wire.Probe); ok {
-				run.receive(sim, p, probeFromWire(pb))
+				run.receive(sim, p, pb)
 			}
 		})
 		if err != nil {
@@ -205,7 +160,7 @@ func (r *probeRun) forward(sim *network.Simulator, p *Peer, pm probeMsg) {
 				out.Lost = eid
 			}
 		}
-		sim.Send(network.Envelope{From: p.id, To: next, Payload: wire.Encode(out.toWire())})
+		sim.Send(network.Envelope{From: p.id, To: next, Payload: wire.Encode(out)})
 	}
 }
 

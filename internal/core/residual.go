@@ -1,7 +1,6 @@
 package core
 
 import (
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -139,26 +138,6 @@ func (n *Network) growComponent(seed varKey, scope *detectScope) *detectComponen
 	return comp
 }
 
-// splitmix64 is the 64-bit SplitMix64 finalizer — the same mixer the sim
-// layer derives its stream seeds with; nearby inputs share no structure.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// componentSeed derives a component transport's seed from the run seed and
-// the component's canonical identity, so a component is seeded identically
-// whether it runs first, last, serial or on a worker pool.
-func componentSeed(seed int64, id varKey) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(id.Mapping))
-	h.Write([]byte{0})
-	h.Write([]byte(id.Attr))
-	return int64(splitmix64(uint64(seed) ^ h.Sum64()))
-}
-
 // componentResult is one component run's contribution to the merged
 // DetectResult.
 type componentResult struct {
@@ -181,7 +160,7 @@ func (n *Network) runResidualDetection(opts DetectOptions) (DetectResult, error)
 
 	outs := make([]componentResult, len(comps))
 	run := func(i int) {
-		outs[i] = n.runComponent(comps[i], opts, componentSeed(opts.Seed, comps[i].id))
+		outs[i] = n.runComponent(comps[i], opts)
 	}
 	workers := opts.Workers
 	if workers > len(comps) {
@@ -239,7 +218,7 @@ func (n *Network) runResidualDetection(opts DetectOptions) (DetectResult, error)
 // frontier messages, step the transport, rebind factor→variable messages —
 // so a component's message flow is indistinguishable on the wire from a
 // scoped lockstep run that skipped the sub-tolerance traffic.
-func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int64) componentResult {
+func (n *Network) runComponent(c *detectComponent, opts DetectOptions) componentResult {
 	kind := opts.Transport
 	if kind == network.KindSharded {
 		// A component is one small connected scope; the sharded substrate's
@@ -247,7 +226,7 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions, seed int6
 		// a frontier schedule. Component parallelism replaces it.
 		kind = network.KindSim
 	}
-	tr, err := openTransport(network.Config{Kind: kind, PSend: 1, Seed: seed}, c.peers)
+	tr, err := openTransport(network.Config{Kind: kind, PSend: 1}, c.peers)
 	if err != nil {
 		return componentResult{err: err}
 	}

@@ -182,7 +182,9 @@ func TestResidualMatchesFixedSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := fixNet.RunDetection(DetectOptions{Incremental: true, Tolerance: 1e-9, FixedSweeps: true})
+	// A Trace hook selects the lockstep sweeps (see DetectOptions.Incremental).
+	lockstep := func(int, map[graph.EdgeID]map[schema.Attribute]float64) {}
+	fixed, err := fixNet.RunDetection(DetectOptions{Incremental: true, Tolerance: 1e-9, Trace: lockstep})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/schema"
 )
+
+// lockstep[true] is a no-op Trace hook, which keeps an incremental run on the
+// lockstep sweeps (see core.DetectOptions.Incremental); lockstep[false] is nil.
+var lockstep = map[bool]func(int, map[graph.EdgeID]map[schema.Attribute]float64){
+	true: func(int, map[graph.EdgeID]map[schema.Attribute]float64) {},
+}
 
 // BenchmarkRedetect1000Peers compares the two ways to refresh posteriors
 // after a feedback batch on a 1000-peer overlay whose evidence spans four
@@ -88,7 +95,7 @@ func BenchmarkRedetect1000Peers(b *testing.B) {
 				}
 				det, err := s.net.RunDetection(core.DetectOptions{
 					Incremental: true,
-					FixedSweeps: mode.fixed,
+					Trace:       lockstep[mode.fixed],
 					MaxRounds:   s.sc.MaxRounds,
 					Tolerance:   1e-9,
 				})
@@ -147,7 +154,7 @@ func TestRedetectResidualCounter1000Peers(t *testing.T) {
 		}
 		det, err = s.net.RunDetection(core.DetectOptions{
 			Incremental: true,
-			FixedSweeps: fixed,
+			Trace:       lockstep[fixed],
 			MaxRounds:   s.sc.MaxRounds,
 			Tolerance:   1e-9,
 		})

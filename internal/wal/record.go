@@ -2,18 +2,20 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/schema"
 )
 
-// The on-disk record format follows the internal/wire conventions —
-// versioned payloads, minimal unsigned varints, big-endian IEEE-754 float
-// bits, strict canonical decoding — wrapped in a CRC frame so storage
+// The on-disk record format is built from the same canonical fields as the
+// wire frames — internal/canon owns the rules: minimal unsigned varints,
+// big-endian IEEE-754 float bits, 0/1 booleans, bounded lengths, no trailing
+// bytes — in a versioned payload wrapped in a CRC frame, so storage
 // corruption is detected, not silently replayed:
 //
 //	u32be len(payload) | payload | u32be crc32-IEEE(payload)
@@ -53,76 +55,67 @@ func appendRecord(dst []byte, seq uint64, m core.Mutation) []byte {
 
 func appendPayload(dst []byte, seq uint64, m core.Mutation) []byte {
 	dst = append(dst, Version)
-	dst = binary.AppendUvarint(dst, seq)
+	dst = canon.Uint(dst, seq)
 	dst = append(dst, byte(m.Kind))
 	switch m.Kind {
 	case core.MutInit:
-		dst = appendBool(dst, m.Directed)
+		dst = canon.Bool(dst, m.Directed)
 	case core.MutAddPeer:
-		dst = appendString(dst, string(m.Peer))
-		dst = appendString(dst, m.SchemaName)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Attrs)))
-		for _, a := range m.Attrs {
-			dst = appendString(dst, string(a))
-		}
+		dst = canon.String(dst, m.Peer)
+		dst = canon.String(dst, m.SchemaName)
+		dst = appendStrings(dst, m.Attrs)
 	case core.MutAddMapping:
-		dst = appendString(dst, string(m.Edge))
-		dst = appendString(dst, string(m.From))
-		dst = appendString(dst, string(m.To))
-		dst = binary.AppendUvarint(dst, uint64(len(m.Pairs)))
+		dst = canon.String(dst, m.Edge)
+		dst = canon.String(dst, m.From)
+		dst = canon.String(dst, m.To)
+		dst = canon.Uint(dst, uint64(len(m.Pairs)))
 		for _, pr := range m.Pairs {
-			dst = appendString(dst, string(pr.From))
-			dst = appendString(dst, string(pr.To))
+			dst = canon.String(dst, pr.From)
+			dst = canon.String(dst, pr.To)
 		}
 	case core.MutRemovePeer:
-		dst = appendString(dst, string(m.Peer))
+		dst = canon.String(dst, m.Peer)
 	case core.MutRemoveMapping:
-		dst = appendString(dst, string(m.Edge))
+		dst = canon.String(dst, m.Edge)
 	case core.MutSetPrior:
-		dst = appendString(dst, string(m.Peer))
-		dst = appendString(dst, string(m.Edge))
-		dst = appendString(dst, string(m.Attr))
-		dst = appendFloat(dst, m.Prior)
+		dst = canon.String(dst, m.Peer)
+		dst = canon.String(dst, m.Edge)
+		dst = canon.String(dst, m.Attr)
+		dst = canon.Float(dst, m.Prior)
 	case core.MutDiscover:
 		dst = appendConfig(dst, m.Cfg)
 	case core.MutDiscoverInc:
 		dst = appendConfig(dst, m.Cfg)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Changed)))
-		for _, e := range m.Changed {
-			dst = appendString(dst, string(e))
-		}
+		dst = appendStrings(dst, m.Changed)
 	case core.MutFeedback:
-		dst = appendFloat(dst, m.FbOpts.Delta)
-		dst = appendFloat(dst, m.FbOpts.Noise)
-		dst = appendBool(dst, m.FbOpts.NoTrust)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Groups)))
+		dst = canon.Float(dst, m.FbOpts.Delta)
+		dst = canon.Float(dst, m.FbOpts.Noise)
+		dst = canon.Bool(dst, m.FbOpts.NoTrust)
+		dst = canon.Uint(dst, uint64(len(m.Groups)))
 		for _, g := range m.Groups {
-			dst = appendString(dst, string(g.Attr))
-			dst = binary.AppendUvarint(dst, uint64(len(g.Chain)))
-			for _, e := range g.Chain {
-				dst = appendString(dst, string(e))
-			}
-			dst = binary.AppendUvarint(dst, uint64(g.Pos))
-			dst = binary.AppendUvarint(dst, uint64(g.Neg))
-			dst = appendString(dst, string(g.Reporter))
+			dst = canon.String(dst, g.Attr)
+			dst = appendStrings(dst, g.Chain)
+			dst = canon.Uint(dst, uint64(g.Pos))
+			dst = canon.Uint(dst, uint64(g.Neg))
+			dst = canon.String(dst, g.Reporter)
 		}
 	case core.MutPriorSamples:
-		dst = binary.AppendUvarint(dst, uint64(len(m.Samples)))
+		dst = canon.Uint(dst, uint64(len(m.Samples)))
 		for _, s := range m.Samples {
-			dst = appendString(dst, string(s.Peer))
-			dst = appendString(dst, string(s.Mapping))
-			dst = appendString(dst, string(s.Attr))
-			dst = appendFloat(dst, s.Sample)
+			dst = canon.String(dst, s.Peer)
+			dst = canon.String(dst, s.Mapping)
+			dst = canon.String(dst, s.Attr)
+			dst = canon.Float(dst, s.Sample)
 		}
 	case core.MutCheckpoint:
 		ci := m.Checkpoint
-		dst = binary.AppendUvarint(dst, ci.LastSeq)
-		dst = binary.AppendUvarint(dst, uint64(ci.Peers))
-		dst = binary.AppendUvarint(dst, uint64(ci.Mappings))
-		dst = binary.AppendUvarint(dst, uint64(ci.Replicas))
-		dst = binary.AppendUvarint(dst, uint64(ci.Vars))
-		dst = binary.AppendUvarint(dst, uint64(ci.Pins))
-		dst = appendString(dst, ci.Digest)
+		dst = canon.Uint(dst, ci.LastSeq)
+		dst = canon.Uint(dst, uint64(ci.Peers))
+		dst = canon.Uint(dst, uint64(ci.Mappings))
+		dst = canon.Uint(dst, uint64(ci.Replicas))
+		dst = canon.Uint(dst, uint64(ci.Vars))
+		dst = canon.Uint(dst, uint64(ci.Pins))
+		dst = canon.String(dst, ci.Digest)
 	case core.MutMark:
 		// no payload
 	default:
@@ -131,325 +124,134 @@ func appendPayload(dst []byte, seq uint64, m core.Mutation) []byte {
 	return dst
 }
 
-func appendConfig(dst []byte, cfg *core.DiscoverConfig) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(cfg.Attrs)))
-	for _, a := range cfg.Attrs {
-		dst = appendString(dst, string(a))
-	}
-	dst = binary.AppendUvarint(dst, uint64(cfg.MaxLen))
-	dst = appendFloat(dst, cfg.Delta)
-	dst = append(dst, byte(cfg.Granularity))
-	return appendBool(dst, cfg.DisableParallelPaths)
-}
+var errUnknownKind = errors.New("unknown mutation kind")
 
-// decodePayload parses one complete, CRC-verified payload strictly: unknown
-// versions and kinds, non-minimal varints, truncated fields and trailing
-// bytes are all errors.
+// decodePayload parses one complete, CRC-verified payload strictly: an
+// unknown version or kind and every non-canonical field (see internal/canon)
+// is an error. Each arm reads the fields its appendPayload arm wrote, in the
+// same order; the reader's first failure sticks, so the one check follows
+// the switch.
 func decodePayload(b []byte) (record, error) {
-	r := reader{buf: b}
+	r := canon.Read(b)
 	var rec record
-	ver, err := r.byte()
-	if err != nil {
-		return rec, err
+	if ver := r.Byte(); ver != Version {
+		r.Fail(fmt.Errorf("unsupported version %d", ver))
 	}
-	if ver != Version {
-		return rec, fmt.Errorf("unsupported version %d", ver)
-	}
-	if rec.seq, err = r.uvarint(); err != nil {
-		return rec, err
-	}
-	k, err := r.byte()
-	if err != nil {
-		return rec, err
-	}
+	rec.seq = r.Uvarint()
 	m := &rec.mut
-	m.Kind = core.MutKind(k)
+	m.Kind = core.MutKind(r.Byte())
 	switch m.Kind {
 	case core.MutInit:
-		m.Directed, err = r.bool()
+		m.Directed = r.Bool()
 	case core.MutAddPeer:
-		err = decodeAddPeer(&r, m)
+		m.Peer = graph.PeerID(r.Str())
+		m.SchemaName = r.Str()
+		m.Attrs = readStrings[schema.Attribute](&r)
 	case core.MutAddMapping:
-		err = decodeAddMapping(&r, m)
+		m.Edge = graph.EdgeID(r.Str())
+		m.From = graph.PeerID(r.Str())
+		m.To = graph.PeerID(r.Str())
+		m.Pairs = canon.Slice[core.AttrPair](&r, 2)
+		for i := range m.Pairs {
+			m.Pairs[i].From = schema.Attribute(r.Str())
+			m.Pairs[i].To = schema.Attribute(r.Str())
+		}
 	case core.MutRemovePeer:
-		var s string
-		if s, err = r.str(); err == nil {
-			m.Peer = graph.PeerID(s)
-		}
+		m.Peer = graph.PeerID(r.Str())
 	case core.MutRemoveMapping:
-		var s string
-		if s, err = r.str(); err == nil {
-			m.Edge = graph.EdgeID(s)
-		}
+		m.Edge = graph.EdgeID(r.Str())
 	case core.MutSetPrior:
-		err = decodeSetPrior(&r, m)
+		m.Peer = graph.PeerID(r.Str())
+		m.Edge = graph.EdgeID(r.Str())
+		m.Attr = schema.Attribute(r.Str())
+		m.Prior = r.Float()
 	case core.MutDiscover:
-		m.Cfg, err = decodeConfig(&r)
+		m.Cfg = readConfig(&r)
 	case core.MutDiscoverInc:
-		err = decodeDiscoverInc(&r, m)
+		m.Cfg = readConfig(&r)
+		m.Changed = readStrings[graph.EdgeID](&r)
 	case core.MutFeedback:
-		err = decodeFeedback(&r, m)
+		m.FbOpts = new(core.FeedbackOptions)
+		m.FbOpts.Delta = r.Float()
+		m.FbOpts.Noise = r.Float()
+		m.FbOpts.NoTrust = r.Bool()
+		m.Groups = canon.Slice[core.FeedbackGroup](&r, 4)
+		for i := range m.Groups {
+			g := &m.Groups[i]
+			g.Attr = schema.Attribute(r.Str())
+			g.Chain = readStrings[graph.EdgeID](&r)
+			g.Pos = r.Uint()
+			g.Neg = r.Uint()
+			g.Reporter = graph.PeerID(r.Str())
+		}
 	case core.MutPriorSamples:
-		err = decodePriorSamples(&r, m)
+		m.Samples = canon.Slice[core.PriorSample](&r, 11)
+		for i := range m.Samples {
+			s := &m.Samples[i]
+			s.Peer = graph.PeerID(r.Str())
+			s.Mapping = graph.EdgeID(r.Str())
+			s.Attr = schema.Attribute(r.Str())
+			s.Sample = r.Float()
+		}
 	case core.MutCheckpoint:
-		err = decodeCheckpoint(&r, m)
+		ci := new(core.CheckpointInfo)
+		ci.LastSeq = r.Uvarint()
+		ci.Peers = r.Uint()
+		ci.Mappings = r.Uint()
+		ci.Replicas = r.Uint()
+		ci.Vars = r.Uint()
+		ci.Pins = r.Uint()
+		ci.Digest = r.Str()
+		m.Checkpoint = ci
 	case core.MutMark:
 		// no payload
 	default:
-		return rec, fmt.Errorf("unknown mutation kind %d", k)
+		r.Fail(errUnknownKind)
 	}
-	if err != nil {
+	if err := r.Err(); err != nil {
 		return rec, fmt.Errorf("decoding %s: %w", m.Kind, err)
-	}
-	if len(r.buf) != r.off {
-		return rec, fmt.Errorf("%d trailing bytes after %s record", len(r.buf)-r.off, m.Kind)
 	}
 	return rec, nil
 }
 
-func decodeAddPeer(r *reader, m *core.Mutation) error {
-	s, err := r.str()
-	if err != nil {
-		return err
-	}
-	m.Peer = graph.PeerID(s)
-	if m.SchemaName, err = r.str(); err != nil {
-		return err
-	}
-	n, err := r.length(1)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		m.Attrs = make([]schema.Attribute, n)
-	}
-	for i := range m.Attrs {
-		if s, err = r.str(); err != nil {
-			return err
-		}
-		m.Attrs[i] = schema.Attribute(s)
-	}
-	return nil
+func appendConfig(dst []byte, cfg *core.DiscoverConfig) []byte {
+	dst = appendStrings(dst, cfg.Attrs)
+	dst = canon.Uint(dst, uint64(cfg.MaxLen))
+	dst = canon.Float(dst, cfg.Delta)
+	dst = append(dst, byte(cfg.Granularity))
+	return canon.Bool(dst, cfg.DisableParallelPaths)
 }
 
-func decodeAddMapping(r *reader, m *core.Mutation) error {
-	s, err := r.str()
-	if err != nil {
-		return err
-	}
-	m.Edge = graph.EdgeID(s)
-	if s, err = r.str(); err != nil {
-		return err
-	}
-	m.From = graph.PeerID(s)
-	if s, err = r.str(); err != nil {
-		return err
-	}
-	m.To = graph.PeerID(s)
-	n, err := r.length(2)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		m.Pairs = make([]core.AttrPair, n)
-	}
-	for i := range m.Pairs {
-		if s, err = r.str(); err != nil {
-			return err
-		}
-		m.Pairs[i].From = schema.Attribute(s)
-		if s, err = r.str(); err != nil {
-			return err
-		}
-		m.Pairs[i].To = schema.Attribute(s)
-	}
-	return nil
-}
-
-func decodeSetPrior(r *reader, m *core.Mutation) error {
-	s, err := r.str()
-	if err != nil {
-		return err
-	}
-	m.Peer = graph.PeerID(s)
-	if s, err = r.str(); err != nil {
-		return err
-	}
-	m.Edge = graph.EdgeID(s)
-	if s, err = r.str(); err != nil {
-		return err
-	}
-	m.Attr = schema.Attribute(s)
-	m.Prior, err = r.float()
-	return err
-}
-
-func decodeConfig(r *reader) (*core.DiscoverConfig, error) {
-	var cfg core.DiscoverConfig
-	n, err := r.length(1)
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		cfg.Attrs = make([]schema.Attribute, n)
-	}
-	for i := range cfg.Attrs {
-		s, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Attrs[i] = schema.Attribute(s)
-	}
-	if cfg.MaxLen, err = r.uint(); err != nil {
-		return nil, err
-	}
-	if cfg.Delta, err = r.float(); err != nil {
-		return nil, err
-	}
-	g, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
+func readConfig(r *canon.Reader) *core.DiscoverConfig {
+	cfg := new(core.DiscoverConfig)
+	cfg.Attrs = readStrings[schema.Attribute](r)
+	cfg.MaxLen = r.Uint()
+	cfg.Delta = r.Float()
+	g := r.Byte()
 	if g > byte(core.CoarseGrained) {
-		return nil, fmt.Errorf("bad granularity byte %d", g)
+		r.Fail(fmt.Errorf("bad granularity byte %d", g))
 	}
 	cfg.Granularity = core.Granularity(g)
-	cfg.DisableParallelPaths, err = r.bool()
-	return &cfg, err
+	cfg.DisableParallelPaths = r.Bool()
+	return cfg
 }
 
-func decodeDiscoverInc(r *reader, m *core.Mutation) error {
-	var err error
-	if m.Cfg, err = decodeConfig(r); err != nil {
-		return err
+// appendStrings and readStrings are the counted string list: a length, then
+// that many strings.
+func appendStrings[S ~string](dst []byte, list []S) []byte {
+	dst = canon.Uint(dst, uint64(len(list)))
+	for _, s := range list {
+		dst = canon.String(dst, s)
 	}
-	n, err := r.length(1)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		m.Changed = make([]graph.EdgeID, n)
-	}
-	for i := range m.Changed {
-		s, err := r.str()
-		if err != nil {
-			return err
-		}
-		m.Changed[i] = graph.EdgeID(s)
-	}
-	return nil
+	return dst
 }
 
-func decodeFeedback(r *reader, m *core.Mutation) error {
-	var opts core.FeedbackOptions
-	var err error
-	if opts.Delta, err = r.float(); err != nil {
-		return err
+func readStrings[S ~string](r *canon.Reader) []S {
+	list := canon.Slice[S](r, 1)
+	for i := range list {
+		list[i] = S(r.Str())
 	}
-	if opts.Noise, err = r.float(); err != nil {
-		return err
-	}
-	if opts.NoTrust, err = r.bool(); err != nil {
-		return err
-	}
-	m.FbOpts = &opts
-	n, err := r.length(4)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		m.Groups = make([]core.FeedbackGroup, n)
-	}
-	for i := range m.Groups {
-		g := &m.Groups[i]
-		s, err := r.str()
-		if err != nil {
-			return err
-		}
-		g.Attr = schema.Attribute(s)
-		cn, err := r.length(1)
-		if err != nil {
-			return err
-		}
-		if cn > 0 {
-			g.Chain = make([]graph.EdgeID, cn)
-		}
-		for j := range g.Chain {
-			if s, err = r.str(); err != nil {
-				return err
-			}
-			g.Chain[j] = graph.EdgeID(s)
-		}
-		if g.Pos, err = r.uint(); err != nil {
-			return err
-		}
-		if g.Neg, err = r.uint(); err != nil {
-			return err
-		}
-		if s, err = r.str(); err != nil {
-			return err
-		}
-		g.Reporter = graph.PeerID(s)
-	}
-	return nil
-}
-
-func decodePriorSamples(r *reader, m *core.Mutation) error {
-	n, err := r.length(11)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		m.Samples = make([]core.PriorSample, n)
-	}
-	for i := range m.Samples {
-		e := &m.Samples[i]
-		s, err := r.str()
-		if err != nil {
-			return err
-		}
-		e.Peer = graph.PeerID(s)
-		if s, err = r.str(); err != nil {
-			return err
-		}
-		e.Mapping = graph.EdgeID(s)
-		if s, err = r.str(); err != nil {
-			return err
-		}
-		e.Attr = schema.Attribute(s)
-		if e.Sample, err = r.float(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func decodeCheckpoint(r *reader, m *core.Mutation) error {
-	var ci core.CheckpointInfo
-	var err error
-	if ci.LastSeq, err = r.uvarint(); err != nil {
-		return err
-	}
-	if ci.Peers, err = r.uint(); err != nil {
-		return err
-	}
-	if ci.Mappings, err = r.uint(); err != nil {
-		return err
-	}
-	if ci.Replicas, err = r.uint(); err != nil {
-		return err
-	}
-	if ci.Vars, err = r.uint(); err != nil {
-		return err
-	}
-	if ci.Pins, err = r.uint(); err != nil {
-		return err
-	}
-	if ci.Digest, err = r.str(); err != nil {
-		return err
-	}
-	m.Checkpoint = &ci
-	return nil
+	return list
 }
 
 // CorruptError reports a complete but invalid record: a CRC mismatch or a
@@ -497,105 +299,4 @@ func scan(b []byte) (recs []record, clean int, torn bool, err error) {
 		off += 4 + n + 4
 	}
 	return recs, off, false, nil
-}
-
-// Strict reader mirroring internal/wire: loud truncation, minimal varints.
-
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) byte() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, fmt.Errorf("truncated record")
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("bad varint")
-	}
-	if n > 1 && v < 1<<uint(7*(n-1)) {
-		return 0, fmt.Errorf("non-minimal varint")
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) uint() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt32 {
-		return 0, fmt.Errorf("varint %d out of int range", v)
-	}
-	return int(v), nil
-}
-
-// length bounds a collection count by the bytes remaining, so a hostile
-// record cannot force a huge allocation.
-func (r *reader) length(min int) (int, error) {
-	v, err := r.uint()
-	if err != nil {
-		return 0, err
-	}
-	if v > (len(r.buf)-r.off)/min {
-		return 0, fmt.Errorf("length %d exceeds remaining record", v)
-	}
-	return v, nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.length(1)
-	if err != nil {
-		return "", err
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s, nil
-}
-
-func (r *reader) float() (float64, error) {
-	if len(r.buf)-r.off < 8 {
-		return 0, fmt.Errorf("truncated float")
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(r.buf[r.off:]))
-	r.off += 8
-	return v, nil
-}
-
-func (r *reader) bool() (bool, error) {
-	b, err := r.byte()
-	if err != nil {
-		return false, err
-	}
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, fmt.Errorf("bad bool byte %d", b)
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendFloat(dst []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
 }

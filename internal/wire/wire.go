@@ -11,21 +11,21 @@
 //   - Kick — a driver control frame starting a peer's async cascade
 //   - Tick — a peer's self-scheduled coalescing marker (async runtime)
 //
-// The encoding is canonical: a fixed version byte, a kind byte, minimal
-// unsigned varints for every integer and length, IEEE-754 bits in big-endian
-// order for floats, and no padding. Decode rejects trailing bytes,
-// non-minimal varints, unknown versions/kinds and malformed booleans, so
-// encode(decode(b)) == b for every accepted input — the property
-// FuzzWireRoundTrip pins down. Determinism matters beyond hygiene: golden
+// A frame is a version byte, a kind byte and the kind's fields in the
+// canonical encoding of internal/canon, which owns the strictness rules
+// (minimal varints, 0/1 booleans, bounded lengths, no trailing bytes); this
+// package adds only the version and kind checks. So encode(decode(b)) == b
+// for every accepted input — FuzzWireRoundTrip pins the property and
+// TestFrameFormatPinned the bytes. Determinism matters beyond hygiene: golden
 // traces byte-compare runs across transports, including one that pushes
 // every frame through a real TCP socket.
 package wire
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 
+	"repro/internal/canon"
 	"repro/internal/graph"
 	"repro/internal/schema"
 )
@@ -80,13 +80,6 @@ type Remote struct {
 // WireKind implements Message.
 func (Remote) WireKind() Kind { return KindRemote }
 
-// ProbeStep is one hop of a probe's walk: a mapping edge and the direction
-// it was traversed in.
-type ProbeStep struct {
-	Edge    graph.EdgeID
-	Forward bool
-}
-
 // Probe is a structure-discovery probe flooded with a TTL (§3.2.1). It
 // carries the image of the origin attribute under the mappings traversed so
 // far; Lost is the first edge whose mapping had no correspondence (⊥), after
@@ -97,7 +90,7 @@ type Probe struct {
 	Image  schema.Attribute
 	Lost   graph.EdgeID
 	TTL    int
-	Steps  []ProbeStep
+	Steps  []graph.Step
 }
 
 // WireKind implements Message.
@@ -147,29 +140,29 @@ func Append(dst []byte, m Message) []byte {
 	dst = append(dst, Version, byte(m.WireKind()))
 	switch v := m.(type) {
 	case Remote:
-		dst = appendString(dst, v.EvID)
-		dst = binary.AppendUvarint(dst, uint64(v.Pos))
-		dst = appendFloat(dst, v.Msg[0])
-		dst = appendFloat(dst, v.Msg[1])
+		dst = canon.String(dst, v.EvID)
+		dst = canon.Uint(dst, uint64(v.Pos))
+		dst = canon.Float(dst, v.Msg[0])
+		dst = canon.Float(dst, v.Msg[1])
 	case Probe:
-		dst = appendString(dst, string(v.Origin))
-		dst = appendString(dst, string(v.Attr))
-		dst = appendString(dst, string(v.Image))
-		dst = appendString(dst, string(v.Lost))
-		dst = binary.AppendUvarint(dst, uint64(v.TTL))
-		dst = binary.AppendUvarint(dst, uint64(len(v.Steps)))
+		dst = canon.String(dst, v.Origin)
+		dst = canon.String(dst, v.Attr)
+		dst = canon.String(dst, v.Image)
+		dst = canon.String(dst, v.Lost)
+		dst = canon.Uint(dst, uint64(v.TTL))
+		dst = canon.Uint(dst, uint64(len(v.Steps)))
 		for _, s := range v.Steps {
-			dst = appendString(dst, string(s.Edge))
-			dst = appendBool(dst, s.Forward)
+			dst = canon.String(dst, s.Edge)
+			dst = canon.Bool(dst, s.Forward)
 		}
 	case Piggyback:
-		dst = binary.AppendUvarint(dst, uint64(len(v.Entries)))
+		dst = canon.Uint(dst, uint64(len(v.Entries)))
 		for _, e := range v.Entries {
-			dst = appendString(dst, e.EvID)
-			dst = binary.AppendUvarint(dst, uint64(e.Pos))
-			dst = binary.AppendUvarint(dst, e.Seq)
-			dst = appendFloat(dst, e.Msg[0])
-			dst = appendFloat(dst, e.Msg[1])
+			dst = canon.String(dst, e.EvID)
+			dst = canon.Uint(dst, uint64(e.Pos))
+			dst = canon.Uint(dst, e.Seq)
+			dst = canon.Float(dst, e.Msg[0])
+			dst = canon.Float(dst, e.Msg[1])
 		}
 	case Kick, Tick:
 		// no payload
@@ -179,239 +172,61 @@ func Append(dst []byte, m Message) []byte {
 	return dst
 }
 
+var errUnknownKind = errors.New("unknown kind")
+
 // Decode parses one canonical frame. It fails on unknown versions or kinds,
-// truncated or trailing bytes, and non-canonical encodings.
+// truncated or trailing bytes, and non-canonical encodings. Each arm reads
+// the fields its Append arm wrote, in the same order; the reader's first
+// failure sticks, so the one check follows the switch.
 func Decode(b []byte) (Message, error) {
-	r := reader{buf: b}
-	ver, err := r.byte()
-	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
+	r := canon.Read(b)
+	if ver := r.Byte(); ver != Version {
+		r.Fail(fmt.Errorf("unsupported version %d", ver))
 	}
-	if ver != Version {
-		return nil, fmt.Errorf("wire: unsupported version %d", ver)
-	}
-	k, err := r.byte()
-	if err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
-	}
+	k := Kind(r.Byte())
 	var m Message
-	switch Kind(k) {
+	switch k {
 	case KindRemote:
-		m, err = decodeRemote(&r)
+		var v Remote
+		v.EvID = r.Str()
+		v.Pos = r.Uint()
+		v.Msg[0] = r.Float()
+		v.Msg[1] = r.Float()
+		m = v
 	case KindProbe:
-		m, err = decodeProbe(&r)
+		var v Probe
+		v.Origin = graph.PeerID(r.Str())
+		v.Attr = schema.Attribute(r.Str())
+		v.Image = schema.Attribute(r.Str())
+		v.Lost = graph.EdgeID(r.Str())
+		v.TTL = r.Uint()
+		v.Steps = canon.Slice[graph.Step](&r, 2)
+		for i := range v.Steps {
+			v.Steps[i].Edge = graph.EdgeID(r.Str())
+			v.Steps[i].Forward = r.Bool()
+		}
+		m = v
 	case KindPiggyback:
-		m, err = decodePiggyback(&r)
+		var v Piggyback
+		v.Entries = canon.Slice[PiggybackEntry](&r, 19)
+		for i := range v.Entries {
+			e := &v.Entries[i]
+			e.EvID = r.Str()
+			e.Pos = r.Uint()
+			e.Seq = r.Uvarint()
+			e.Msg[0] = r.Float()
+			e.Msg[1] = r.Float()
+		}
+		m = v
 	case KindKick:
 		m = Kick{}
 	case KindTick:
 		m = Tick{}
 	default:
-		return nil, fmt.Errorf("wire: unknown kind %d", k)
+		r.Fail(errUnknownKind)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("wire: decoding %s: %w", Kind(k), err)
-	}
-	if len(r.buf) != r.off {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %s frame", len(r.buf)-r.off, Kind(k))
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("wire: decoding %s: %w", k, err)
 	}
 	return m, nil
-}
-
-func decodeRemote(r *reader) (Message, error) {
-	var v Remote
-	var err error
-	if v.EvID, err = r.str(); err != nil {
-		return nil, err
-	}
-	if v.Pos, err = r.uint(); err != nil {
-		return nil, err
-	}
-	if v.Msg[0], err = r.float(); err != nil {
-		return nil, err
-	}
-	if v.Msg[1], err = r.float(); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-func decodeProbe(r *reader) (Message, error) {
-	var v Probe
-	var s string
-	var err error
-	if s, err = r.str(); err != nil {
-		return nil, err
-	}
-	v.Origin = graph.PeerID(s)
-	if s, err = r.str(); err != nil {
-		return nil, err
-	}
-	v.Attr = schema.Attribute(s)
-	if s, err = r.str(); err != nil {
-		return nil, err
-	}
-	v.Image = schema.Attribute(s)
-	if s, err = r.str(); err != nil {
-		return nil, err
-	}
-	v.Lost = graph.EdgeID(s)
-	if v.TTL, err = r.uint(); err != nil {
-		return nil, err
-	}
-	n, err := r.length(2) // each step is ≥2 bytes
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		v.Steps = make([]ProbeStep, n)
-	}
-	for i := range v.Steps {
-		if s, err = r.str(); err != nil {
-			return nil, err
-		}
-		v.Steps[i].Edge = graph.EdgeID(s)
-		if v.Steps[i].Forward, err = r.bool(); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
-}
-
-func decodePiggyback(r *reader) (Message, error) {
-	var v Piggyback
-	n, err := r.length(19) // each entry is ≥19 bytes
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		v.Entries = make([]PiggybackEntry, n)
-	}
-	for i := range v.Entries {
-		e := &v.Entries[i]
-		if e.EvID, err = r.str(); err != nil {
-			return nil, err
-		}
-		if e.Pos, err = r.uint(); err != nil {
-			return nil, err
-		}
-		if e.Seq, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if e.Msg[0], err = r.float(); err != nil {
-			return nil, err
-		}
-		if e.Msg[1], err = r.float(); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendFloat(dst []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
-}
-
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-// reader is a strict cursor over a frame: every read fails loudly on
-// truncation and every varint must be minimal, keeping the encoding
-// canonical (decode∘encode = id and encode∘decode = id).
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) byte() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, fmt.Errorf("truncated frame")
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
-}
-
-// uvarint reads a minimally-encoded unsigned varint.
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("bad varint")
-	}
-	// Reject non-minimal encodings (e.g. 0x80 0x00 for 0): re-encoding the
-	// value must reproduce the same byte count.
-	if n > 1 && v < 1<<uint(7*(n-1)) {
-		return 0, fmt.Errorf("non-minimal varint")
-	}
-	r.off += n
-	return v, nil
-}
-
-// uint reads a varint that must fit a non-negative int.
-func (r *reader) uint() (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt32 {
-		return 0, fmt.Errorf("varint %d out of int range", v)
-	}
-	return int(v), nil
-}
-
-// length reads a collection length and bounds it by the bytes remaining
-// (each element needs at least min ≥ 1 bytes), so a hostile frame cannot
-// force a huge allocation. The bound divides instead of multiplying so it
-// cannot overflow on any platform.
-func (r *reader) length(min int) (int, error) {
-	v, err := r.uint()
-	if err != nil {
-		return 0, err
-	}
-	if v > (len(r.buf)-r.off)/min {
-		return 0, fmt.Errorf("length %d exceeds remaining frame", v)
-	}
-	return v, nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.length(1)
-	if err != nil {
-		return "", err
-	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s, nil
-}
-
-func (r *reader) float() (float64, error) {
-	if len(r.buf)-r.off < 8 {
-		return 0, fmt.Errorf("truncated float")
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(r.buf[r.off:]))
-	r.off += 8
-	return v, nil
-}
-
-func (r *reader) bool() (bool, error) {
-	b, err := r.byte()
-	if err != nil {
-		return false, err
-	}
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, fmt.Errorf("bad bool byte %d", b)
 }

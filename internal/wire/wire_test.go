@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // everyKind returns one representative message per frame kind, exercising
@@ -13,7 +15,7 @@ func everyKind() []Message {
 	return []Message{
 		Remote{EvID: "cycle:m1|m2|m3@a0", Pos: 2, Msg: [2]float64{0.25, 0.75}},
 		Remote{EvID: "", Pos: 0, Msg: [2]float64{0, 0}},
-		Probe{Origin: "p1", Attr: "Creator", Image: "Author", TTL: 6, Steps: []ProbeStep{
+		Probe{Origin: "p1", Attr: "Creator", Image: "Author", TTL: 6, Steps: []graph.Step{
 			{Edge: "m12", Forward: true},
 			{Edge: "m23", Forward: false},
 		}},

@@ -36,4 +36,9 @@ printf 'pdms:nojournal-ok suppressions:    %s\n' "$(gofiles -not -name '*_test.g
 # How many places outside core must change when a mutation kind is added:
 # the byte codec (record.go) and the log's framing checks (wal.go).
 printf 'case core.Mut files outside core:  %s\n' "$(gofiles -not -name '*_test.go' -not -path './internal/core/*' | xargs grep -l 'case core\.Mut' | wc -l | tr -d ' ')"
+# The canonical-encoding policy (minimal varints, 0/1 bools, bounded lengths,
+# no trailing bytes): how many files implement a strict reader, and the size
+# of the codecs built on it.
+printf 'strict readers:                    %s\n' "$(gofiles -not -name '*_test.go' | xargs grep -l 'non-minimal varint' | wc -l | tr -d ' ')"
+printf 'codec lines (wire, wal record, canon): %s\n' "$(gofiles -not -name '*_test.go' \( -path './internal/wire/wire.go' -o -path './internal/wal/record.go' -o -path './internal/canon/*' \) | lines)"
 printf 'context.Context in non-test Go:    %s\n' "$(gofiles -not -name '*_test.go' | xargs grep -l 'context\.Context' | wc -l | tr -d ' ')"
