@@ -186,9 +186,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return err
 }
 
-// trimQueryBursts zeroes the scenario-level θ-gated query bursts: the
-// workload engine serves the queries, the replay-side burst would only slow
-// the run down.
+// trimQueryBursts zeroes the scenario's route-only query bursts. A served run
+// still routes them — they are the zero-client form of serving, each route
+// held to the reference walk — but in a load spec the clients serve the
+// queries, so a generated spec leaves the burst empty.
 func trimQueryBursts(eps []sim.Epoch) []sim.Epoch {
 	for i := range eps {
 		eps[i].Queries = 0

@@ -445,12 +445,25 @@ func (n *Network) retrust(touched map[string]bool) {
 // their votes are self-interested — a sybil or self-promoting peer vouches
 // precisely for its own mappings — so they carry no weight in this group's
 // ballot and no corroborating force (they still vote on everyone else's
-// mappings, and they remain convictable everywhere).
+// mappings, and they remain convictable everywhere but under loneOwner).
 type trustGroup struct {
 	structPos, structSole int
 	votes                 map[graph.PeerID]int
 	reporters             []graph.PeerID // sorted keys of votes
 	from, to              graph.PeerID
+}
+
+// loneOwner reports whether the mapping's owner (its from endpoint) disputes
+// the verdict (+1 or -1) while its to endpoint is silent; a structure-only
+// verdict disputed that way convicts nobody. Structure is fallible (a
+// compensated cycle certifies a corrupted mapping, a sole-suspect analysis
+// then blames a clean one), and the owner crosses its own mapping on every
+// query it originates: at serving volume its truthful dissent passes any
+// threshold within one epoch, since the epoch routes on one snapshot. A route
+// never re-enters its origin, so a to endpoint's vote marks collusion.
+func (g *trustGroup) loneOwner(verdict int) bool {
+	net := g.votes[g.from]
+	return g.votes[g.to] == 0 && net != 0 && (net > 0) != (verdict > 0)
 }
 
 // structVote is the structural evidence's ballot on one mapping. The
@@ -602,7 +615,9 @@ func (n *Network) recomputeTrust() map[graph.PeerID]float64 {
 		// ordinary volume only while no full-trust disinterested reporter
 		// disputes it (the sybil case: the only voices for the mapping are
 		// its own endpoints) — a disputed one, like any other unseconded
-		// verdict, still steers detection but convicts nobody.
+		// verdict, still steers detection but convicts nobody. Neither
+		// structure-only verdict convicts when the mapping's owner alone
+		// disputes it (see loneOwner).
 		consensus := make(map[string]int, len(groups))
 		convictAt := make(map[string]int, len(groups)) // 0: never convicts
 		for _, k := range gkeys {
@@ -633,14 +648,15 @@ func (n *Network) recomputeTrust() map[graph.PeerID]float64 {
 			switch {
 			case w > 0:
 				consensus[k] = 1
-				if support > 0 {
+				switch {
+				case support > 0:
 					convictAt[k] = feedback.TrustMinVolume
-				} else {
+				case !g.loneOwner(1):
 					convictAt[k] = feedback.TrustStructVolume
 				}
 			case w < 0:
 				consensus[k] = -1
-				if oppose > 0 || (g.structSole > 0 && support == 0) {
+				if oppose > 0 || (g.structSole > 0 && support == 0 && !g.loneOwner(-1)) {
 					convictAt[k] = feedback.TrustMinVolume
 				}
 			}

@@ -58,7 +58,9 @@ func TrustScore(worst, dis int) float64 {
 // contradicted volume on a single chain plateaus well under this threshold.
 // A poison clique injects regardless of routability, sails past it, and is
 // the only kind of reporter that can. Corroborated verdicts keep the
-// ordinary TrustMinVolume threshold.
+// ordinary TrustMinVolume threshold. Under serving the router bounds dissent
+// per refresh, not per observation, so core never convicts a mapping's owner
+// that alone disputes a structure-only verdict (core's loneOwner).
 const TrustStructVolume = 3 * TrustMinVolume
 
 // StructuralVoteWeight is the fixed vote weight of the network's own

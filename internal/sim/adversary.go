@@ -63,7 +63,7 @@ func (s *Simulation) adversaryPeers() map[graph.PeerID]bool {
 // denounced, corrupted ones whitewashed — while sybil cliques confirm their
 // targets unconditionally. Each live member reports Volume copies per live
 // target; departed members and churned-away targets fall silent. The slice
-// is appended to the honest burst and rides the same ingestion batch.
+// closes every feedback epoch's batch, after the honest observations.
 func (s *Simulation) adversaryObs() []core.QueryFeedback {
 	var obs []core.QueryFeedback
 	attr := schema.Attribute(s.sc.AnalysisAttr)
@@ -139,8 +139,8 @@ func (s *Simulation) blockedFn() func(from, to graph.PeerID) bool {
 // noisy oracle legitimately puts honest reporters on minority sides, so the
 // check is skipped there (the TrustMinVolume guard covers that regime
 // statistically, not absolutely).
-func (s *Simulation) checkAdversaryInvariants() []string {
-	if s.sc.NoTrust || s.sc.FeedbackNoise > 0 {
+func (s *Simulation) checkAdversaryInvariants(noise float64) []string {
+	if s.sc.NoTrust || noise > 0 {
 		return nil
 	}
 	adv := s.adversaryPeers()

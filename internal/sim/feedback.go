@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/network"
 	"repro/internal/schema"
 	"repro/internal/serve"
 	"repro/internal/xmldb"
@@ -16,16 +15,17 @@ import (
 // results are judged by a ground-truth oracle — the simulator knows exactly
 // which mappings are corrupted — optionally flipped by a configurable noise
 // rate, ingested as evidence (core.Network.IngestFeedback), and followed by
-// a bounded incremental re-detection. Both engines share it: RunWorkload
-// interleaves churn → detect → publish → serve → feedback → incremental
-// detect → republish, and the scenario replay (Epoch.FeedbackQueries) runs
-// the same cycle against routed queries so the invariant suite and the
-// scratch differential cover feedback state too.
+// a bounded incremental re-detection. The epoch driver (see step) builds one
+// batch per feedback epoch from three sources in a fixed order: the
+// scenario's routed feedback burst (Epoch.FeedbackQueries plus flashcrowd
+// surges), the clients' verdicts the server collected, and the adversarial
+// cliques' fabrications.
 
 // FeedbackTrace is the reproducible record of one epoch's feedback cycle.
 type FeedbackTrace struct {
-	// Queries is the routed feedback burst size (scenario replay only; the
-	// workload engine feeds back the serving phase's answers instead).
+	// Queries is the routed feedback burst size: Epoch.FeedbackQueries plus
+	// this epoch's flashcrowd surge. The clients' verdicts on served answers
+	// are not counted here.
 	Queries int `json:"queries,omitempty"`
 	// Observations is the number of classified observations ingested, split
 	// into Positive/Negative/Neutral polarities; Stale counts observations
@@ -60,9 +60,9 @@ type FeedbackTrace struct {
 	// refresh (or the end-of-run drain).
 	Pipelined        bool `json:"pipelined,omitempty"`
 	TailObservations int  `json:"tailObservations,omitempty"`
-	// SnapshotEpoch is the republished routing snapshot's epoch (workload
-	// engine only; the replay publishes for its bursts, not after the
-	// feedback re-detection). DeltaFull is true when that republication was
+	// SnapshotEpoch is the republished routing snapshot's epoch (served runs
+	// only: a replay has no client to read it, and its next epoch publishes
+	// anew). DeltaFull is true when that republication was
 	// from scratch, DeltaEdges the number of θ-verdict-changed edges it
 	// carried as a delta — the feedback republication is the one the serve
 	// plane used to cold-start on every epoch, so its delta size is the whole
@@ -76,6 +76,17 @@ type FeedbackTrace struct {
 	// the posterior-convergence trace of the feedback loop.
 	ErrBefore float64 `json:"errBefore"`
 	ErrAfter  float64 `json:"errAfter"`
+}
+
+// count folds one ingested batch of n observations into the trace.
+func (ft *FeedbackTrace) count(n int, rep core.FeedbackReport) {
+	ft.Observations += n
+	ft.Positive += rep.Positive
+	ft.Negative += rep.Negative
+	ft.Neutral += rep.Neutral
+	ft.Stale += rep.Stale
+	ft.NewFactors += rep.NewFactors
+	ft.Bumped += rep.Bumped
 }
 
 // feedbackSeedSalt decorrelates the oracle's noise stream from the client's
@@ -155,39 +166,35 @@ func (s *Simulation) feedbackOpts(noise float64) core.FeedbackOptions {
 	return core.FeedbackOptions{Delta: s.sc.Delta, Noise: noise, NoTrust: s.sc.NoTrust}
 }
 
-// ingestAndRedetect performs the network-owning half of a feedback cycle:
-// install the observations as counting factors, then re-run belief
-// propagation over the dirty components only, within the given round budget
-// (0 = the scenario's MaxRounds). The observations are also accumulated
-// (and pruned on churn) so the scratch differential can replay them into a
-// rebuilt network.
-func (s *Simulation) ingestAndRedetect(obs []core.QueryFeedback, noise float64, maxRounds int, seed int64) (*FeedbackTrace, core.DetectResult, error) {
-	ft := &FeedbackTrace{Observations: len(obs)}
+// ingest installs the observations as counting factors. Under Verify they are
+// also accumulated (and pruned on churn) so the scratch differential can
+// replay them into a rebuilt network; without it, accumulating every
+// observation of a long run would pin memory for nothing.
+func (s *Simulation) ingest(obs []core.QueryFeedback, noise float64) (core.FeedbackReport, error) {
 	if s.sc.Verify {
-		// Only the scratch differential reads the replay log; without it,
-		// accumulating every observation of a long workload run would pin
-		// memory for nothing.
 		s.fedback = append(s.fedback, obs...)
 	}
-	rep, err := s.net.IngestFeedback(s.feedbackOpts(noise), obs...)
+	return s.net.IngestFeedback(s.feedbackOpts(noise), obs...)
+}
+
+// ingestAndRedetect performs the network-owning half of a feedback cycle:
+// ingest the observations, then re-run belief propagation over the dirty
+// components only, within the workload's round budget (0 = the scenario's
+// MaxRounds).
+func (s *Simulation) ingestAndRedetect(obs []core.QueryFeedback, w Workload) (*FeedbackTrace, core.DetectResult, error) {
+	rep, err := s.ingest(obs, w.FeedbackNoise)
 	if err != nil {
 		return nil, core.DetectResult{}, err
 	}
-	ft.Positive, ft.Negative, ft.Neutral, ft.Stale = rep.Positive, rep.Negative, rep.Neutral, rep.Stale
-	ft.NewFactors, ft.Bumped = rep.NewFactors, rep.Bumped
+	ft := &FeedbackTrace{}
+	ft.count(len(obs), rep)
+	maxRounds := w.FeedbackMaxRounds
 	if maxRounds == 0 {
 		maxRounds = s.sc.MaxRounds
 	}
-	det, err := s.net.RunDetection(core.DetectOptions{
-		Incremental: true,
-		MaxRounds:   maxRounds,
-		Tolerance:   1e-9,
-		Seed:        seed,
-		Transport:   network.Kind(s.sc.Transport),
-		Shards:      s.sc.Shards,
-		Workers:     s.sc.DetectWorkers,
-		Blocked:     s.blockedFn(),
-	})
+	opts := s.detectOpts(maxRounds)
+	opts.Incremental = true
+	det, err := s.net.RunDetection(opts)
 	if err != nil {
 		return nil, core.DetectResult{}, err
 	}
@@ -198,87 +205,42 @@ func (s *Simulation) ingestAndRedetect(obs []core.QueryFeedback, noise float64, 
 	return ft, det, nil
 }
 
-// collectFeedbackObs routes n queries on the given posteriors (routeBurst)
-// and judges every traversed path with the (noisy) ground-truth oracle,
-// returning the classified observations.
-func (s *Simulation) collectFeedbackObs(n int, det core.DetectResult, seed int64) ([]core.QueryFeedback, []string, error) {
+// collectFeedbackObs routes n queries on snap (routeBurst) and judges every
+// traversed path with the ground-truth oracle, flipped with probability
+// noise, returning the classified observations.
+func (s *Simulation) collectFeedbackObs(snap *core.RoutingSnapshot, det core.DetectResult, n int, seed int64, noise float64) ([]core.QueryFeedback, []string, error) {
 	attr := schema.Attribute(s.sc.AnalysisAttr)
 	attrs := []schema.Attribute{attr}
 	var obs []core.QueryFeedback
-	viol, err := s.routeBurst("feedback query", n, det, seed,
+	viol, err := s.routeBurst("feedback query", snap, det, n, seed,
 		func(origin graph.PeerID, res core.RouteResult, rng *rand.Rand) {
 			for _, v := range res.Visits {
 				if len(v.Via) == 0 {
 					continue
 				}
-				verdict := noisyVerdict(s.pathVerdict(attrs, v.Via), s.sc.FeedbackNoise, rng)
+				verdict := noisyVerdict(s.pathVerdict(attrs, v.Via), noise, rng)
 				obs = append(obs, core.QueryFeedback{Attr: attr, Chain: v.Via, Polarity: serve.VerdictPolarity(verdict), Reporter: origin})
 			}
 		})
 	return obs, viol, err
 }
 
-// feedbackBurst is the scenario replay's feedback epoch: route n queries on
-// the fresh posteriors, judge every traversed path with the (noisy) oracle,
-// append the adversarial cliques' fabrications to the same batch, ingest,
-// and re-detect incrementally.
-func (s *Simulation) feedbackBurst(n int, det core.DetectResult, seed int64) (*FeedbackTrace, core.DetectResult, []string, error) {
-	obs, viol, err := s.collectFeedbackObs(n, det, seed)
-	if err != nil {
-		return nil, core.DetectResult{}, viol, err
-	}
-	injected := s.adversaryObs()
-	obs = append(obs, injected...)
-	errBefore := s.posteriorError(det)
-	ft, det2, err := s.ingestAndRedetect(obs, s.sc.FeedbackNoise, 0, seed+1)
-	if err != nil {
-		return nil, core.DetectResult{}, viol, err
-	}
-	ft.Queries = n
-	ft.Injected = len(injected)
-	ft.ErrBefore = errBefore
-	return ft, det2, viol, nil
-}
-
-// pruneFeedback drops accumulated observations whose chain crosses a
-// removed mapping — mirroring core's eager evidence retraction so the
-// scratch differential's replay stays exactly equivalent to the maintained
-// state.
-func (s *Simulation) pruneFeedback(removed ...graph.EdgeID) {
-	if len(s.fedback) == 0 || len(removed) == 0 {
-		return
-	}
+// pruneFeedback drops accumulated observations reported by leaver (if any)
+// or whose chain crosses a removed mapping — mirroring core's eager reporter
+// and evidence retraction, so the scratch differential's replay stays exactly
+// equivalent to the maintained state.
+func (s *Simulation) pruneFeedback(leaver graph.PeerID, removed ...graph.EdgeID) {
 	rm := make(map[graph.EdgeID]bool, len(removed))
 	for _, e := range removed {
 		rm[e] = true
 	}
 	kept := s.fedback[:0]
 	for _, o := range s.fedback {
-		touches := false
+		keep := o.Reporter != leaver
 		for _, e := range o.Chain {
-			if rm[e] {
-				touches = true
-				break
-			}
+			keep = keep && !rm[e]
 		}
-		if !touches {
-			kept = append(kept, o)
-		}
-	}
-	s.fedback = kept
-}
-
-// pruneFeedbackReporter drops accumulated observations reported by a departed
-// peer — mirroring core's eager reporter retraction on RemovePeer, so the
-// scratch differential's replay stays exactly equivalent to the maintained
-// state.
-func (s *Simulation) pruneFeedbackReporter(id graph.PeerID) {
-	if len(s.fedback) == 0 {
-		return
-	}
-	kept := s.fedback[:0]
-	for _, o := range s.fedback {
-		if o.Reporter != id {
+		if keep {
 			kept = append(kept, o)
 		}
 	}

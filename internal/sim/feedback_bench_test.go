@@ -56,7 +56,7 @@ func BenchmarkRedetect1000Peers(b *testing.B) {
 		// ground-truth verdicts at 10% noise. Re-ingesting the same batch
 		// each iteration bumps the same factors (counts saturate), so the
 		// dirty scope is steady across iterations.
-		obs, viol, err := s.collectFeedbackObs(40, det, 99)
+		obs, viol, err := s.collectFeedbackObs(s.net.PublishSnapshot(det, core.SnapshotOptions{DefaultTheta: s.sc.Theta}), det, 40, 99, s.sc.FeedbackNoise)
 		if err != nil || len(obs) == 0 || len(viol) != 0 {
 			b.Fatalf("feedback batch: %d observations, violations %v, err %v", len(obs), viol, err)
 		}
@@ -145,7 +145,7 @@ func TestRedetectResidualCounter1000Peers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obs, viol, err := s.collectFeedbackObs(40, det, 99)
+		obs, viol, err := s.collectFeedbackObs(s.net.PublishSnapshot(det, core.SnapshotOptions{DefaultTheta: s.sc.Theta}), det, 40, 99, s.sc.FeedbackNoise)
 		if err != nil || len(obs) == 0 || len(viol) != 0 {
 			t.Fatalf("feedback batch: %d observations, violations %v, err %v", len(obs), viol, err)
 		}

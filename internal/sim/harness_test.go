@@ -172,7 +172,7 @@ func TestHundredSeedScheduleDifferential(t *testing.T) {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
 		net := s.Network()
-		attr := schema.Attribute(s.Scenario().AnalysisAttr)
+		attr := schema.Attribute(s.sc.AnalysisAttr)
 
 		net.ResetMessages()
 		det, err := net.RunDetection(core.DetectOptions{MaxRounds: 2000, Tolerance: 1e-10})
@@ -333,14 +333,14 @@ func TestScratchDifferentialDetectsDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viol := s.checkScratchDifferential(det, 1); len(viol) != 0 {
+	if viol := s.checkScratchDifferential(det, 0, true); len(viol) != 0 {
 		t.Fatalf("healthy state tripped the differential: %v", viol)
 	}
 	// Drop a mapping behind the spec's back: the rebuilt network still has
 	// it, so the digests must diverge.
 	victim := graph.EdgeID(s.liveMappings()[0])
 	s.net.RemoveMapping(victim)
-	if viol := s.checkScratchDifferential(det, 1); len(viol) == 0 {
+	if viol := s.checkScratchDifferential(det, 0, true); len(viol) == 0 {
 		t.Fatal("desynchronized state passed the differential")
 	}
 	// Restore spec consistency for completeness.

@@ -249,10 +249,11 @@ func (s *Simulation) rebuild() (*core.Network, error) {
 // checkScratchDifferential is the churn oracle: the incrementally maintained
 // evidence state must be structurally identical to a from-scratch rebuild +
 // full rediscovery of the current topology — with the accumulated query
-// feedback replayed in one batch, pinning the incremental ingest/retract
-// path to a single from-scratch ingestion — and (on reliable epochs) a
-// detection run over the rebuilt network must land on the same posteriors.
-func (s *Simulation) checkScratchDifferential(det core.DetectResult, psend float64) []string {
+// feedback replayed in one batch at the run's verdict noise, pinning the
+// incremental ingest/retract path to a single from-scratch ingestion — and,
+// when posteriors is set, a detection run over the rebuilt network must land
+// on det's posteriors.
+func (s *Simulation) checkScratchDifferential(det core.DetectResult, noise float64, posteriors bool) []string {
 	fresh, err := s.rebuild()
 	if err != nil {
 		return []string{fmt.Sprintf("scratch rebuild failed: %v", err)}
@@ -261,7 +262,7 @@ func (s *Simulation) checkScratchDifferential(det core.DetectResult, psend float
 		return []string{fmt.Sprintf("scratch discovery failed: %v", err)}
 	}
 	if len(s.fedback) > 0 {
-		if _, err := fresh.IngestFeedback(s.feedbackOpts(s.sc.FeedbackNoise), s.fedback...); err != nil {
+		if _, err := fresh.IngestFeedback(s.feedbackOpts(noise), s.fedback...); err != nil {
 			return []string{fmt.Sprintf("scratch feedback replay failed: %v", err)}
 		}
 	}
@@ -274,12 +275,13 @@ func (s *Simulation) checkScratchDifferential(det core.DetectResult, psend float
 			return []string{fmt.Sprintf("inference state diverged from scratch at %q vs %q", a[i], b[i])}
 		}
 	}
-	if psend < 1 || s.partitioned || s.hasSelfPromote() {
-		// Loss patterns depend on peer order, a partition blocks messages
-		// the whole rebuilt network would deliver, and self-promoters lie on
-		// the wire the scratch network never sees — posterior comparison is
-		// only meaningful on reliable, whole, wire-honest epochs. The
-		// structural digest comparison above still holds in every case.
+	if !posteriors || s.partitioned || s.hasSelfPromote() {
+		// A partition blocks messages the whole rebuilt network would
+		// deliver, and self-promoters lie on the wire the scratch network
+		// never sees — posterior comparison is only meaningful on whole,
+		// wire-honest epochs, and the caller rules out the rest (see
+		// checks). The structural digest comparison above holds in every
+		// case.
 		return nil
 	}
 	ref, err := fresh.RunDetection(core.DetectOptions{MaxRounds: s.sc.MaxRounds, Tolerance: 1e-9})

@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 
@@ -343,17 +342,8 @@ func (sc Scenario) check() error {
 	return nil
 }
 
-// ParseScenario decodes a scenario from JSON, rejecting unknown fields so a
-// typo in a scenario file fails loudly instead of silently defaulting.
-func ParseScenario(data []byte) (Scenario, error) {
-	var sc Scenario
-	dec := json.NewDecoder(bytesReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
-		return Scenario{}, fmt.Errorf("sim: parsing scenario: %w", err)
-	}
-	return sc, nil
-}
+// ParseScenario decodes a scenario from JSON, rejecting unknown fields.
+func ParseScenario(data []byte) (Scenario, error) { return parseStrict[Scenario](data, "scenario") }
 
 // GenConfig parameterizes random scenario generation.
 type GenConfig struct {

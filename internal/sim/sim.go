@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -19,7 +19,18 @@ import (
 	"repro/internal/wal"
 )
 
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
+// parseStrict decodes JSON into a T, rejecting unknown fields so a typo in a
+// spec file fails loudly instead of silently defaulting.
+func parseStrict[T any](data []byte, what string) (T, error) {
+	var v T
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		var zero T
+		return zero, fmt.Errorf("sim: parsing %s: %w", what, err)
+	}
+	return v, nil
+}
 
 // mapSpec remembers enough about a live mapping to rebuild the network from
 // scratch (the Verify differential) and to revise the mapping in place.
@@ -28,7 +39,8 @@ type mapSpec struct {
 	corrupted bool
 }
 
-// Simulation replays one scenario. Create with New, drive with Run.
+// Simulation replays one scenario. Create with New, drive with Run or
+// RunWorkload.
 type Simulation struct {
 	sc    Scenario
 	net   *core.Network
@@ -228,15 +240,9 @@ func necklace(n int) (*graph.Graph, error) {
 // outside applyEvent).
 func (s *Simulation) Network() *core.Network { return s.net }
 
-// WAL exposes the simulation's write-ahead log (nil unless Scenario.WAL).
-func (s *Simulation) WAL() *wal.Log { return s.wlog }
-
 func (s *Simulation) walOpts() wal.Options {
 	return wal.Options{Sync: wal.SyncAlways, CheckpointEvery: s.sc.CheckpointEvery}
 }
-
-// Scenario returns the defaulted scenario being replayed.
-func (s *Simulation) Scenario() Scenario { return s.sc }
 
 // Attributes returns the scenario's attribute universe in canonical order.
 func (s *Simulation) Attributes() []schema.Attribute {
@@ -305,10 +311,7 @@ func (s *Simulation) applyEvent(ev Event) error {
 			delete(s.specs, id)
 			delete(s.corrupted, id)
 		}
-		s.pruneFeedback(removed...)
-		// Core retracted the departed peer's feedback contributions too; the
-		// scratch replay log must forget the same observations.
-		s.pruneFeedbackReporter(graph.PeerID(ev.Peer))
+		s.pruneFeedback(graph.PeerID(ev.Peer), removed...)
 	case OpAddMapping:
 		id := graph.EdgeID(ev.Mapping)
 		if _, err := s.net.AddMapping(id, graph.PeerID(ev.From), graph.PeerID(ev.To), s.idPairs); err != nil {
@@ -324,7 +327,7 @@ func (s *Simulation) applyEvent(ev Event) error {
 		s.net.RemoveMapping(id)
 		delete(s.specs, id)
 		delete(s.corrupted, id)
-		s.pruneFeedback(id)
+		s.pruneFeedback("", id)
 	case OpCorrupt, OpFix:
 		id := graph.EdgeID(ev.Mapping)
 		spec, ok := s.specs[id]
@@ -340,7 +343,7 @@ func (s *Simulation) applyEvent(ev Event) error {
 		// old revision is retracted with it (core drops the factors; the
 		// accumulated replay log must follow).
 		s.net.RemoveMapping(id)
-		s.pruneFeedback(id)
+		s.pruneFeedback("", id)
 		if _, err := s.net.AddMapping(id, spec.from, spec.to, pairs); err != nil {
 			return err
 		}
@@ -474,15 +477,15 @@ func (s *Simulation) epochSeed(epoch int) int64 {
 
 // Run replays every epoch and returns the trace. The trace depends only on
 // the scenario: replaying it again — in another process, on another machine
-// — produces identical bytes.
+// — produces identical bytes. A replay is the epoch driver with zero clients:
+// only the scenario's own query and feedback bursts are routed.
 func (s *Simulation) Run() (*Result, error) {
-	res := &Result{Name: s.sc.Name, Seed: s.sc.Seed}
-	for i := range s.sc.Epochs {
-		tr, err := s.runEpoch(i)
-		if err != nil {
-			return nil, fmt.Errorf("sim: epoch %d: %w", i+1, err)
-		}
-		res.Epochs = append(res.Epochs, tr)
+	trs, _, _, err := s.drive(Workload{Seed: s.sc.Seed, FeedbackNoise: s.sc.FeedbackNoise}, nil)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Name: s.sc.Name, Seed: s.sc.Seed, Epochs: trs}
+	for _, tr := range trs {
 		res.Violations += len(tr.Violations)
 	}
 	sum := sha256.New()
@@ -494,6 +497,19 @@ func (s *Simulation) Run() (*Result, error) {
 	return res, nil
 }
 
+// detectOpts is the scenario's detection configuration — transport, shards,
+// refresh workers, the partition's link filter — at the given round budget.
+func (s *Simulation) detectOpts(maxRounds int) core.DetectOptions {
+	return core.DetectOptions{
+		MaxRounds: maxRounds,
+		Tolerance: 1e-9,
+		Transport: network.Kind(s.sc.Transport),
+		Shards:    s.sc.Shards,
+		Workers:   s.sc.DetectWorkers,
+		Blocked:   s.blockedFn(),
+	}
+}
+
 func (s *Simulation) discoverCfg() core.DiscoverConfig {
 	return core.DiscoverConfig{
 		Attrs:  []schema.Attribute{schema.Attribute(s.sc.AnalysisAttr)},
@@ -502,11 +518,10 @@ func (s *Simulation) discoverCfg() core.DiscoverConfig {
 	}
 }
 
-// advanceEpoch performs the state-changing first half of one epoch — churn,
-// (incremental) evidence discovery and re-detection — shared by the scenario
-// replay (runEpoch) and the serving-plane workload engine (RunWorkload). It
-// fills the structural and detection fields of the trace and returns the
-// detection result plus the effective delivery probability.
+// advanceEpoch is the epoch driver's first step (see step): churn, crash
+// injection, (incremental) evidence discovery and re-detection. It fills the
+// structural and detection fields of the trace and returns the detection
+// result plus the effective delivery probability.
 func (s *Simulation) advanceEpoch(i int) (EpochTrace, core.DetectResult, float64, error) {
 	ep := s.sc.Epochs[i]
 	tr := EpochTrace{Epoch: i + 1, Events: len(ep.Events)}
@@ -580,15 +595,9 @@ func (s *Simulation) advanceEpoch(i int) (EpochTrace, core.DetectResult, float64
 	}
 
 	s.net.ResetMessages()
-	det, err := s.net.RunDetection(core.DetectOptions{
-		MaxRounds: s.sc.MaxRounds,
-		Tolerance: 1e-9,
-		PSend:     psend,
-		Seed:      s.epochSeed(i + 1),
-		Transport: network.Kind(s.sc.Transport),
-		Shards:    s.sc.Shards,
-		Blocked:   s.blockedFn(),
-	})
+	opts := s.detectOpts(s.sc.MaxRounds)
+	opts.PSend, opts.Seed = psend, s.epochSeed(i+1)
+	det, err := s.net.RunDetection(opts)
 	if err != nil {
 		return tr, core.DetectResult{}, 0, err
 	}
@@ -620,15 +629,9 @@ func (s *Simulation) advanceEpoch(i int) (EpochTrace, core.DetectResult, float64
 func (s *Simulation) crashRecover(i, round int, psend float64) (*CrashTrace, error) {
 	wantDigest := wal.DigestNetwork(s.net)
 	s.net.ResetMessages()
-	if _, err := s.net.RunDetection(core.DetectOptions{
-		MaxRounds: round,
-		Tolerance: 1e-9,
-		PSend:     psend,
-		Seed:      s.epochSeed(i + 1),
-		Transport: network.Kind(s.sc.Transport),
-		Shards:    s.sc.Shards,
-		Blocked:   s.blockedFn(),
-	}); err != nil {
+	opts := s.detectOpts(round)
+	opts.PSend, opts.Seed = psend, s.epochSeed(i+1)
+	if _, err := s.net.RunDetection(opts); err != nil {
 		return nil, fmt.Errorf("sim: pre-crash detection: %w", err)
 	}
 	rng := rand.New(rand.NewSource(s.epochSeed(i+1) + 5))
@@ -658,67 +661,6 @@ func (s *Simulation) crashRecover(i, round int, psend float64) (*CrashTrace, err
 	s.net = rec
 	s.wlog = lg
 	return ct, nil
-}
-
-func (s *Simulation) runEpoch(i int) (EpochTrace, error) {
-	ep := s.sc.Epochs[i]
-	tr, det, psend, err := s.advanceEpoch(i)
-	if err != nil {
-		return tr, err
-	}
-
-	// 4. Posterior statistics and invariants.
-	s.summarize(&tr, det)
-	if tr.Crash != nil && !tr.Crash.DigestMatch {
-		tr.Violations = append(tr.Violations,
-			"recovered network's inference digest differs from the pre-crash state")
-	}
-	tr.Violations = append(tr.Violations, s.checkInvariants(det)...)
-	if s.sc.Verify {
-		tr.Violations = append(tr.Violations, s.checkScratchDifferential(det, psend)...)
-	}
-
-	// 5. θ-gated query burst over the fresh posteriors.
-	tr.Routing.Queries = ep.Queries
-	viol, err := s.routeBurst("query", ep.Queries, det, s.epochSeed(i+1)+1,
-		func(_ graph.PeerID, res core.RouteResult, _ *rand.Rand) {
-			tr.Routing.Visits += len(res.Visits)
-			tr.Routing.Blocked += res.Blocked
-			tr.Routing.DroppedAttr += res.DroppedAttr
-		})
-	if err != nil {
-		return tr, err
-	}
-	tr.Violations = append(tr.Violations, viol...)
-
-	// 6. Result-feedback cycle: judge routed answers against ground truth,
-	// ingest the observations — together with any adversarial fabrications
-	// and flashcrowd surge traffic — re-detect incrementally, and hold the
-	// updated posteriors to the same invariants (and, with Verify, to the
-	// scratch differential — the rebuilt network replays the accumulated
-	// feedback, so incremental maintenance of feedback factors is pinned to
-	// a from-scratch ingest + full detection).
-	fq := ep.FeedbackQueries + s.flashPending
-	s.flashPending = 0
-	if fq > 0 {
-		ftr, det2, fviol, err := s.feedbackBurst(fq, det, s.epochSeed(i+1)+2)
-		if err != nil {
-			return tr, err
-		}
-		tr.Feedback = ftr
-		tr.Violations = append(tr.Violations, fviol...)
-		tr.Violations = append(tr.Violations, s.checkInvariants(det2)...)
-		tr.Violations = append(tr.Violations, s.checkAdversaryInvariants()...)
-		if s.sc.Verify {
-			tr.Violations = append(tr.Violations, s.checkScratchDifferential(det2, psend)...)
-		}
-		det = det2
-	}
-
-	if s.sc.RecordPosteriors {
-		tr.Posteriors = flattenPosteriors(det)
-	}
-	return tr, nil
 }
 
 // flattenPosteriors renders the posterior map with "mapping/attr" keys (the
@@ -765,16 +707,15 @@ func (s *Simulation) summarize(tr *EpochTrace, det core.DetectResult) {
 // network: there is no origin to draw.
 var errNoLivePeers = errors.New("no live peers to route from")
 
-// routeBurst is the scenario replay's one query loop. It publishes det under
-// the scenario's θ — the line (*Simulation).publish uses for workloads, so
-// replays exercise full and delta publication — then draws n origins from
-// the seeded stream, walks the snapshot with a projection on the analysis
-// attribute from each, holds every route to the reference walk
-// (verifyRoute) and hands it to visit together with the stream, which the
-// feedback burst keeps drawing verdict noise from.
+// routeBurst is the scenario's own query loop, the zero-client form of
+// serving: it draws n origins from the seeded stream, walks snap — the
+// epoch's one publication — with a projection on the analysis attribute
+// from each, holds every route to the reference walk (verifyRoute) and hands
+// it to visit together with the stream, which the feedback burst keeps
+// drawing verdict noise from.
 //
 //pdms:deterministic
-func (s *Simulation) routeBurst(kind string, n int, det core.DetectResult, seed int64,
+func (s *Simulation) routeBurst(kind string, snap *core.RoutingSnapshot, det core.DetectResult, n int, seed int64,
 	visit func(origin graph.PeerID, res core.RouteResult, rng *rand.Rand)) ([]string, error) {
 	if n == 0 {
 		return nil, nil
@@ -783,7 +724,6 @@ func (s *Simulation) routeBurst(kind string, n int, det core.DetectResult, seed 
 	if len(live) == 0 {
 		return nil, errNoLivePeers
 	}
-	snap := s.net.PublishSnapshot(det, core.SnapshotOptions{DefaultTheta: s.sc.Theta})
 	rng := rand.New(rand.NewSource(seed))
 	attr := schema.Attribute(s.sc.AnalysisAttr)
 	var viol []string

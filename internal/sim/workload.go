@@ -3,12 +3,10 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -21,18 +19,18 @@ import (
 	"repro/internal/xmldb"
 )
 
-// This file drives the query-serving plane (internal/serve) with a seeded,
-// concurrent workload: N client goroutines hammer a serve.Server with mixed
-// query templates under hot-key skew while the scenario's churn timeline
-// advances between query phases. Each epoch is a barrier: churn, discovery
-// and detection run single-threaded, a fresh RoutingSnapshot is published,
-// and only then do the clients serve that epoch's queries concurrently.
-// Because every client draws its own query stream from the seed and the
-// cache coalesces concurrent misses per key, the aggregate trace — answers
-// served, cache hits, per-epoch answer digests — is deterministic however
-// the goroutines interleave, which is what the cmd/pdmsload golden pins
-// down. Wall-clock latency and throughput are reported separately
-// (WorkloadPerf) and are, of course, not deterministic.
+// This file is the client side of the epoch driver (driver.go): N client
+// goroutines hammer a serve.Server with mixed query templates under hot-key
+// skew while the scenario's churn timeline advances between query phases.
+// Each epoch is a barrier: churn, discovery and detection run
+// single-threaded, a fresh RoutingSnapshot is published, and only then do the
+// clients serve that epoch's queries concurrently. Because every client draws
+// its own query stream from the seed and the cache coalesces concurrent
+// misses per key, the aggregate trace — answers served, cache hits, per-epoch
+// answer digests, invariant violations — is deterministic however the
+// goroutines interleave, which is what the cmd/pdmsload golden pins down.
+// Wall-clock latency and throughput are reported separately (WorkloadPerf)
+// and are, of course, not deterministic.
 
 // Workload parameterizes the client side of a load run.
 type Workload struct {
@@ -68,7 +66,8 @@ type Workload struct {
 	// FeedbackNoise is the probability the ground-truth oracle flips a
 	// verdict (a user confirming a wrong answer or rejecting a right one).
 	// It is also passed to evidence ingestion as the assumed verdict error
-	// rate. Must stay below 0.5.
+	// rate. Must stay below 0.5. Unset, it inherits Scenario.FeedbackNoise;
+	// a run has one noise, so two different non-zero values are rejected.
 	FeedbackNoise float64 `json:"feedbackNoise,omitempty"`
 	// FeedbackRate is the fraction of served answers the clients judge
 	// (default 1 — every answer). Real users rate a sliver of their
@@ -115,9 +114,12 @@ type Workload struct {
 // but hide more of the barrier.
 const pipelineSplit = 0.5
 
-func (w Workload) withDefaults(scenarioSeed int64) Workload {
+func (w Workload) withDefaults(sc Scenario) Workload {
 	if w.Seed == 0 {
-		w.Seed = scenarioSeed
+		w.Seed = sc.Seed
+	}
+	if w.FeedbackNoise == 0 {
+		w.FeedbackNoise = sc.FeedbackNoise
 	}
 	if w.Clients == 0 {
 		w.Clients = 4
@@ -148,7 +150,7 @@ func (w Workload) withDefaults(scenarioSeed int64) Workload {
 	return w
 }
 
-func (w Workload) check() error {
+func (w Workload) check(sc Scenario) error {
 	if w.Clients < 1 {
 		return fmt.Errorf("sim: workload needs at least one client, got %d", w.Clients)
 	}
@@ -169,6 +171,9 @@ func (w Workload) check() error {
 	}
 	if w.FeedbackNoise < 0 || w.FeedbackNoise >= 0.5 {
 		return fmt.Errorf("sim: feedback noise %v out of [0,0.5)", w.FeedbackNoise)
+	}
+	if sc.FeedbackNoise != 0 && w.FeedbackNoise != sc.FeedbackNoise {
+		return fmt.Errorf("sim: workload feedback noise %v differs from the scenario's %v", w.FeedbackNoise, sc.FeedbackNoise)
 	}
 	if w.FeedbackRate < 0 || w.FeedbackRate > 1 {
 		return fmt.Errorf("sim: feedback rate %v out of [0,1]", w.FeedbackRate)
@@ -192,10 +197,8 @@ func splitmix64(x uint64) uint64 {
 }
 
 // clientSeed derives the per-(epoch, client) RNG seed by hashing the inputs
-// through chained splitmix64 steps. The previous derivation —
-// Seed*31 ^ (epoch+1)*1_000_003 ^ (client+1)*7919 — XOR-combined two small
-// multiples and collided across (epoch, client) pairs, silently handing two
-// clients identical query streams.
+// through chained splitmix64 steps, so no two (epoch, client) pairs share a
+// query stream.
 func clientSeed(seed int64, epoch, client int) int64 {
 	h := splitmix64(uint64(seed))
 	h = splitmix64(h ^ uint64(epoch))
@@ -211,15 +214,7 @@ type LoadSpec struct {
 }
 
 // ParseLoadSpec decodes a load spec from JSON, rejecting unknown fields.
-func ParseLoadSpec(data []byte) (LoadSpec, error) {
-	var spec LoadSpec
-	dec := json.NewDecoder(bytesReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return LoadSpec{}, fmt.Errorf("sim: parsing load spec: %w", err)
-	}
-	return spec, nil
-}
+func ParseLoadSpec(data []byte) (LoadSpec, error) { return parseStrict[LoadSpec](data, "load spec") }
 
 // WorkloadEpochTrace is the deterministic aggregate record of one epoch's
 // serving phase.
@@ -262,6 +257,8 @@ type WorkloadEpochTrace struct {
 	// per-client digest chain (origin, query, snapshot epoch and canonical
 	// result bytes of every answer, in client order).
 	Digest string `json:"digest"`
+	// Violations lists every invariant the epoch violated (see step).
+	Violations []string `json:"violations,omitempty"`
 }
 
 // WorkloadResult is the reproducible aggregate trace of a load run.
@@ -278,27 +275,10 @@ type WorkloadResult struct {
 	// after the clients stop, pinning the run's final posteriors to what
 	// barrier mode would have left behind. Nil unless Workload.Pipeline.
 	FinalRefresh *FeedbackTrace `json:"finalRefresh,omitempty"`
+	// Violations is the total invariant violation count across epochs.
+	Violations int `json:"violations,omitempty"`
 	// Digest chains the epoch digests.
 	Digest string `json:"digest"`
-}
-
-// Normalized returns a copy of the result with the fields that could depend
-// on goroutine scheduling zeroed, for cross-run trace comparison. In the
-// barriered engine every field is already deterministic; under pipelined
-// refresh the serve plane overlaps detection, so StaleReads — answers that
-// complete after a snapshot swap — is the one field a pathological scheduler
-// could perturb (the pipelined engine never swaps mid-phase, but the guard
-// keeps the comparison honest if that ever changes). Everything else —
-// digests, cache counts, work counters, epochs-of-publication — is pinned by
-// construction: the drain point, the ingested batches and the publication
-// barriers are all scheduling-independent.
-func (r *WorkloadResult) Normalized() *WorkloadResult {
-	cp := *r
-	cp.Epochs = append([]WorkloadEpochTrace(nil), r.Epochs...)
-	for i := range cp.Epochs {
-		cp.Epochs[i].StaleReads = 0
-	}
-	return &cp
 }
 
 // WorkloadPerf carries the wall-clock side of a run — everything that is
@@ -339,119 +319,12 @@ type Observer func(epoch int, det core.DetectResult, origin graph.PeerID, q quer
 // The returned WorkloadResult depends only on the spec; WorkloadPerf holds
 // the wall-clock measurements.
 func (s *Simulation) RunWorkload(w Workload, obs Observer) (*WorkloadResult, *WorkloadPerf, error) {
-	w = w.withDefaults(s.sc.Seed)
-	if err := w.check(); err != nil {
+	w = w.withDefaults(s.sc)
+	if err := w.check(s.sc); err != nil {
 		return nil, nil, err
 	}
-	srv := serve.New(s.net, serve.Options{CacheSize: w.CacheSize})
-	srvNet := s.net
-	res := &WorkloadResult{Name: s.sc.Name, Seed: w.Seed, Clients: w.Clients}
-	perf := &WorkloadPerf{}
-	var latencies []time.Duration
-	runDigest := sha256.New()
-	start := time.Now()
-
-	for i := range s.sc.Epochs {
-		tr, det, _, err := s.advanceEpoch(i)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sim: epoch %d: %w", i+1, err)
-		}
-		if s.net != srvNet {
-			// An injected crash swapped in the recovered network: the server
-			// restarts against it with a cold result cache, exactly like the
-			// real process it models.
-			srv = serve.New(s.net, serve.Options{CacheSize: w.CacheSize})
-			srvNet = s.net
-		}
-		s.ensureStores(w)
-		wtr := WorkloadEpochTrace{
-			Epoch:    tr.Epoch,
-			Peers:    tr.Peers,
-			Mappings: tr.Mappings,
-			Queries:  w.QueriesPerEpoch,
-		}
-		snap := s.publish(w, det, &wtr.SnapshotEpoch, &wtr.DeltaFull, &wtr.DeltaEdges)
-		// The feedback refresh launches from the mid hook, which runs at the
-		// serving phase's quiescent split point: it drains the observations
-		// collected so far (a deterministic batch — every client has served
-		// exactly its head quota) and hands them to a background goroutine.
-		// A pipelined run splits mid-phase, so the clients serve the rest of
-		// the epoch from the unchanged snapshot while the refresh runs; a
-		// barrier run is the same cycle with the split at the end of the phase.
-		var job chan pipelineJob
-		var errBefore float64
-		var mid func()
-		if w.Feedback {
-			job = make(chan pipelineJob, 1)
-			mid = func() {
-				batch := srv.DrainFeedback()
-				errBefore = s.posteriorError(det)
-				go func() {
-					ft, det2, err := s.ingestAndRedetect(batch, w.FeedbackNoise, w.FeedbackMaxRounds, s.epochSeed(i+1)+2)
-					job <- pipelineJob{ft: ft, det: det2, err: err}
-				}()
-			}
-		}
-
-		before := srv.Stats()
-		serveStart := time.Now()
-		lats, err := s.servePhase(i, w, srv, snap, det, obs, &wtr, mid)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sim: epoch %d: %w", i+1, err)
-		}
-		perf.ServeElapsed += time.Since(serveStart)
-		after := srv.Stats()
-		wtr.Served = int(after.Served - before.Served)
-		wtr.Errors = int(after.Errors - before.Errors)
-		wtr.CacheHits = int(after.CacheHits - before.CacheHits)
-		wtr.Revalidated = int(after.Revalidated - before.Revalidated)
-		wtr.Computed = int(after.Computed - before.Computed)
-		wtr.StaleReads = int(after.StaleEpochReads - before.StaleEpochReads)
-		latencies = append(latencies, lats...)
-
-		if w.Feedback {
-			fbStart := time.Now()
-			if err := s.pipelineJoin(w, srv, job, errBefore, &wtr); err != nil {
-				return nil, nil, fmt.Errorf("sim: epoch %d feedback: %w", i+1, err)
-			}
-			perf.FeedbackWait += time.Since(fbStart)
-			perf.Work.Add(wtr.Feedback.Work)
-		}
-
-		res.Epochs = append(res.Epochs, wtr)
-		res.TotalServed += wtr.Served
-		res.TotalCacheHits += wtr.CacheHits
-		runDigest.Write([]byte(wtr.Digest))
-	}
-
-	if w.Feedback && w.Pipeline {
-		fbStart := time.Now()
-		ft, err := s.finalDrain(w, srv)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sim: final refresh: %w", err)
-		}
-		res.FinalRefresh = ft
-		perf.FeedbackWait += time.Since(fbStart)
-		perf.Work.Add(ft.Work)
-	}
-
-	perf.Elapsed = time.Since(start)
-	perf.Served = res.TotalServed
-	if perf.Elapsed > 0 {
-		perf.Throughput = float64(res.TotalServed) / perf.Elapsed.Seconds()
-	}
-	if perf.ServeElapsed > 0 {
-		perf.ServeThroughput = float64(res.TotalServed) / perf.ServeElapsed.Seconds()
-	}
-	sort.Slice(latencies, func(a, b int) bool { return latencies[a] < latencies[b] })
-	if n := len(latencies); n > 0 {
-		perf.P50 = latencies[n/2]
-		perf.P95 = latencies[n*95/100]
-		perf.P99 = latencies[n*99/100]
-		perf.Max = latencies[n-1]
-	}
-	res.Digest = hex.EncodeToString(runDigest.Sum(nil))
-	return res, perf, nil
+	_, res, perf, err := s.drive(w, obs)
+	return res, perf, err
 }
 
 // workloadClient is one client's persistent per-epoch state. It outlives the
@@ -622,42 +495,33 @@ type pipelineJob struct {
 	err error
 }
 
-// pipelineJoin is the epoch-barrier half of the feedback cycle (drain the
-// clients' verdict-derived observations, ingest them as counting factors,
-// re-detect over the dirty components only, republish): wait for the refresh
-// the mid hook launched, ingest the tail observations the clients collected
-// while it ran — none in barrier mode; their factor bumps apply now and their
-// re-detection rides the next refresh, or the final drain, via the dirty
-// marks, since feedback factors fold chunked ingestion exactly like one
-// batch — and publish the refreshed snapshot, so the next epoch (and any
-// concurrent reader) routes on posteriors that learned from this epoch.
-func (s *Simulation) pipelineJoin(w Workload, srv *serve.Server, job chan pipelineJob, errBefore float64, wtr *WorkloadEpochTrace) error {
+// pipelineJoin is the epoch-barrier half of the feedback cycle: wait for the
+// refresh the mid hook launched, ingest the tail verdicts the clients
+// collected while it ran — none in barrier mode; their factor bumps apply now
+// and their re-detection rides the next refresh, or the final drain, via the
+// dirty marks, since feedback factors fold chunked ingestion exactly like one
+// batch — and, when clients will read it, publish the refreshed snapshot, so
+// the next epoch (and any concurrent reader) routes on posteriors that
+// learned from this epoch. It returns the refresh and the tail size.
+func (s *Simulation) pipelineJoin(w Workload, srv *serve.Server, job chan pipelineJob) (pipelineJob, int, error) {
 	r := <-job
 	if r.err != nil {
-		return r.err
+		return r, 0, r.err
 	}
 	ft := r.ft
 	ft.Pipelined = w.Pipeline
-	ft.ErrBefore = errBefore
-	tail := srv.DrainFeedback()
-	if s.sc.Verify {
-		s.fedback = append(s.fedback, tail...)
+	if tail := srv.DrainFeedback(); len(tail) > 0 {
+		rep, err := s.ingest(tail, w.FeedbackNoise)
+		if err != nil {
+			return r, 0, err
+		}
+		ft.TailObservations = len(tail)
+		ft.count(len(tail), rep)
 	}
-	rep, err := s.net.IngestFeedback(s.feedbackOpts(w.FeedbackNoise), tail...)
-	if err != nil {
-		return err
+	if w.Clients > 0 {
+		s.publish(w, r.det, &ft.SnapshotEpoch, &ft.DeltaFull, &ft.DeltaEdges)
 	}
-	ft.TailObservations = len(tail)
-	ft.Observations += len(tail)
-	ft.Positive += rep.Positive
-	ft.Negative += rep.Negative
-	ft.Neutral += rep.Neutral
-	ft.Stale += rep.Stale
-	ft.NewFactors += rep.NewFactors
-	ft.Bumped += rep.Bumped
-	s.publish(w, r.det, &ft.SnapshotEpoch, &ft.DeltaFull, &ft.DeltaEdges)
-	wtr.Feedback = ft
-	return nil
+	return r, ft.TailObservations, nil
 }
 
 // finalDrain closes a pipelined run: the last epoch's tail observations were
@@ -665,7 +529,7 @@ func (s *Simulation) pipelineJoin(w Workload, srv *serve.Server, job chan pipeli
 // still pending. One more incremental refresh and publication pins the run's
 // final posteriors to what barrier mode would have left behind.
 func (s *Simulation) finalDrain(w Workload, srv *serve.Server) (*FeedbackTrace, error) {
-	ft, det, err := s.ingestAndRedetect(srv.DrainFeedback(), w.FeedbackNoise, w.FeedbackMaxRounds, s.epochSeed(len(s.sc.Epochs)+1)+3)
+	ft, det, err := s.ingestAndRedetect(srv.DrainFeedback(), w)
 	if err != nil {
 		return nil, err
 	}

@@ -20,6 +20,7 @@ fields() {
 
 printf 'non-test Go outside bench/:        %s\n' "$(gofiles -not -name '*_test.go' -not -path './bench/*' | lines)"
 printf 'internal/core non-test:            %s\n' "$(gofiles -not -name '*_test.go' -path './internal/core/*' | lines)"
+printf 'internal/sim non-test:             %s\n' "$(gofiles -not -name '*_test.go' -path './internal/sim/*' | lines)"
 printf 'test Go outside bench/:            %s\n' "$(gofiles -name '*_test.go' -not -path './bench/*' | lines)"
 printf 'bench/ (all Go):                   %s\n' "$(gofiles -path './bench/*' | lines)"
 printf 'Benchmark* funcs:                  %s\n' "$(gofiles -name '*_test.go' | xargs grep -h '^func Benchmark' | wc -l | tr -d ' ')"
