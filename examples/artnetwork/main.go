@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	pdms "repro"
 )
@@ -29,7 +31,7 @@ var docs = map[pdms.PeerID][]string{
 	},
 }
 
-func buildNetwork() (*pdms.Network, map[pdms.PeerID]*pdms.Schema) {
+func buildNetwork() (*pdms.Network, map[pdms.PeerID]*pdms.Schema, error) {
 	attrs := []pdms.Attribute{
 		"Creator", "CreatedOn", "Title", "Subject", "Medium", "Museum",
 		"Location", "Style", "Period", "Provenance", "GUID",
@@ -41,19 +43,19 @@ func buildNetwork() (*pdms.Network, map[pdms.PeerID]*pdms.Schema) {
 		schemas[id] = s
 		p, err := net.AddPeer(id, s)
 		if err != nil {
-			log.Fatal(err)
+			return nil, nil, err
 		}
 		st, err := pdms.NewStore(s)
 		if err != nil {
-			log.Fatal(err)
+			return nil, nil, err
 		}
 		for _, d := range docs[id] {
 			if err := st.InsertXML(d); err != nil {
-				log.Fatal(err)
+				return nil, nil, err
 			}
 		}
 		if err := p.AttachStore(st); err != nil {
-			log.Fatal(err)
+			return nil, nil, err
 		}
 	}
 	identity := pdms.IdentityPairs(schemas["p1"])
@@ -64,11 +66,20 @@ func buildNetwork() (*pdms.Network, map[pdms.PeerID]*pdms.Schema) {
 	net.MustAddMapping("m34", "p3", "p4", identity)
 	net.MustAddMapping("m41", "p4", "p1", identity)
 	net.MustAddMapping("m24", "p2", "p4", faulty)
-	return net, schemas
+	return net, schemas, nil
 }
 
 func main() {
-	net, schemas := buildNetwork()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	net, schemas, err := buildNetwork()
+	if err != nil {
+		return err
+	}
 
 	// A user at p2 wants creators of works from the 18xx era: a selection
 	// on Creator-era via CreatedOn would be legitimate, but the query below
@@ -78,37 +89,42 @@ func main() {
 		pdms.Op{Kind: pdms.Project, Attr: "Creator"},
 		pdms.Op{Kind: pdms.Select, Attr: "Creator", Literal: "18"},
 	)
-	fmt.Printf("query at p2: %v\n\n", q)
+	fmt.Fprintf(w, "query at p2: %v\n\n", q)
 
 	// Standard PDMS: no quality information, forward everywhere.
 	naive, err := net.PublishSnapshot(pdms.DetectResult{}, pdms.SnapshotOptions{DefaultTheta: 0.01}).RouteQuery("p2", q)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("— standard PDMS (mappings trusted blindly) —")
-	printResults(net, naive)
+	fmt.Fprintln(w, "— standard PDMS (mappings trusted blindly) —")
+	if err := printResults(w, net, naive); err != nil {
+		return err
+	}
 
 	// With detection: discover evidence, infer, route with θ=0.5.
 	if _, err := net.DiscoverStructural([]pdms.Attribute{"Creator", "CreatedOn"}, 6, 0.1); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := net.RunDetection(pdms.DetectOptions{MaxRounds: 200})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	informed, err := net.PublishSnapshot(res, pdms.SnapshotOptions{DefaultTheta: 0.5}).RouteQuery("p2", q)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("— with probabilistic message passing (θ = 0.5) —")
-	printResults(net, informed)
-	fmt.Printf("hops blocked by the θ gate: %d\n", informed.Blocked)
+	fmt.Fprintln(w, "— with probabilistic message passing (θ = 0.5) —")
+	if err := printResults(w, net, informed); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "hops blocked by the θ gate: %d\n", informed.Blocked)
+	return nil
 }
 
 // printResults executes every visit's rewritten query at the visited peer's
 // store — the route itself carries no records — and prints the answers.
-func printResults(net *pdms.Network, r pdms.RouteResult) {
-	fmt.Printf("  visited peers: %v\n", r.Reached())
+func printResults(w io.Writer, net *pdms.Network, r pdms.RouteResult) error {
+	fmt.Fprintf(w, "  visited peers: %v\n", r.Reached())
 	total := 0
 	for _, v := range r.Visits {
 		p, _ := net.Peer(v.Peer)
@@ -118,17 +134,17 @@ func printResults(net *pdms.Network, r pdms.RouteResult) {
 		}
 		recs, err := st.Execute(v.Query)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, rec := range recs {
 			total++
-			fmt.Printf("  answer from %s via %v: %v  (query arrived as %v)\n", v.Peer, v.Via, rec, v.Query)
+			fmt.Fprintf(w, "  answer from %s via %v: %v  (query arrived as %v)\n", v.Peer, v.Via, rec, v.Query)
 		}
 	}
-	fmt.Printf("  total answers: %d", total)
+	fmt.Fprintf(w, "  total answers: %d", total)
 	if total > 0 {
-		fmt.Print("  — every one a false positive: no artist is named \"18…\"")
+		fmt.Fprint(w, "  — every one a false positive: no artist is named \"18…\"")
 	}
-	fmt.Println()
-	fmt.Println()
+	fmt.Fprint(w, "\n\n")
+	return nil
 }

@@ -1,20 +1,29 @@
 // Command asyncprobes demonstrates the fully distributed deployment of the
 // scheme: evidence is gathered by TTL-bounded probe floods (§3.2.1, not by
-// inspecting the topology), and inference runs on a goroutine-per-peer
-// asynchronous bus with no rounds and no synchronization (§4.3). It also
-// shows the coarse storage granularity of §4.1, which keeps a single
-// quality value per mapping.
+// inspecting the topology), and inference runs on the asynchronous schedule
+// of §4.3 — no global rounds and no barrier: every component of the factor
+// graph converges on its own residual frontier, and a peer resends a message
+// only when its inputs moved. The run is deterministic, so the message count
+// it prints is the same on every run. It also shows the coarse storage
+// granularity of §4.1, which keeps a single quality value per mapping.
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"time"
+	"os"
 
 	pdms "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	attrs := []pdms.Attribute{
 		"Creator", "CreatedOn", "Title", "Subject", "Medium", "Museum",
 		"Location", "Style", "Period", "Provenance", "GUID",
@@ -40,22 +49,19 @@ func main() {
 	// sees the topology.
 	rep, err := net.DiscoverByProbes([]pdms.Attribute{"Creator"}, 6, 0.1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("probes found %d positive and %d negative observations\n", rep.Positive, rep.Negative)
+	fmt.Fprintf(w, "probes found %d positive and %d negative observations\n", rep.Positive, rep.Negative)
 
-	// Asynchronous detection: one goroutine per peer, messages interleaved
-	// by the Go scheduler.
-	res, err := net.RunDetectionAsync(pdms.AsyncOptions{
-		Ticks:        120,
-		TickInterval: 100 * time.Microsecond,
-	})
+	// Asynchronous detection: each component runs until its frontier of
+	// moving messages empties.
+	res, err := net.RunDetectionAsync(pdms.DetectOptions{MaxRounds: 120})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("asynchronous run: %d messages, settled=%v\n\n", res.RemoteMessages, res.Converged)
+	fmt.Fprintf(w, "asynchronous run: %d messages, settled=%v\n\n", res.RemoteMessages, res.Converged)
 	for _, m := range []pdms.MappingID{"m12", "m23", "m34", "m41", "m24"} {
-		fmt.Printf("  %s  P(correct for Creator) = %.3f\n", m, res.Posterior(m, "Creator", 0.5))
+		fmt.Fprintf(w, "  %s  P(correct for Creator) = %.3f\n", m, res.Posterior(m, "Creator", 0.5))
 	}
 
 	// Coarse granularity: one global value per mapping from the
@@ -66,14 +72,15 @@ func main() {
 		Delta:       0.1,
 		Granularity: pdms.CoarseGrained,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	coarse, err := net.RunDetection(pdms.DetectOptions{MaxRounds: 200})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\ncoarse granularity (one value per mapping):")
+	fmt.Fprintln(w, "\ncoarse granularity (one value per mapping):")
 	for _, m := range []pdms.MappingID{"m12", "m23", "m34", "m41", "m24"} {
-		fmt.Printf("  %s  P(correct) = %.3f\n", m, coarse.Posterior(m, pdms.CoarseKey(), 0.5))
+		fmt.Fprintf(w, "  %s  P(correct) = %.3f\n", m, coarse.Posterior(m, pdms.CoarseKey(), 0.5))
 	}
+	return nil
 }

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	pdms "repro"
@@ -17,18 +19,24 @@ import (
 )
 
 func main() {
-	ex, err := eon.Build(eon.DefaultConfig())
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ontologies: %d peers, %d alignments, %d correspondences (%d erroneous)\n",
+}
+
+func run(w io.Writer) error {
+	ex, err := eon.Build(eon.DefaultConfig())
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "ontologies: %d peers, %d alignments, %d correspondences (%d erroneous)\n",
 		ex.Network.NumPeers(), len(ex.Alignments), len(ex.Correspondences), ex.Faulty())
 
 	rep, err := ex.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("evidence: %d positive, %d negative, %d neutral comparisons, %d pins\n\n",
+	fmt.Fprintf(w, "evidence: %d positive, %d negative, %d neutral comparisons, %d pins\n\n",
 		rep.Positive, rep.Negative, rep.Neutral, rep.Pinned)
 
 	thetas := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
@@ -42,17 +50,18 @@ func main() {
 			fmt.Sprintf("%.2f", p.Recall),
 		}
 	}
-	fmt.Println(eval.Table([]string{"θ", "detected", "precision", "recall"}, rows))
+	fmt.Fprintln(w, eval.Table([]string{"θ", "detected", "precision", "recall"}, rows))
 
 	// The ten correspondences the system is most confident are wrong.
 	sorted := append([]eon.Correspondence(nil), ex.Correspondences...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Posterior < sorted[j].Posterior })
-	fmt.Println("most suspicious correspondences:")
+	fmt.Fprintln(w, "most suspicious correspondences:")
 	for _, c := range sorted[:10] {
 		verdict := "correct"
 		if c.Faulty {
 			verdict = "faulty"
 		}
-		fmt.Printf("  %.3f  %-4s %-14s -> %-14s (%s)\n", c.Posterior, c.Mapping, c.From, c.To, verdict)
+		fmt.Fprintf(w, "  %.3f  %-4s %-14s -> %-14s (%s)\n", c.Posterior, c.Mapping, c.From, c.To, verdict)
 	}
+	return nil
 }

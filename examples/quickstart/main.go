@@ -6,12 +6,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	pdms "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// Four art databases, one schema each. For clarity the schemas share
 	// attribute names; nothing in the library depends on that.
 	attrs := []pdms.Attribute{
@@ -24,7 +32,7 @@ func main() {
 		s := pdms.MustNewSchema("S"+string(id[1:]), attrs...)
 		schemas[id] = s
 		if _, err := net.AddPeer(id, s); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -47,7 +55,7 @@ func main() {
 		{"m24", "p2", "p4", faulty},
 	} {
 		if _, err := net.AddMapping(e.id, e.from, e.to, e.pairs); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -57,24 +65,24 @@ func main() {
 	// attribute a query touches.
 	rep, err := net.DiscoverStructural([]pdms.Attribute{"Creator", "Subject"}, 6, 0.1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("evidence: %d positive, %d negative observations\n", rep.Positive, rep.Negative)
+	fmt.Fprintf(w, "evidence: %d positive, %d negative observations\n", rep.Positive, rep.Negative)
 
 	// Decentralized detection with uniform priors 0.5.
 	res, err := net.RunDetection(pdms.DetectOptions{MaxRounds: 200})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("converged after %d rounds (%d remote messages)\n\n", res.Rounds, res.RemoteMessages)
-	fmt.Println("posterior P(mapping correct for Creator):")
+	fmt.Fprintf(w, "converged after %d rounds (%d remote messages)\n\n", res.Rounds, res.RemoteMessages)
+	fmt.Fprintln(w, "posterior P(mapping correct for Creator):")
 	for _, m := range []pdms.MappingID{"m12", "m23", "m34", "m41", "m24"} {
 		marker := ""
 		if p := res.Posterior(m, "Creator", 0.5); p < 0.5 {
 			marker = "   <- detected faulty"
-			fmt.Printf("  %s  %.3f%s\n", m, p, marker)
+			fmt.Fprintf(w, "  %s  %.3f%s\n", m, p, marker)
 		} else {
-			fmt.Printf("  %s  %.3f\n", m, p)
+			fmt.Fprintf(w, "  %s  %.3f\n", m, p)
 		}
 	}
 
@@ -86,11 +94,12 @@ func main() {
 	)
 	route, err := net.PublishSnapshot(res, pdms.SnapshotOptions{DefaultTheta: 0.5}).RouteQuery("p2", q)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nquery %v\n", q)
+	fmt.Fprintf(w, "\nquery %v\n", q)
 	for _, v := range route.Visits {
-		fmt.Printf("  reached %s via %v\n", v.Peer, v.Via)
+		fmt.Fprintf(w, "  reached %s via %v\n", v.Peer, v.Via)
 	}
-	fmt.Printf("  hops blocked by θ gate: %d\n", route.Blocked)
+	fmt.Fprintf(w, "  hops blocked by θ gate: %d\n", route.Blocked)
+	return nil
 }

@@ -2,8 +2,8 @@ package core_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -12,7 +12,7 @@ import (
 )
 
 // TestAsyncMatchesPeriodicOnTree: on a tree factor graph the asynchronous
-// goroutine deployment must land on the unique BP fixed point.
+// schedule must land on the unique BP fixed point.
 func TestAsyncMatchesPeriodicOnTree(t *testing.T) {
 	build := func() *core.Network {
 		n, err := paper.RingNetwork(5, 11)
@@ -28,7 +28,7 @@ func TestAsyncMatchesPeriodicOnTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := build().RunDetectionAsync(core.AsyncOptions{Ticks: 60, Tolerance: 1e-9})
+	res, err := build().RunDetectionAsync(core.DetectOptions{MaxRounds: 60, Tolerance: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,16 +49,13 @@ func TestAsyncMatchesPeriodicOnTree(t *testing.T) {
 }
 
 // TestAsyncDetectsFaultyMapping: on the loopy intro network the async
-// deployment reaches a nearby fixed point with the same decisions.
+// schedule reaches a nearby fixed point with the same decisions.
 func TestAsyncDetectsFaultyMapping(t *testing.T) {
 	n := paper.IntroNetwork()
 	if _, err := n.DiscoverStructural([]schema.Attribute{paper.Creator}, 6, paper.Delta); err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.RunDetectionAsync(core.AsyncOptions{
-		Ticks:        120,
-		TickInterval: 100 * time.Microsecond, // encourage interleaving
-	})
+	res, err := n.RunDetectionAsync(core.DetectOptions{MaxRounds: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +72,45 @@ func TestAsyncDetectsFaultyMapping(t *testing.T) {
 	}
 }
 
+// TestAsyncIsDeterministic: the asynchronous schedule owes nothing to the
+// goroutine scheduler — repeated runs on the loopy intro network, serial or
+// on a worker pool, give bit-identical posteriors, message counts, rounds
+// and work counters.
+func TestAsyncIsDeterministic(t *testing.T) {
+	run := func(workers int) core.DetectResult {
+		n := paper.IntroNetwork()
+		if _, err := n.DiscoverStructural([]schema.Attribute{paper.Creator, paper.CreatedOn}, 6, paper.Delta); err != nil {
+			t.Fatal(err)
+		}
+		res, err := n.RunDetectionAsync(core.DetectOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(0)
+	if want.RemoteMessages == 0 || want.Work.MessageUpdates == 0 {
+		t.Fatalf("async run did no work: %+v", want)
+	}
+	for i := 0; i < 10; i++ {
+		got := run(i % 3)
+		if !reflect.DeepEqual(got.Posteriors, want.Posteriors) {
+			t.Errorf("run %d: posteriors differ:\n got %v\nwant %v", i, got.Posteriors, want.Posteriors)
+		}
+		if got.RemoteMessages != want.RemoteMessages || got.Rounds != want.Rounds || got.Work != want.Work {
+			t.Errorf("run %d: %d messages, %d rounds, work %+v; first run %d, %d, %+v",
+				i, got.RemoteMessages, got.Rounds, got.Work, want.RemoteMessages, want.Rounds, want.Work)
+		}
+	}
+}
+
 func TestAsyncValidation(t *testing.T) {
 	n := paper.IntroNetwork()
-	if _, err := n.RunDetectionAsync(core.AsyncOptions{DefaultPrior: 2}); err == nil {
+	if _, err := n.RunDetectionAsync(core.DetectOptions{DefaultPrior: 2}); err == nil {
 		t.Error("bad prior: want error")
 	}
-	if _, err := n.RunDetectionAsync(core.AsyncOptions{Ticks: -1}); err == nil {
-		t.Error("negative ticks: want error")
+	if _, err := n.RunDetectionAsync(core.DetectOptions{MaxRounds: -1}); err == nil {
+		t.Error("negative rounds: want error")
 	}
 }
 

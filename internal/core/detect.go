@@ -195,6 +195,12 @@ func (r DetectResult) Posterior(m graph.EdgeID, a schema.Attribute, def float64)
 	return def
 }
 
+// AttrPosterior reads one posterior from a posterior map, as
+// DetectResult.Posterior does, for the maps a LazyResult carries.
+func AttrPosterior(post map[graph.EdgeID]map[schema.Attribute]float64, m graph.EdgeID, a schema.Attribute, def float64) float64 {
+	return DetectResult{Posteriors: post}.Posterior(m, a, def)
+}
+
 // RunDetection executes the periodic embedded message passing schedule on
 // previously discovered evidence (DiscoverStructural or DiscoverByProbes):
 // in every round each peer recomputes its variable→factor messages, marshals
@@ -208,14 +214,38 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 	if err != nil {
 		return DetectResult{}, err
 	}
-	// Incremental runs under reliable delivery take the residual-scheduled,
-	// component-parallel path. Under loss the lockstep sweeps stay: they
-	// heal dropped frames by resending every round, which a residual skip
-	// would not. Trace wants per-round posteriors of the whole scope, which
-	// only the lockstep schedule produces.
-	if opts.Incremental && opts.PSend >= 1 && opts.Trace == nil {
-		return n.runResidualDetection(opts)
+	if !opts.Incremental {
+		return n.lockstep(opts, nil, DetectResult{})
 	}
+	seeds := n.dirtyVars()
+	n.fbDirty = nil
+	return n.redetect(seeds, opts)
+}
+
+// redetect resets the messages of the components closed around seeds to unit
+// and converges them again. Under reliable delivery each component runs on
+// the residual schedule (residual.go). Under loss the lockstep sweeps stay:
+// they heal dropped frames by resending every round, which a residual skip
+// would not. Trace wants per-round posteriors of the whole scope, which only
+// the lockstep schedule produces.
+func (n *Network) redetect(seeds []varKey, opts DetectOptions) (DetectResult, error) {
+	var res DetectResult
+	scope, comps := n.incrementalComponents(seeds)
+	res.Work.Resets = n.resetScope(scope)
+	res.Work.Components = len(comps)
+	res.TouchedEdges = make(map[graph.EdgeID]bool, len(scope.vars))
+	for key := range scope.vars {
+		res.TouchedEdges[key.Mapping] = true
+	}
+	if opts.PSend >= 1 && opts.Trace == nil {
+		return n.runResidualDetection(res, scope, comps, opts)
+	}
+	return n.lockstep(opts, scope, res)
+}
+
+// lockstep runs the synchronous sweep schedule over every variable of the
+// network, or over scope's when it is non-nil, and completes res.
+func (n *Network) lockstep(opts DetectOptions, scope *detectScope, res DetectResult) (DetectResult, error) {
 	peers := n.Peers()
 	tr, err := openTransport(network.Config{
 		Kind:   opts.Transport,
@@ -228,11 +258,6 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 	}
 	defer tr.Close()
 
-	var res DetectResult
-	var scope *detectScope
-	if opts.Incremental {
-		scope, _ = n.beginIncremental(&res)
-	}
 	shards := shardVars(tr, peers, scope)
 	for _, vars := range shards {
 		res.TouchedVars += len(vars)
@@ -299,21 +324,6 @@ func transportErr(tr network.Transport) error {
 		}
 	}
 	return nil
-}
-
-// beginIncremental opens an incremental run: decompose the dirty closure into
-// components, consume the dirty set (the next incremental run starts clean),
-// reset the closure's messages and record in res what the run touches.
-func (n *Network) beginIncremental(res *DetectResult) (*detectScope, []*detectComponent) {
-	scope, comps := n.incrementalComponents()
-	n.fbDirty = nil
-	res.Work.Resets = n.resetScope(scope)
-	res.Work.Components = len(comps)
-	res.TouchedEdges = make(map[graph.EdgeID]bool, len(scope.vars))
-	for key := range scope.vars {
-		res.TouchedEdges[key.Mapping] = true
-	}
-	return scope, comps
 }
 
 // runVar is one variable of a run's work list, resolved once: the rounds

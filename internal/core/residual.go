@@ -18,12 +18,13 @@ import (
 // slightly earlier escalation, never correctness.
 const escalationPatience = 24
 
-// This file is the residual-scheduled, component-parallel incremental
-// re-detection engine. The lockstep schedule in detect.go recomputes every
-// in-scope message every round; after the first few rounds of a feedback
-// refresh almost all of them land within tolerance of what the receiver
-// already holds, so the sweeps mostly reconfirm converged state. Here each
-// dirty component instead keeps an active frontier: a variable re-sends a
+// This file is the residual-scheduled, component-parallel engine of
+// incremental re-detection and of the asynchronous schedule, which is the
+// same engine seeded with every variable. The lockstep schedule in detect.go
+// recomputes every in-scope message every round; after the first few rounds
+// of a feedback refresh almost all of them land within tolerance of what the
+// receiver already holds, so the sweeps mostly reconfirm converged state.
+// Here each component instead keeps an active frontier: a variable re-sends a
 // message only when it moved beyond tolerance, a variable re-enters the
 // frontier only when one of its incoming factor→variable messages moved
 // beyond tolerance, and the component retires the moment its frontier
@@ -36,7 +37,7 @@ const escalationPatience = 24
 //
 // The schedule assumes reliable delivery (a skipped message must already be
 // held by its receiver, which loss would break); RunDetection falls back to
-// the lockstep sweeps when PSend < 1.
+// the lockstep sweeps when PSend < 1, and so does RunDetectionAsync.
 
 // detectComponent is one connected component of the incremental closure:
 // the unit the residual schedule converges — and parallelizes — over.
@@ -53,22 +54,27 @@ type detectComponent struct {
 	peers []*Peer
 }
 
-// incrementalComponents computes the closure of the current dirty set —
-// starting from every (mapping, attribute) variable feedback touched,
+// dirtyVars lists the variables feedback touched since the last incremental
+// run: the seeds of the next one.
+func (n *Network) dirtyVars() []varKey {
+	seeds := make([]varKey, 0, len(n.fbDirty))
+	for key := range n.fbDirty {
+		seeds = append(seeds, key)
+	}
+	return seeds
+}
+
+// incrementalComponents computes the closure of the seed variables —
 // alternate variable → adjacent factors → their variables until fixpoint —
 // and partitions it into connected components of the bipartite factor graph.
 // Messages never cross component boundaries, so re-running belief
 // propagation inside the closure (from fresh unit messages) reproduces
 // exactly what a full from-scratch detection would compute there, while
-// everything outside keeps its converged state. Seeds are visited in
-// canonical variable order, so the component list — and everything derived
-// from it — is deterministic.
-func (n *Network) incrementalComponents() (*detectScope, []*detectComponent) {
+// everything outside keeps its converged state. Seeds are sorted and visited
+// in canonical variable order, so the component list — and everything
+// derived from it — is deterministic.
+func (n *Network) incrementalComponents(seeds []varKey) (*detectScope, []*detectComponent) {
 	scope := &detectScope{vars: make(map[varKey]bool), evs: make(map[string]bool)}
-	seeds := make([]varKey, 0, len(n.fbDirty))
-	for key := range n.fbDirty {
-		seeds = append(seeds, key)
-	}
 	sort.Slice(seeds, func(i, j int) bool { return seeds[i].less(seeds[j]) })
 
 	var comps []*detectComponent
@@ -149,13 +155,40 @@ type componentResult struct {
 	err       error
 }
 
-// runResidualDetection is the incremental path of RunDetection under
-// reliable delivery: decompose the dirty closure into components, reset
-// their messages, and converge each on the residual schedule — serially or
-// on a worker pool. The merged result is bit-identical at any worker count.
-func (n *Network) runResidualDetection(opts DetectOptions) (DetectResult, error) {
-	var res DetectResult
-	scope, comps := n.beginIncremental(&res)
+// RunDetectionAsync runs the asynchronous schedule of §4.3 ("we do not
+// actually require any kind of synchronization for the message passing
+// schedule") in its informed form, residual belief propagation (Elidan,
+// McGraw & Koller, UAI 2006): every connected component of the factor graph
+// restarts from unit messages and converges on its own residual frontier,
+// where a variable recomputes and resends only when one of its incoming
+// messages moved beyond Tolerance. There is no global round: a component
+// retires the moment its frontier empties, whatever the others do, and
+// components run in parallel up to Workers. Rounds reports the longest
+// component run. The result is deterministic — posteriors, message counts
+// and work counters are bit-identical from run to run and at any worker
+// count. Under loss (PSend < 1) or with a Trace hook the components fall back
+// to the lockstep sweeps, as incremental runs do. Incremental is ignored:
+// every component runs, and the feedback dirty set is left for the next
+// incremental run.
+func (n *Network) RunDetectionAsync(opts DetectOptions) (DetectResult, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return DetectResult{}, err
+	}
+	var seeds []varKey
+	for _, p := range n.peers {
+		for key := range p.vars {
+			seeds = append(seeds, key)
+		}
+	}
+	return n.redetect(seeds, opts)
+}
+
+// runResidualDetection converges the components of a redetect under
+// reliable delivery, each on the residual schedule, serially or on a worker
+// pool, and completes res. The merged result is bit-identical at any worker
+// count.
+func (n *Network) runResidualDetection(res DetectResult, scope *detectScope, comps []*detectComponent, opts DetectOptions) (DetectResult, error) {
 	res.TouchedVars = len(scope.vars)
 
 	outs := make([]componentResult, len(comps))

@@ -28,7 +28,7 @@ func TestIncrementalComponentsOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scope, comps := net.incrementalComponents()
+	scope, comps := net.incrementalComponents(net.dirtyVars())
 	if len(comps) != 2 {
 		t.Fatalf("got %d components, want 2 (m0-m1-m2 overlapping, m5 alone)", len(comps))
 	}
@@ -72,7 +72,7 @@ func TestIncrementalComponentsDeadMarks(t *testing.T) {
 	}
 	net.fbDirty[varKey{Mapping: "ghost", Attr: "a"}] = true // no such mapping
 	net.fbDirty[varKey{Mapping: "m0", Attr: "c"}] = true    // mapping exists, no factor ever touched m0/c
-	_, comps := net.incrementalComponents()
+	_, comps := net.incrementalComponents(net.dirtyVars())
 	if len(comps) != 0 {
 		t.Fatalf("dead dirty marks grew %d components, want 0", len(comps))
 	}
@@ -111,7 +111,7 @@ func TestIncrementalClosureAfterRetraction(t *testing.T) {
 	}
 	live.RemoveMapping("m1") // mid-epoch churn: retracts the m0-m1 factor too
 
-	_, comps := live.incrementalComponents()
+	_, comps := live.incrementalComponents(live.dirtyVars())
 	for _, c := range comps {
 		for _, rv := range c.vars {
 			if rv.vs.key.Mapping == "m1" {

@@ -185,7 +185,7 @@ func (vs *varState) refresh(prior float64) float64 {
 	return math.Abs(vs.posterior(prior) - before)
 }
 
-// produce is one step of the round-less schedules (lazy, async) at p: refresh
+// produce is one step of the round-less lazy schedule at p: refresh
 // every variable, re-derive its outgoing µ messages, record each in the local
 // replica and hand it to sink. Returns the largest posterior move.
 func (p *Peer) produce(defPrior float64, sink func(f *factorRef, msg factorgraph.Msg)) float64 {

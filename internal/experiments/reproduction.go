@@ -93,8 +93,8 @@ var All = []Experiment{
 	},
 	{
 		ID:    "schedules",
-		Title: "§4.3 — the three message passing schedules on the introductory network (lazy: 4000 seeded queries; async: 100 ticks)",
-		Claim: "paper: periodic, lazy and asynchronous message passing all detect m24; lazy sends no dedicated message.",
+		Title: "§4.3 — the three message passing schedules on the introductory network (lazy: 4000 seeded queries)",
+		Claim: "paper: periodic, lazy and asynchronous message passing all detect m24; lazy sends no dedicated message. Async reaches periodic's m24 within 1e-8 on fewer dedicated messages; lazy does not reach it, settling 0.023 higher on a nearby loopy-BP fixed point.",
 		Run:   schedules,
 	},
 	{
@@ -525,13 +525,12 @@ func parallelPaths() (Table, error) {
 
 // schedules runs the three schedules of §4.3 on the introductory example
 // and reports their communication profile and final belief about the faulty
-// mapping. The asynchronous bus delivers in scheduler order, and its
-// posterior is a fixed point only within SendTolerance: those two cells are
-// Unpinned.
+// mapping. The asynchronous schedule runs under the periodic one's options.
 func schedules() (Table, error) {
 	t := Table{Columns: []string{"schedule", "dedicated msgs", "piggybacked", "converged", "m24 posterior"}}
 
-	_, periodic, err := detect(paper.IntroNetwork(), example, core.DetectOptions{MaxRounds: 300, Tolerance: 1e-8})
+	opts := core.DetectOptions{MaxRounds: 300, Tolerance: 1e-8}
+	_, periodic, err := detect(paper.IntroNetwork(), example, opts)
 	if err != nil {
 		return Table{}, err
 	}
@@ -561,11 +560,11 @@ func schedules() (Table, error) {
 	if _, err := n.Discover(example); err != nil {
 		return Table{}, err
 	}
-	async, err := n.RunDetectionAsync(core.AsyncOptions{Ticks: 100})
+	async, err := n.RunDetectionAsync(opts)
 	if err != nil {
 		return Table{}, err
 	}
-	t.Rows = append(t.Rows, []any{"async", Unpinned{async.RemoteMessages}, 0, async.Converged, Unpinned{async.Posterior("m24", paper.Creator, -1)}})
+	t.Rows = append(t.Rows, []any{"async", async.RemoteMessages, 0, async.Converged, async.Posterior("m24", paper.Creator, -1)})
 	return t, nil
 }
 

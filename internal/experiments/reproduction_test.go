@@ -37,7 +37,7 @@ func table(t *testing.T, id string) view {
 	return view{}
 }
 
-// view reads a table's cells by column name, Unpinned cells unwrapped.
+// view reads a table's cells by column name.
 type view struct {
 	t *testing.T
 	Table
@@ -48,9 +48,6 @@ func (v view) cell(row int, col string) any {
 	c := slices.Index(v.Columns, col)
 	if c < 0 {
 		v.t.Fatalf("no column %q in %q", col, v.Columns)
-	}
-	if u, ok := v.Rows[row][c].(Unpinned); ok {
-		return u.V
 	}
 	return v.Rows[row][c]
 }
@@ -357,6 +354,18 @@ var claims = map[string]func(*testing.T, view){
 			if p := v.num(i, "m24 posterior"); p >= 0.5 {
 				t.Errorf("%v failed to detect the faulty mapping: %.3f", r[0], p)
 			}
+		}
+		// Async runs under periodic's options and lands on its fixed point,
+		// resending only what moved; lazy settles on a nearby one.
+		want := v.num(periodic, "m24 posterior")
+		if d := math.Abs(v.num(async, "m24 posterior") - want); d > 1e-8 {
+			t.Errorf("async m24 %.10f is %.1e from periodic's %.10f", v.num(async, "m24 posterior"), d, want)
+		}
+		if v.num(async, "dedicated msgs") >= v.num(periodic, "dedicated msgs") {
+			t.Errorf("async sent %v dedicated messages, periodic %v: the frontier must send fewer", v.cell(async, "dedicated msgs"), v.cell(periodic, "dedicated msgs"))
+		}
+		if d := v.num(lazy, "m24 posterior") - want; math.Abs(d-0.023) > 0.0005 {
+			t.Errorf("lazy m24 sits %.4f from periodic's, the claim says 0.023", d)
 		}
 	},
 	"priors": func(t *testing.T, v view) {

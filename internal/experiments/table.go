@@ -4,8 +4,7 @@
 // row — its parameters, the claim it is held to and the function that
 // computes its table. cmd/pdmsbench prints the rows, the package's tests
 // check each row's claim, and REPRODUCTION.json at the root of the
-// repository pins every cell. Each row is deterministic, apart from the two
-// Unpinned cells of the asynchronous schedule.
+// repository pins every cell. Every row is deterministic.
 package experiments
 
 import (
@@ -20,19 +19,11 @@ import (
 )
 
 // Table is the result of one experiment. A cell is an int, a float64, a
-// bool, a string, or one of those wrapped in Unpinned.
+// bool or a string.
 type Table struct {
 	Columns []string
 	Rows    [][]any
 }
-
-// Unpinned wraps a cell whose value depends on the goroutine scheduler: it
-// is printed and checked like any other, but REPRODUCTION.json records null
-// in its place.
-type Unpinned struct{ V any }
-
-// MarshalJSON implements json.Marshaler.
-func (Unpinned) MarshalJSON() ([]byte, error) { return []byte("null"), nil }
 
 // Experiment is one row of the reproduction.
 type Experiment struct {
@@ -53,8 +44,6 @@ type Experiment struct {
 // num returns a numeric cell as a float64.
 func num(cell any) float64 {
 	switch v := cell.(type) {
-	case Unpinned:
-		return num(v.V)
 	case int:
 		return float64(v)
 	case float64:
@@ -66,8 +55,6 @@ func num(cell any) float64 {
 // text formats a cell for the terminal: floats to four significant digits.
 func text(cell any) string {
 	switch v := cell.(type) {
-	case Unpinned:
-		return text(v.V)
 	case float64:
 		return strconv.FormatFloat(v, 'g', 4, 64)
 	}

@@ -18,10 +18,10 @@
 //     unavailable), proving the messages survive real serialization. Also
 //     trace-identical to Simulator.
 //
-//   - Bus: a goroutine-per-peer asynchronous runtime built on channels,
-//     demonstrating that the embedded message passing scheme needs no
-//     synchronization (§4.3.2); it is exercised under the race detector in
-//     tests.
+//   - Bus: a goroutine-per-peer asynchronous runtime built on channels. No
+//     product code uses it any more — core's asynchronous schedule is the
+//     deterministic residual engine — and it is exercised under the race
+//     detector in tests only.
 //
 // Message loss is a deterministic per-(sender, receiver) hash stream shared
 // by every transport (see dropper), so a lossy run is reproducible — and

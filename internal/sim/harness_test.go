@@ -59,9 +59,7 @@ func TestHundredSeedChurnInvariants(t *testing.T) {
 // epochs included — over every stepped transport and requires (a) zero
 // invariant violations on each, and (b) bit-identical traces across them:
 // the sharded parallel simulator and the TCP loopback must be
-// indistinguishable from the reference Simulator at the trace level. The
-// fourth transport, the asynchronous Bus, is pinned to the same fixed
-// points by the schedule differential below (RunDetectionAsync).
+// indistinguishable from the reference Simulator at the trace level.
 func TestTransportChurnInvariants(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
@@ -142,9 +140,9 @@ func maxDiff(a, b map[graph.EdgeID]map[schema.Attribute]float64) float64 {
 
 // TestHundredSeedScheduleDifferential is the three-way differential oracle:
 // on 100 seeded static scenarios the periodic schedule (RunDetection), the
-// piggybacking schedule (RunLazy) and the asynchronous goroutine-per-peer
-// schedule (RunDetectionAsync) must land on the same posteriors within 1e-6
-// — three independent implementations of §4.3 pinned to one fixed point.
+// piggybacking schedule (RunLazy) and the asynchronous residual schedule
+// (RunDetectionAsync) must land on the same posteriors within 1e-6 — three
+// schedules of §4.3 pinned to one fixed point.
 func TestHundredSeedScheduleDifferential(t *testing.T) {
 	seeds := 100
 	if testing.Short() {
@@ -197,7 +195,7 @@ func TestHundredSeedScheduleDifferential(t *testing.T) {
 		}
 
 		net.ResetMessages()
-		async, err := net.RunDetectionAsync(core.AsyncOptions{Ticks: 400, Tolerance: 1e-10})
+		async, err := net.RunDetectionAsync(core.DetectOptions{MaxRounds: 2000, Tolerance: 1e-10})
 		if err != nil {
 			t.Fatalf("seed %d: async: %v", seed, err)
 		}

@@ -160,6 +160,9 @@ func (w Workload) check(sc Scenario) error {
 	if w.Hot < 0 || w.Hot > 1 {
 		return fmt.Errorf("sim: hot fraction %v out of [0,1]", w.Hot)
 	}
+	if w.HotKeys < 0 {
+		return fmt.Errorf("sim: negative hotKeys")
+	}
 	if w.QPS < 0 {
 		return fmt.Errorf("sim: negative qps")
 	}

@@ -152,6 +152,7 @@ func TestWorkloadValidation(t *testing.T) {
 		{Clients: -1},
 		{QueriesPerEpoch: -5},
 		{Hot: 1.5},
+		{Hot: 0.8, HotKeys: -1},
 		{QPS: -1},
 		{Records: -1},
 		{Vocab: 101},

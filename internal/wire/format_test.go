@@ -17,8 +17,6 @@ func TestFrameFormatPinned(t *testing.T) {
 		"0102027039026130026130026d370100",
 		"0103020465762d61012a3fe00000000000003fe00000000000000465762d620080808080802001a56e1fc2f8f3593feffffffffffff7",
 		"010300",
-		"0104",
-		"0105",
 	}
 	msgs := everyKind()
 	if len(msgs) != len(want) {

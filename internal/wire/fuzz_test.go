@@ -21,6 +21,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Version})
 	f.Add([]byte{Version, byte(KindRemote), 0x80, 0x00})
+	// The retired kinds 4 and 5 must stay unknown.
+	f.Add([]byte{Version, 4})
+	f.Add([]byte{Version, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {

@@ -8,8 +8,11 @@
 //   - Remote — a belief-propagation µ-message (variable→factor, §4.3)
 //   - Probe — a TTL-bounded structure-discovery probe (§3.2.1)
 //   - Piggyback — a batch of µ-messages riding on a query hop (§4.3.2)
-//   - Kick — a driver control frame starting a peer's async cascade
-//   - Tick — a peer's self-scheduled coalescing marker (async runtime)
+//
+// Kinds 4 and 5 were the control frames of a goroutine-per-peer
+// asynchronous runtime that the residual schedule replaced; they are retired,
+// Decode rejects them, and they are never reused. Version stays 1: no
+// remaining frame changed its bytes, and wire frames are never persisted.
 //
 // A frame is a version byte, a kind byte and the kind's fields in the
 // canonical encoding of internal/canon, which owns the strictness rules
@@ -36,13 +39,12 @@ const Version = 1
 // Kind discriminates the frame types.
 type Kind uint8
 
-// Frame kinds. Values are part of the wire format; never renumber.
+// Frame kinds. Values are part of the wire format; never renumber, and
+// never reuse the retired 4 and 5.
 const (
 	KindRemote    Kind = 1
 	KindProbe     Kind = 2
 	KindPiggyback Kind = 3
-	KindKick      Kind = 4
-	KindTick      Kind = 5
 )
 
 // String names the kind for diagnostics.
@@ -54,10 +56,6 @@ func (k Kind) String() string {
 		return "probe"
 	case KindPiggyback:
 		return "piggyback"
-	case KindKick:
-		return "kick"
-	case KindTick:
-		return "tick"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -113,21 +111,6 @@ type Piggyback struct {
 // WireKind implements Message.
 func (Piggyback) WireKind() Kind { return KindPiggyback }
 
-// Kick is the driver's control frame starting a peer's event cascade in the
-// asynchronous runtime.
-type Kick struct{}
-
-// WireKind implements Message.
-func (Kick) WireKind() Kind { return KindKick }
-
-// Tick is a peer's self-addressed low-priority marker: arriving remote
-// messages only fold into the replicas, and the production they demand is
-// coalesced behind this frame.
-type Tick struct{}
-
-// WireKind implements Message.
-func (Tick) WireKind() Kind { return KindTick }
-
 // Encode renders the message as a canonical binary frame.
 //
 //pdms:deterministic
@@ -164,8 +147,6 @@ func Append(dst []byte, m Message) []byte {
 			dst = canon.Float(dst, e.Msg[0])
 			dst = canon.Float(dst, e.Msg[1])
 		}
-	case Kick, Tick:
-		// no payload
 	default:
 		panic(fmt.Sprintf("wire: unknown message type %T", m))
 	}
@@ -218,10 +199,6 @@ func Decode(b []byte) (Message, error) {
 			e.Msg[1] = r.Float()
 		}
 		m = v
-	case KindKick:
-		m = Kick{}
-	case KindTick:
-		m = Tick{}
 	default:
 		r.Fail(errUnknownKind)
 	}

@@ -25,8 +25,6 @@ func everyKind() []Message {
 			{EvID: "ev-b", Pos: 0, Seq: 1 << 40, Msg: [2]float64{1e-300, 1 - 1e-15}},
 		}},
 		Piggyback{},
-		Kick{},
-		Tick{},
 	}
 }
 
@@ -64,7 +62,8 @@ func TestDecodeRejectsMalformedFrames(t *testing.T) {
 		"unknown kind":       {Version, 200},
 		"truncated remote":   good[:len(good)-1],
 		"trailing bytes":     append(append([]byte(nil), good...), 0),
-		"kick with payload":  {Version, byte(KindKick), 7},
+		"retired kind 4":     {Version, 4},
+		"retired kind 5":     {Version, 5},
 		"non-minimal varint": {Version, byte(KindRemote), 0x80, 0x00},
 		"huge steps length":  {Version, byte(KindProbe), 1, 'p', 1, 'a', 1, 'a', 0, 3, 0xff, 0xff, 0xff, 0x7f},
 		"bad bool":           {Version, byte(KindProbe), 0, 0, 0, 0, 1, 1, 1, 'e', 2},
@@ -90,7 +89,7 @@ func TestFloatBitsPreserved(t *testing.T) {
 
 func TestAppendReusesBuffer(t *testing.T) {
 	buf := make([]byte, 0, 256)
-	one := Append(buf, Kick{})
+	one := Append(buf, Piggyback{})
 	if &one[0] != &buf[:1][0] {
 		t.Error("Append did not reuse the provided buffer")
 	}

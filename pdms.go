@@ -19,8 +19,11 @@
 //  3. RunDetection executes decentralized loopy belief propagation — every
 //     peer holds only its slice of the global factor graph and exchanges
 //     small remote messages — and yields P(mapping correct) per attribute.
-//     RunLazy piggybacks the same messages on query traffic instead, with
-//     zero dedicated communication.
+//     RunDetectionAsync is the asynchronous schedule: no global rounds,
+//     every component converges on its own residual frontier, and a peer
+//     resends only the messages whose inputs moved. RunLazy piggybacks the
+//     same messages on query traffic instead, with zero dedicated
+//     communication.
 //  4. PublishSnapshot freezes the posteriors under a routing policy
 //     (SnapshotOptions) and RoutingSnapshot.RouteQuery forwards queries only
 //     through mappings whose posteriors clear the per-attribute semantic
@@ -39,7 +42,7 @@
 // oracle and how to add a scenario.
 //
 // Every message the stack sends — belief-propagation µ-messages, discovery
-// probes, lazy piggybacks, asynchronous control frames — crosses the
+// probes, lazy piggybacks — crosses the
 // transport as typed, versioned, canonical binary frames (internal/wire),
 // and the transport itself is pluggable: DetectOptions.Transport selects
 // TransportSim (the default deterministic simulator), TransportSharded (a
@@ -128,10 +131,9 @@ type (
 
 // Detection and routing types.
 type (
-	// DetectOptions configures the periodic message passing schedule.
+	// DetectOptions configures the periodic and asynchronous message
+	// passing schedules.
 	DetectOptions = core.DetectOptions
-	// AsyncOptions configures the goroutine-per-peer asynchronous runtime.
-	AsyncOptions = core.AsyncOptions
 	// DiscoverConfig is the configurable form of evidence gathering:
 	// granularity (§4.1) and parallel-path ablation.
 	DiscoverConfig = core.DiscoverConfig
