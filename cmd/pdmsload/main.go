@@ -1,10 +1,13 @@
 // Command pdmsload drives the concurrent query-serving plane with a seeded
 // workload: N client goroutines serve mixed query templates with hot-key
 // skew against the epoch-stamped routing snapshots a churn scenario
-// publishes, and the aggregate trace — answers served, cache hit rate,
-// per-epoch answer digests — is emitted as reproducible JSON: the same load
-// spec always produces the same bytes, however the goroutines interleave
-// (see TESTING.md, "Serving plane"). Wall-clock latency and throughput are
+// publishes, and the aggregate trace is emitted as reproducible JSON: the
+// same load spec always produces the same bytes, however the goroutines
+// interleave (see TESTING.md, "Serving plane"). The trace is the sim.Result
+// cmd/pdmssim emits, so each epoch records the replay's discovery, detection
+// rounds and convergence next to answers served, cache hits and the epoch's
+// answer digest; the result adds the answer-digest chain (digest) to the
+// final state's inferenceDigest. Wall-clock latency and throughput are
 // printed separately with -perf, since they are real but not reproducible.
 //
 // Usage:
@@ -30,7 +33,8 @@
 // result-feedback loop (every answer is judged by a ground-truth oracle
 // with configurable verdict noise, the observations become evidence, and a
 // bounded incremental re-detection republishes the snapshot per epoch — the
-// per-epoch trace then carries a posterior-convergence record).
+// per-epoch trace then carries a posterior-convergence record). -gen checks
+// the workload it emits as -spec would.
 package main
 
 import (
@@ -101,20 +105,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		sc.Epochs = trimQueryBursts(sc.Epochs)
 		sc.DetectWorkers = *workers
-		payload = sim.LoadSpec{
-			Scenario: sc,
-			Workload: sim.Workload{
-				Seed:            *seed,
-				Clients:         *clients,
-				QueriesPerEpoch: *queries,
-				Hot:             *hot,
-				QPS:             *qps,
-				CacheSize:       *cache,
-				Feedback:        *fb,
-				FeedbackNoise:   *noise,
-				Pipeline:        *pipeline,
-			},
+		w := sim.Workload{
+			Seed:            *seed,
+			Clients:         *clients,
+			QueriesPerEpoch: *queries,
+			Hot:             *hot,
+			QPS:             *qps,
+			CacheSize:       *cache,
+			Feedback:        *fb,
+			FeedbackNoise:   *noise,
+			Pipeline:        *pipeline,
 		}
+		if err := w.Check(sc); err != nil {
+			return err
+		}
+		payload = sim.LoadSpec{Scenario: sc, Workload: w}
 	case *specPath != "":
 		data, err := os.ReadFile(*specPath)
 		if err != nil {
@@ -198,7 +203,7 @@ func trimQueryBursts(eps []sim.Epoch) []sim.Epoch {
 }
 
 // printPerf renders the wall-clock table (stderr; never part of the trace).
-func printPerf(w io.Writer, res *sim.WorkloadResult, p *sim.WorkloadPerf) {
+func printPerf(w io.Writer, res *sim.Result, p *sim.WorkloadPerf) {
 	fmt.Fprintf(w, "served     %d answers in %v (%.0f answers/sec)\n", p.Served, p.Elapsed.Round(1e6), p.Throughput)
 	fmt.Fprintf(w, "serve-only %v (%.0f answers/sec excluding detection barriers)\n", p.ServeElapsed.Round(1e6), p.ServeThroughput)
 	fmt.Fprintf(w, "latency    p50 %v  p95 %v  p99 %v  max %v\n", p.P50, p.P95, p.P99, p.Max)
@@ -216,7 +221,7 @@ func printPerf(w io.Writer, res *sim.WorkloadResult, p *sim.WorkloadPerf) {
 
 // countRefreshes counts the feedback re-detections of the run (per-epoch
 // refreshes plus the pipelined final drain).
-func countRefreshes(res *sim.WorkloadResult) int {
+func countRefreshes(res *sim.Result) int {
 	n := 0
 	for _, ep := range res.Epochs {
 		if ep.Feedback != nil {

@@ -90,7 +90,7 @@ func TestGenerateReproducible(t *testing.T) {
 	if err := run([]string{"-spec", specPath}, &tr, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	var res sim.WorkloadResult
+	var res sim.Result
 	if err := json.Unmarshal(tr.Bytes(), &res); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestWALRunMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovering the run's log: %v", err)
 	}
-	var res sim.WorkloadResult
+	var res sim.Result
 	if err := json.Unmarshal(walTrace.Bytes(), &res); err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +164,18 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if err := run([]string{"-spec", bad}, &out, io.Discard); err == nil {
 		t.Error("unknown spec field: want error")
+	}
+	// -gen must not emit a spec its own -spec would reject.
+	for _, args := range [][]string{
+		{"-pipeline"},
+		{"-noise", "0.7"},
+		{"-hot", "1.5"},
+		{"-qps", "-1"},
+		{"-adv-strategy", "sybil"},
+	} {
+		if err := run(append([]string{"-gen"}, args...), &out, io.Discard); err == nil {
+			t.Errorf("-gen %v: want error", args)
+		}
 	}
 }
 
@@ -642,7 +654,7 @@ func TestMillionQueryTrustAcceptance(t *testing.T) {
 // feedbackCounts sums what a run's feedback cycles ingested — observations
 // and the feedback factors they installed — over every epoch and the
 // pipelined final refresh.
-func feedbackCounts(res *sim.WorkloadResult) [2]int {
+func feedbackCounts(res *sim.Result) [2]int {
 	var c [2]int
 	add := func(ft *sim.FeedbackTrace) {
 		if ft != nil {

@@ -19,6 +19,12 @@
 // corrupt/fix), per-epoch message loss and query bursts. Replay re-runs
 // erroneous-mapping detection incrementally after every epoch and checks the
 // invariant suite; violations appear in the trace.
+//
+// The trace is a sim.Result, the layout cmd/pdmsload emits too: one record
+// per epoch (discovery, detection, routing, the snapshot published, crash,
+// feedback, violations) and the final state's inferenceDigest. A replay has
+// no clients, so it carries none of the serving fields and no answer digest.
+// -gen rejects what replay would reject.
 package main
 
 import (

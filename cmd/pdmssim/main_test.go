@@ -131,7 +131,7 @@ func TestGenerateReproducible(t *testing.T) {
 	if err := run([]string{"-scenario", scPath}, &tr); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(tr.Bytes(), []byte(`"digest"`)) {
+	if !bytes.Contains(tr.Bytes(), []byte(`"inferenceDigest"`)) {
 		t.Error("replayed trace missing digest")
 	}
 }
@@ -152,5 +152,18 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if err := run([]string{"-scenario", bad}, &out); err == nil {
 		t.Error("unknown scenario field: want error")
+	}
+	// -gen must not emit a scenario its own -scenario would reject.
+	for _, args := range [][]string{
+		{"-adv-fraction", "0.2", "-adv-strategy", "bogus"},
+		{"-adv-fraction", "0.2", "-adv-volume", "-3"},
+		{"-adv-strategy", "sybil"},
+		{"-adv-volume", "5"},
+		{"-adv-fraction", "1.5"},
+		{"-adv-fraction", "-0.5"},
+	} {
+		if err := run(append([]string{"-gen"}, args...), &out); err == nil {
+			t.Errorf("-gen %v: want error", args)
+		}
 	}
 }

@@ -210,6 +210,56 @@ func TestDurableStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProbeDiscoveryDurableState: a probe-discovered network exports the
+// pass it ran, so NewNetwork + Apply over DurableState()[1:] rebuilds its
+// evidence — not an earlier pass's, and not none. The flood finds exactly
+// the structures Discover finds at MaxLen = ttl
+// (TestProbeDiscoveryMatchesStructural), which is how the export names it.
+// The flood sums that evidence in another order, so posteriors agree only to
+// rounding: unlike TestDurableStateRoundTrip, this holds the rebuild to the
+// structural InferenceDigest alone.
+func TestProbeDiscoveryDurableState(t *testing.T) {
+	attrs := []schema.Attribute{paper.Creator}
+	for _, tc := range []struct {
+		name  string
+		lines int
+		build func(n *core.Network) error
+	}{
+		{"probes alone", 14, func(n *core.Network) error {
+			_, err := n.DiscoverByProbes(attrs, 6, paper.Delta)
+			return err
+		}},
+		{"structural, then shorter probes", 10, func(n *core.Network) error {
+			if _, err := n.DiscoverStructural(attrs, 6, paper.Delta); err != nil {
+				return err
+			}
+			_, err := n.DiscoverByProbes(attrs, 3, paper.Delta)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := paper.IntroNetwork()
+			if err := tc.build(n); err != nil {
+				t.Fatal(err)
+			}
+			live := n.InferenceDigest()
+			if len(live) != tc.lines {
+				t.Fatalf("fixture: %d inference digest lines, want %d", len(live), tc.lines)
+			}
+			state := n.DurableState()
+			r := core.NewNetwork(state[0].Directed)
+			for i, m := range state[1:] {
+				if err := r.Apply(m); err != nil {
+					t.Fatalf("Apply record %d (%s): %v", i+1, m.Kind, err)
+				}
+			}
+			if got := r.InferenceDigest(); !digestEqual(live, got) {
+				t.Errorf("rebuilt %d inference digest lines, live %d:\n live    %v\n rebuilt %v", len(got), len(live), live, got)
+			}
+		})
+	}
+}
+
 // failingJournal rejects every append.
 type failingJournal struct{}
 

@@ -58,6 +58,11 @@ func (n *Network) DiscoverByProbes(attrs []schema.Attribute, ttl int, delta floa
 	if n.wal != nil {
 		return DiscoveryReport{}, fmt.Errorf("core: probe discovery has no journal form; detach the WAL or use Discover")
 	}
+	// Recorded as Discover records its pass: the flood finds exactly the
+	// structures of a structural pass at MaxLen ttl, so DurableState
+	// exports this evidence, not the previous pass's.
+	n.discovered = &DiscoverConfig{Attrs: attrs, MaxLen: ttl, Delta: delta}
+	clear(n.pending)
 	n.bumpInfer()
 	n.resetInference()
 

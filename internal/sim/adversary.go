@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/feedback"
 	"repro/internal/graph"
-	"repro/internal/schema"
 )
 
 // This file is the attacker side of the harness: it turns the declarative
@@ -66,7 +65,6 @@ func (s *Simulation) adversaryPeers() map[graph.PeerID]bool {
 // closes every feedback epoch's batch, after the honest observations.
 func (s *Simulation) adversaryObs() []core.QueryFeedback {
 	var obs []core.QueryFeedback
-	attr := schema.Attribute(s.sc.AnalysisAttr)
 	for _, ad := range s.sc.Adversaries {
 		if ad.Strategy == AdvSelfPromote {
 			continue
@@ -87,7 +85,7 @@ func (s *Simulation) adversaryObs() []core.QueryFeedback {
 				}
 				for k := 0; k < ad.Volume; k++ {
 					obs = append(obs, core.QueryFeedback{
-						Attr:     attr,
+						Attr:     analysisAttr,
 						Chain:    []graph.EdgeID{m},
 						Polarity: pol,
 						Reporter: r,

@@ -151,7 +151,7 @@ func TestWorkloadSurvivesCrash(t *testing.T) {
 		Feedback: true, FeedbackNoise: 0.05, FeedbackRate: 0.5,
 	}}
 
-	var results []*WorkloadResult
+	var results []*Result
 	for run := 0; run < 2; run++ {
 		s, err := New(spec.Scenario)
 		if err != nil {
@@ -197,9 +197,9 @@ func TestWALDoesNotPerturbTrace(t *testing.T) {
 		journaled.WAL = true
 		journaled.CheckpointEvery = 16
 		walRes := runScenario(t, journaled)
-		if walRes.Digest != base.Digest {
+		if walRes.InferenceDigest != base.InferenceDigest {
 			t.Errorf("seed %d: WAL run digest %s differs from plain run %s",
-				seed, walRes.Digest, base.Digest)
+				seed, walRes.InferenceDigest, base.InferenceDigest)
 		}
 		if !reflect.DeepEqual(walRes.Epochs, base.Epochs) {
 			t.Errorf("seed %d: WAL run epoch traces differ from the plain run", seed)

@@ -48,7 +48,7 @@ func TestRevalidationByteEquivalenceOracle(t *testing.T) {
 			FeedbackNoise:   0.05,
 		}
 
-		run := func(full bool) *WorkloadResult {
+		run := func(full bool) *Result {
 			t.Helper()
 			s, err := New(sc)
 			if err != nil {

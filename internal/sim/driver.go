@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
 // This file is the one epoch driver. Run and RunWorkload are thin wrappers
@@ -32,37 +33,37 @@ type runState struct {
 }
 
 // drive runs every epoch under the workload (already defaulted and checked)
-// and returns the replay's and the serving plane's traces and the wall clock.
-func (s *Simulation) drive(w Workload, obs Observer) ([]EpochTrace, *WorkloadResult, *WorkloadPerf, error) {
+// and returns the run's one trace and the wall clock.
+func (s *Simulation) drive(w Workload, obs Observer) (*Result, *WorkloadPerf, error) {
 	r := &runState{w: w, obs: obs, srv: serve.New(s.net, serve.Options{CacheSize: w.CacheSize}), srvNet: s.net}
-	res := &WorkloadResult{Name: s.sc.Name, Seed: w.Seed, Clients: w.Clients}
-	var trs []EpochTrace
+	res := &Result{Name: s.sc.Name, Seed: w.Seed, Clients: w.Clients}
 	digest := sha256.New()
 	start := time.Now()
 	for i := range s.sc.Epochs {
-		tr, wtr, err := s.step(i, r)
+		tr, err := s.step(i, r)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("sim: epoch %d: %w", i+1, err)
+			return nil, nil, fmt.Errorf("sim: epoch %d: %w", i+1, err)
 		}
-		trs = append(trs, tr)
-		res.Epochs = append(res.Epochs, wtr)
-		res.TotalServed += wtr.Served
-		res.TotalCacheHits += wtr.CacheHits
-		res.Violations += len(wtr.Violations)
-		digest.Write([]byte(wtr.Digest))
+		res.Epochs = append(res.Epochs, tr)
+		res.TotalServed += tr.Served
+		res.TotalCacheHits += tr.CacheHits
+		res.Violations += len(tr.Violations)
+		digest.Write([]byte(tr.Digest))
 	}
 	p := &r.perf
 	if w.Pipeline {
 		fbStart := time.Now()
 		ft, err := s.finalDrain(w, r.srv)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("sim: final refresh: %w", err)
+			return nil, nil, fmt.Errorf("sim: final refresh: %w", err)
 		}
 		res.FinalRefresh = ft
 		p.FeedbackWait += time.Since(fbStart)
 		p.Work.Add(ft.Work)
 	}
-	res.Digest = hex.EncodeToString(digest.Sum(nil))
+	if w.Clients > 0 {
+		res.Digest = hex.EncodeToString(digest.Sum(nil))
+	}
 
 	p.Elapsed, p.Served = time.Since(start), res.TotalServed
 	if p.Elapsed > 0 {
@@ -75,7 +76,8 @@ func (s *Simulation) drive(w Workload, obs Observer) ([]EpochTrace, *WorkloadRes
 	if n := len(r.lats); n > 0 {
 		p.P50, p.P95, p.P99, p.Max = r.lats[n/2], r.lats[n*95/100], r.lats[n*99/100], r.lats[n-1]
 	}
-	return trs, res, p, nil
+	res.InferenceDigest = wal.DigestNetwork(s.net) // off the clock
+	return res, p, nil
 }
 
 // step is one epoch of the paper's cycle (§3.2, §4):
@@ -92,11 +94,11 @@ func (s *Simulation) drive(w Workload, obs Observer) ([]EpochTrace, *WorkloadRes
 //  5. the invariant suite again on the refreshed posteriors.
 //
 // Every check runs on the calling goroutine while no refresh is in flight.
-func (s *Simulation) step(i int, r *runState) (EpochTrace, WorkloadEpochTrace, error) {
+func (s *Simulation) step(i int, r *runState) (EpochTrace, error) {
 	w, ep, seed := r.w, s.sc.Epochs[i], s.epochSeed(i+1)
 	tr, det, psend, err := s.advanceEpoch(i)
 	if err != nil {
-		return tr, WorkloadEpochTrace{}, err
+		return tr, err
 	}
 	if s.net != r.srvNet {
 		r.srv = serve.New(s.net, serve.Options{CacheSize: w.CacheSize})
@@ -112,8 +114,8 @@ func (s *Simulation) step(i int, r *runState) (EpochTrace, WorkloadEpochTrace, e
 	if w.QueriesPerEpoch > 0 {
 		s.ensureStores(w)
 	}
-	wtr := WorkloadEpochTrace{Epoch: tr.Epoch, Peers: tr.Peers, Mappings: tr.Mappings, Queries: w.QueriesPerEpoch}
-	snap := s.publish(w, det, &wtr.SnapshotEpoch, &wtr.DeltaFull, &wtr.DeltaEdges)
+	tr.Queries = w.QueriesPerEpoch
+	snap := s.publish(w, det, &tr.SnapshotEpoch, &tr.DeltaFull, &tr.DeltaEdges)
 
 	tr.Routing.Queries = ep.Queries
 	viol, err := s.routeBurst("query", snap, det, ep.Queries, seed+1,
@@ -123,7 +125,7 @@ func (s *Simulation) step(i int, r *runState) (EpochTrace, WorkloadEpochTrace, e
 			tr.Routing.DroppedAttr += res.DroppedAttr
 		})
 	if err != nil {
-		return tr, wtr, err
+		return tr, err
 	}
 	tr.Violations = append(tr.Violations, viol...)
 
@@ -133,7 +135,7 @@ func (s *Simulation) step(i int, r *runState) (EpochTrace, WorkloadEpochTrace, e
 	s.flashPending = 0
 	routed, viol, err := s.collectFeedbackObs(snap, det, fq, seed+2, w.FeedbackNoise)
 	if err != nil {
-		return tr, wtr, err
+		return tr, err
 	}
 	tr.Violations = append(tr.Violations, viol...)
 
@@ -161,29 +163,29 @@ func (s *Simulation) step(i int, r *runState) (EpochTrace, WorkloadEpochTrace, e
 
 	before := r.srv.Stats()
 	serveStart := time.Now()
-	lats, err := s.servePhase(i, w, r.srv, snap, det, r.obs, &wtr, mid)
+	lats, err := s.servePhase(i, w, r.srv, snap, det, r.obs, &tr, mid)
 	if err != nil {
-		return tr, wtr, err
+		return tr, err
 	}
 	r.perf.ServeElapsed += time.Since(serveStart)
 	after := r.srv.Stats()
-	wtr.Served = int(after.Served - before.Served)
-	wtr.Errors = int(after.Errors - before.Errors)
-	wtr.CacheHits = int(after.CacheHits - before.CacheHits)
-	wtr.Revalidated = int(after.Revalidated - before.Revalidated)
-	wtr.Computed = int(after.Computed - before.Computed)
-	wtr.StaleReads = int(after.StaleEpochReads - before.StaleEpochReads)
+	tr.Served = int(after.Served - before.Served)
+	tr.Errors = int(after.Errors - before.Errors)
+	tr.CacheHits = int(after.CacheHits - before.CacheHits)
+	tr.Revalidated = int(after.Revalidated - before.Revalidated)
+	tr.Computed = int(after.Computed - before.Computed)
+	tr.StaleReads = int(after.StaleEpochReads - before.StaleEpochReads)
 	r.lats = append(r.lats, lats...)
 
 	if job != nil {
 		fbStart := time.Now()
 		res, tail, err := s.pipelineJoin(w, r.srv, job)
 		if err != nil {
-			return tr, wtr, fmt.Errorf("feedback: %w", err)
+			return tr, fmt.Errorf("feedback: %w", err)
 		}
 		r.perf.FeedbackWait += time.Since(fbStart)
 		r.perf.Work.Add(res.ft.Work)
-		tr.Feedback, wtr.Feedback, det = res.ft, res.ft, res.det
+		tr.Feedback, det = res.ft, res.det
 		// Tail verdicts are ingested but not yet re-detected, so det's
 		// posteriors lag the maintained evidence until the next refresh.
 		tr.Violations = append(tr.Violations, s.checks(det, w.FeedbackNoise, true, psend >= 1 && det.Converged && tail == 0)...)
@@ -191,8 +193,7 @@ func (s *Simulation) step(i int, r *runState) (EpochTrace, WorkloadEpochTrace, e
 	if s.sc.RecordPosteriors {
 		tr.Posteriors = flattenPosteriors(det)
 	}
-	wtr.Violations = tr.Violations
-	return tr, wtr, nil
+	return tr, nil
 }
 
 // checks holds det to the invariant suite: the posterior invariants always,

@@ -138,11 +138,10 @@ func (s *Simulation) feedbackAnswer(srv *serve.Server, ans serve.Answer, noise f
 // posteriorError is the mean absolute posterior error against ground truth
 // on the analysis attribute, over the mappings the detection result covers.
 func (s *Simulation) posteriorError(det core.DetectResult) float64 {
-	attr := schema.Attribute(s.sc.AnalysisAttr)
 	sum, n := 0.0, 0
 	for _, id := range s.liveMappings() {
 		m := graph.EdgeID(id)
-		p := det.Posterior(m, attr, -1)
+		p := det.Posterior(m, analysisAttr, -1)
 		if p < 0 {
 			continue
 		}
@@ -209,8 +208,7 @@ func (s *Simulation) ingestAndRedetect(obs []core.QueryFeedback, w Workload) (*F
 // traversed path with the ground-truth oracle, flipped with probability
 // noise, returning the classified observations.
 func (s *Simulation) collectFeedbackObs(snap *core.RoutingSnapshot, det core.DetectResult, n int, seed int64, noise float64) ([]core.QueryFeedback, []string, error) {
-	attr := schema.Attribute(s.sc.AnalysisAttr)
-	attrs := []schema.Attribute{attr}
+	attrs := []schema.Attribute{analysisAttr}
 	var obs []core.QueryFeedback
 	viol, err := s.routeBurst("feedback query", snap, det, n, seed,
 		func(origin graph.PeerID, res core.RouteResult, rng *rand.Rand) {
@@ -219,7 +217,7 @@ func (s *Simulation) collectFeedbackObs(snap *core.RoutingSnapshot, det core.Det
 					continue
 				}
 				verdict := noisyVerdict(s.pathVerdict(attrs, v.Via), noise, rng)
-				obs = append(obs, core.QueryFeedback{Attr: attr, Chain: v.Via, Polarity: serve.VerdictPolarity(verdict), Reporter: origin})
+				obs = append(obs, core.QueryFeedback{Attr: analysisAttr, Chain: v.Via, Polarity: serve.VerdictPolarity(verdict), Reporter: origin})
 			}
 		})
 	return obs, viol, err

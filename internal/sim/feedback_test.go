@@ -71,7 +71,7 @@ func feedbackLoadSpec(t *testing.T, seed int64) LoadSpec {
 // republish — produces an identical aggregate trace on every run.
 func TestWorkloadFeedbackDeterministic(t *testing.T) {
 	spec := feedbackLoadSpec(t, 31)
-	var results []*WorkloadResult
+	var results []*Result
 	for run := 0; run < 2; run++ {
 		s, err := New(spec.Scenario)
 		if err != nil {

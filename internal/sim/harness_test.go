@@ -106,9 +106,9 @@ func TestTransportChurnInvariants(t *testing.T) {
 				ref = res
 				continue
 			}
-			if res.Digest != ref.Digest {
+			if res.InferenceDigest != ref.InferenceDigest {
 				t.Errorf("seed %d %s/%d: digest %s differs from simulator digest %s",
-					seed, tr.kind, tr.shards, res.Digest, ref.Digest)
+					seed, tr.kind, tr.shards, res.InferenceDigest, ref.InferenceDigest)
 			}
 			if fmt.Sprint(res.Epochs) != fmt.Sprint(ref.Epochs) {
 				t.Errorf("seed %d %s/%d: epoch trace differs from the simulator's",
@@ -170,7 +170,7 @@ func TestHundredSeedScheduleDifferential(t *testing.T) {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
 		net := s.Network()
-		attr := schema.Attribute(s.sc.AnalysisAttr)
+		attr := analysisAttr
 
 		net.ResetMessages()
 		det, err := net.RunDetection(core.DetectOptions{MaxRounds: 2000, Tolerance: 1e-10})
@@ -362,7 +362,7 @@ func TestRouteVerifierDetectsGateBreach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attr := schema.Attribute(s.sc.AnalysisAttr)
+	attr := analysisAttr
 	snap := s.net.PublishSnapshot(det, core.SnapshotOptions{DefaultTheta: s.sc.Theta})
 
 	// An origin whose honest route is long enough to drop from and reorder.

@@ -33,7 +33,6 @@ import (
 //     a bug in the inference.
 func (s *Simulation) checkInvariants(det core.DetectResult) []string {
 	var viol []string
-	attr := schema.Attribute(s.sc.AnalysisAttr)
 
 	// 1. Range, over every (mapping, attribute) pair, sorted for stable
 	// violation ordering.
@@ -73,17 +72,17 @@ func (s *Simulation) checkInvariants(det core.DetectResult) []string {
 	var nBad, nGood int
 	for _, id := range s.liveMappings() {
 		m := graph.EdgeID(id)
-		p := det.Posterior(m, attr, -1)
+		p := det.Posterior(m, analysisAttr, -1)
 		if p < 0 {
 			continue
 		}
-		pos, neg := s.net.EvidenceCounts(m, attr)
+		pos, neg := s.net.EvidenceCounts(m, analysisAttr)
 		if s.corrupted[m] {
 			if pos > 0 || neg == 0 {
 				continue // compensated or uncovered: evidence cannot convict
 			}
 			soleSuspect := false
-			for _, f := range s.net.FactorsOf(m, attr) {
+			for _, f := range s.net.FactorsOf(m, analysisAttr) {
 				if f.Polarity != feedback.Negative {
 					continue
 				}

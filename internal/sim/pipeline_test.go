@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/schema"
 )
 
 // pipelineLoadSpec is the feedback spec the pipelined tests share, with the
@@ -25,9 +24,9 @@ func pipelineLoadSpec(t *testing.T, seed int64) LoadSpec {
 // but the guard keeps the comparison honest if that ever changes). Everything
 // else is pinned by construction: the drain point, the ingested batches and
 // the publication barriers are all scheduling-independent.
-func normalized(r *WorkloadResult) *WorkloadResult {
+func normalized(r *Result) *Result {
 	cp := *r
-	cp.Epochs = append([]WorkloadEpochTrace(nil), r.Epochs...)
+	cp.Epochs = append([]EpochTrace(nil), r.Epochs...)
 	for i := range cp.Epochs {
 		cp.Epochs[i].StaleReads = 0
 	}
@@ -38,7 +37,7 @@ func normalized(r *WorkloadResult) *WorkloadResult {
 // every live mapping on the analysis attribute.
 func finalPosteriors(s *Simulation) map[string]float64 {
 	snap := s.Network().Snapshot()
-	attr := schema.Attribute(s.sc.AnalysisAttr)
+	attr := analysisAttr
 	out := make(map[string]float64)
 	for _, id := range s.liveMappings() {
 		if p := snap.Posterior(graph.EdgeID(id), attr, -1); p >= 0 {
@@ -154,7 +153,7 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 // mid-phase).
 func TestPipelinedTraceDeterministic(t *testing.T) {
 	spec := pipelineLoadSpec(t, 33)
-	var first *WorkloadResult
+	var first *Result
 	for run := 0; run < 5; run++ {
 		s, err := New(spec.Scenario)
 		if err != nil {

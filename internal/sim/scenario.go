@@ -154,12 +154,11 @@ type Scenario struct {
 	Corrupt  float64 `json:"corrupt,omitempty"`
 	Directed bool    `json:"directed,omitempty"`
 
-	// Detection configuration.
-	AnalysisAttr string  `json:"analysisAttr,omitempty"` // default "a0"
-	MaxLen       int     `json:"maxLen,omitempty"`       // structure length bound, default 4
-	Delta        float64 `json:"delta,omitempty"`        // Δ of §4.5, default 0.1
-	Theta        float64 `json:"theta,omitempty"`        // routing threshold, default 0.5
-	MaxRounds    int     `json:"maxRounds,omitempty"`    // detection rounds bound, default 300
+	// Detection configuration (on analysisAttr).
+	MaxLen    int     `json:"maxLen,omitempty"`    // structure length bound, default 4
+	Delta     float64 `json:"delta,omitempty"`     // Δ of §4.5, default 0.1
+	Theta     float64 `json:"theta,omitempty"`     // routing threshold, default 0.5
+	MaxRounds int     `json:"maxRounds,omitempty"` // detection rounds bound, default 300
 	// FeedbackNoise is the verdict flip probability of the ground-truth
 	// feedback oracle (and the assumed error rate passed to ingestion);
 	// only meaningful for epochs with FeedbackQueries. Must be below 0.5.
@@ -227,9 +226,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.Attrs == 0 {
 		sc.Attrs = 4
-	}
-	if sc.AnalysisAttr == "" {
-		sc.AnalysisAttr = "a0"
 	}
 	if sc.MaxLen == 0 {
 		sc.MaxLen = 4
@@ -411,6 +407,12 @@ func (cfg GenConfig) withDefaults() GenConfig {
 // GenConfig always yields the same scenario.
 func Generate(cfg GenConfig) (Scenario, error) {
 	cfg = cfg.withDefaults()
+	if cfg.AdvFraction < 0 || cfg.AdvFraction > 1 {
+		return Scenario{}, fmt.Errorf("sim: adversary fraction %v out of [0,1]", cfg.AdvFraction)
+	}
+	if cfg.AdvFraction == 0 && (cfg.AdvStrategy != "" || cfg.AdvVolume != 0) {
+		return Scenario{}, fmt.Errorf("sim: adversary strategy or volume without a positive adversary fraction")
+	}
 	sc := Scenario{
 		Name:          fmt.Sprintf("gen-%d", cfg.Seed),
 		Seed:          cfg.Seed,
@@ -440,6 +442,10 @@ func Generate(cfg GenConfig) (Scenario, error) {
 			ep.Events = append(ep.Events, evs...)
 		}
 		sc.Epochs = append(sc.Epochs, ep)
+	}
+	// The shadow was built before the adversaries were attached.
+	if err := sc.withDefaults().check(); err != nil {
+		return Scenario{}, err
 	}
 	return sc, nil
 }

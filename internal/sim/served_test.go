@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/query"
-	"repro/internal/schema"
 	"repro/internal/serve"
 )
 
@@ -22,7 +21,7 @@ import (
 
 // runServed builds the scenario and serves the workload, failing the test on
 // any error.
-func runServed(t *testing.T, sc Scenario, w Workload) (*Simulation, *WorkloadResult) {
+func runServed(t *testing.T, sc Scenario, w Workload) (*Simulation, *Result) {
 	t.Helper()
 	s, err := New(sc)
 	if err != nil {
@@ -36,12 +35,58 @@ func runServed(t *testing.T, sc Scenario, w Workload) (*Simulation, *WorkloadRes
 }
 
 // workloadViolations joins every epoch's violations.
-func workloadViolations(res *WorkloadResult) string {
+func workloadViolations(res *Result) string {
 	var all []string
 	for _, ep := range res.Epochs {
 		all = append(all, ep.Violations...)
 	}
 	return strings.Join(all, "; ")
+}
+
+// TestServingWithoutFeedbackKeepsReplay: clients that send no feedback only
+// read, so a load run and the zero-client replay of its scenario must record
+// the same replay in every epoch — discovery, detection, coverage and means,
+// routing, crash, violations, the publication — and end on the same
+// inference state. One epoch record is what makes the two runs comparable
+// field for field.
+func TestServingWithoutFeedbackKeepsReplay(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "pdmsload", "testdata", "small.load.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseLoadSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Workload.Feedback {
+		t.Fatal("fixture: small.load.json must serve without feedback")
+	}
+	_, served := runServed(t, spec.Scenario, spec.Workload)
+	s, err := New(spec.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(served.Epochs) != len(replay.Epochs) {
+		t.Fatalf("served %d epochs, replayed %d", len(served.Epochs), len(replay.Epochs))
+	}
+	for i, got := range served.Epochs {
+		if got.Served == 0 {
+			t.Fatalf("epoch %d: the clients served nothing", got.Epoch)
+		}
+		// Drop what only the clients produced; the rest is the replay's.
+		got.Queries, got.Served, got.Errors, got.CacheHits, got.Revalidated, got.Computed = 0, 0, 0, 0, 0, 0
+		got.StaleReads, got.Visits, got.Records, got.Digest = 0, 0, 0, ""
+		if !reflect.DeepEqual(got, replay.Epochs[i]) {
+			t.Errorf("epoch %d: serving moved the replay:\n served %+v\n replay %+v", got.Epoch, got, replay.Epochs[i])
+		}
+	}
+	if served.InferenceDigest != replay.InferenceDigest {
+		t.Errorf("inference digest: served %s, replay %s", served.InferenceDigest, replay.InferenceDigest)
+	}
 }
 
 // TestTrustNoopOnHonestNetworksServed is the served twin of
@@ -251,7 +296,7 @@ func TestFeedbackProducersAgree(t *testing.T) {
 		origins[o.Reporter] = true
 	}
 	srv := serve.New(s.net, serve.Options{})
-	attr := schema.Attribute(s.sc.AnalysisAttr)
+	attr := analysisAttr
 	compared := 0
 	for origin := range origins {
 		sch, _ := snap.Schema(origin)

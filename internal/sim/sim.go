@@ -2,8 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -422,7 +420,9 @@ type RoutingTrace struct {
 	DroppedAttr int `json:"droppedAttr"`
 }
 
-// EpochTrace is the reproducible record of one epoch.
+// EpochTrace is the reproducible record of one epoch, replayed or served. The
+// serving fields are omitempty: a zero-client replay's record carries only
+// the snapshot it published.
 type EpochTrace struct {
 	Epoch     int `json:"epoch"`
 	Events    int `json:"events"`
@@ -445,9 +445,37 @@ type EpochTrace struct {
 	// Crash records the epoch's injected crash and WAL recovery; nil unless
 	// the epoch sets CrashAt.
 	Crash *CrashTrace `json:"crash,omitempty"`
-	// Feedback records the epoch's result-feedback cycle (routed queries
-	// judged by the ground-truth oracle, ingested, incrementally
-	// re-detected); nil unless the epoch sets FeedbackQueries.
+	// SnapshotEpoch is the epoch of the snapshot published after detection;
+	// DeltaFull marks a rebuild from scratch (first epoch, churn, or
+	// Workload.FullPublish), DeltaEdges the θ-verdict flips a delta carried.
+	SnapshotEpoch uint64 `json:"snapshotEpoch,omitempty"`
+	Queries       int    `json:"queries,omitempty"`
+	Served        int    `json:"served,omitempty"`
+	Errors        int    `json:"errors,omitempty"`
+	// CacheHits counts answers from the result cache (coalesced misses
+	// included), Revalidated those from older entries the published deltas
+	// rebound to this snapshot, Computed the snapshot walks. The three sum to
+	// Served and are deterministic: the cache computes each distinct (origin,
+	// query) key once per epoch it is stale in.
+	CacheHits   int  `json:"cacheHits,omitempty"`
+	Revalidated int  `json:"revalidated,omitempty"`
+	Computed    int  `json:"computed,omitempty"`
+	DeltaFull   bool `json:"deltaFull,omitempty"`
+	DeltaEdges  int  `json:"deltaEdges,omitempty"`
+	// StaleReads counts answers whose snapshot was superseded before they
+	// completed: 0 unless serving overlaps publication (the race tests).
+	StaleReads int `json:"staleReads,omitempty"`
+	// Visits and Records sum the peers reached and result records returned
+	// across the epoch's answers.
+	Visits  int `json:"visits,omitempty"`
+	Records int `json:"records,omitempty"`
+	// Digest fingerprints every answer of the epoch: SHA-256 over the
+	// per-client digest chain (origin, query, snapshot epoch and canonical
+	// result bytes of every answer, in client order).
+	Digest string `json:"digest,omitempty"`
+	// Feedback records the epoch's result-feedback cycle (routed and served
+	// answers judged by the ground-truth oracle, ingested, incrementally
+	// re-detected); nil unless the epoch or the workload asks for feedback.
 	Feedback *FeedbackTrace `json:"feedback,omitempty"`
 	// Posteriors ("mapping/attr" → P(correct)) is recorded only when the
 	// scenario sets RecordPosteriors.
@@ -457,16 +485,27 @@ type EpochTrace struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// Result is the full reproducible trace of a scenario replay.
+// Result is the reproducible trace of a run, a scenario replay (Run) or a
+// load run (RunWorkload): one record per epoch, the serving totals when
+// clients served, and two digests.
 type Result struct {
-	Name   string       `json:"name"`
-	Seed   int64        `json:"seed"`
-	Epochs []EpochTrace `json:"epochs"`
+	Name           string       `json:"name"`
+	Seed           int64        `json:"seed"`
+	Clients        int          `json:"clients,omitempty"`
+	Epochs         []EpochTrace `json:"epochs"`
+	TotalServed    int          `json:"totalServed,omitempty"`
+	TotalCacheHits int          `json:"totalCacheHits,omitempty"`
+	// FinalRefresh records a pipelined run's end-of-run drain: one more
+	// refresh re-detects the last epoch's tail verdicts, pinning the final
+	// posteriors to barrier mode's. Nil unless Workload.Pipeline.
+	FinalRefresh *FeedbackTrace `json:"finalRefresh,omitempty"`
 	// Violations is the total invariant violation count across epochs.
 	Violations int `json:"violations"`
-	// Digest fingerprints the final distributed inference state (SHA-256
-	// over Network.InferenceDigest).
-	Digest string `json:"digest"`
+	// Digest chains the epochs' answer digests; empty unless clients served.
+	Digest string `json:"digest,omitempty"`
+	// InferenceDigest fingerprints the final inference state on every run
+	// (wal.DigestNetwork).
+	InferenceDigest string `json:"inferenceDigest"`
 }
 
 // epochSeed derives the deterministic per-epoch seed for message loss and
@@ -480,21 +519,8 @@ func (s *Simulation) epochSeed(epoch int) int64 {
 // — produces identical bytes. A replay is the epoch driver with zero clients:
 // only the scenario's own query and feedback bursts are routed.
 func (s *Simulation) Run() (*Result, error) {
-	trs, _, _, err := s.drive(Workload{Seed: s.sc.Seed, FeedbackNoise: s.sc.FeedbackNoise}, nil)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Name: s.sc.Name, Seed: s.sc.Seed, Epochs: trs}
-	for _, tr := range trs {
-		res.Violations += len(tr.Violations)
-	}
-	sum := sha256.New()
-	for _, line := range s.net.InferenceDigest() {
-		sum.Write([]byte(line))
-		sum.Write([]byte{'\n'})
-	}
-	res.Digest = hex.EncodeToString(sum.Sum(nil))
-	return res, nil
+	res, _, err := s.drive(Workload{Seed: s.sc.Seed, FeedbackNoise: s.sc.FeedbackNoise}, nil)
+	return res, err
 }
 
 // detectOpts is the scenario's detection configuration — transport, shards,
@@ -510,9 +536,14 @@ func (s *Simulation) detectOpts(maxRounds int) core.DetectOptions {
 	}
 }
 
+// analysisAttr is the attribute every run discovers evidence for, routes its
+// bursts on and summarizes posteriors over: a0, whose corrupted mappings swap
+// it with a1.
+const analysisAttr schema.Attribute = "a0"
+
 func (s *Simulation) discoverCfg() core.DiscoverConfig {
 	return core.DiscoverConfig{
-		Attrs:  []schema.Attribute{schema.Attribute(s.sc.AnalysisAttr)},
+		Attrs:  []schema.Attribute{analysisAttr},
 		MaxLen: s.sc.MaxLen,
 		Delta:  s.sc.Delta,
 	}
@@ -680,10 +711,9 @@ func flattenPosteriors(det core.DetectResult) map[string]float64 {
 //
 //pdms:deterministic
 func (s *Simulation) summarize(tr *EpochTrace, det core.DetectResult) {
-	attr := schema.Attribute(s.sc.AnalysisAttr)
 	var sumClean, sumCorrupt float64
 	for _, id := range s.liveMappings() {
-		p := det.Posterior(graph.EdgeID(id), attr, -1)
+		p := det.Posterior(graph.EdgeID(id), analysisAttr, -1)
 		if p < 0 {
 			continue
 		}
@@ -725,12 +755,11 @@ func (s *Simulation) routeBurst(kind string, snap *core.RoutingSnapshot, det cor
 		return nil, errNoLivePeers
 	}
 	rng := rand.New(rand.NewSource(seed))
-	attr := schema.Attribute(s.sc.AnalysisAttr)
 	var viol []string
 	for q := 0; q < n; q++ {
 		origin := graph.PeerID(live[rng.Intn(len(live))])
 		sch, _ := snap.Schema(origin)
-		qry := query.MustNew(sch, query.Op{Kind: query.Project, Attr: attr})
+		qry := query.MustNew(sch, query.Op{Kind: query.Project, Attr: analysisAttr})
 		res, err := snap.RouteQuery(origin, qry)
 		if err != nil {
 			viol = append(viol, fmt.Sprintf("%s %d from %s failed: %v", kind, q, origin, err))

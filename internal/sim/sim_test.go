@@ -222,7 +222,7 @@ func TestEpochTraceShape(t *testing.T) {
 	if len(e1.Posteriors) == 0 {
 		t.Error("posteriors not recorded")
 	}
-	if res.Digest == "" {
+	if res.InferenceDigest == "" {
 		t.Error("empty state digest")
 	}
 }

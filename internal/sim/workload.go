@@ -104,7 +104,7 @@ type Workload struct {
 	// deterministic, the trace stays bit-reproducible and the served
 	// answers byte-match barrier mode at every epoch; only the refresh's
 	// wall-clock placement moves. Requires Feedback. After the last epoch a
-	// final drain re-detects the remaining tail (WorkloadResult.FinalRefresh),
+	// final drain re-detects the remaining tail (Result.FinalRefresh),
 	// which pins the run's final posteriors to barrier mode within 1e-6.
 	Pipeline bool `json:"pipeline,omitempty"`
 }
@@ -149,6 +149,9 @@ func (w Workload) withDefaults(sc Scenario) Workload {
 	}
 	return w
 }
+
+// Check reports whether RunWorkload would accept the workload against sc.
+func (w Workload) Check(sc Scenario) error { return w.withDefaults(sc).check(sc) }
 
 func (w Workload) check(sc Scenario) error {
 	if w.Clients < 1 {
@@ -219,70 +222,8 @@ type LoadSpec struct {
 // ParseLoadSpec decodes a load spec from JSON, rejecting unknown fields.
 func ParseLoadSpec(data []byte) (LoadSpec, error) { return parseStrict[LoadSpec](data, "load spec") }
 
-// WorkloadEpochTrace is the deterministic aggregate record of one epoch's
-// serving phase.
-type WorkloadEpochTrace struct {
-	Epoch         int    `json:"epoch"`
-	Peers         int    `json:"peers"`
-	Mappings      int    `json:"mappings"`
-	SnapshotEpoch uint64 `json:"snapshotEpoch"`
-	Queries       int    `json:"queries"`
-	Served        int    `json:"served"`
-	Errors        int    `json:"errors,omitempty"`
-	// CacheHits counts answers served from the result cache (including
-	// coalesced concurrent misses); Revalidated counts answers served from
-	// entries that predated this epoch's snapshot and were rebound to it
-	// because the published deltas missed their routes; Computed counts
-	// snapshot walks. The three sum to Served, and all are deterministic
-	// because the cache computes each distinct (origin, query) key exactly
-	// once per epoch it is stale in.
-	CacheHits   int `json:"cacheHits"`
-	Revalidated int `json:"revalidated"`
-	Computed    int `json:"computed"`
-	// DeltaFull is true when the epoch's barrier publication rebuilt the
-	// snapshot from scratch (first epoch, churn, or Workload.FullPublish);
-	// DeltaEdges is the number of θ-verdict-changed edges it carried when it
-	// was a delta.
-	DeltaFull  bool `json:"deltaFull,omitempty"`
-	DeltaEdges int  `json:"deltaEdges,omitempty"`
-	// StaleReads counts answers whose snapshot was superseded before the
-	// answer completed (always 0 in the barriered engine; nonzero only
-	// when serving overlaps publication, as in the race tests).
-	StaleReads int `json:"staleReads"`
-	// Feedback records the epoch's serve → evidence → incremental-detect →
-	// republish cycle; nil unless the workload enables feedback.
-	Feedback *FeedbackTrace `json:"feedback,omitempty"`
-	// Visits and Records sum the peers reached and result records returned
-	// across the epoch's answers.
-	Visits  int `json:"visits"`
-	Records int `json:"records"`
-	// Digest fingerprints every answer of the epoch: SHA-256 over the
-	// per-client digest chain (origin, query, snapshot epoch and canonical
-	// result bytes of every answer, in client order).
-	Digest string `json:"digest"`
-	// Violations lists every invariant the epoch violated (see step).
-	Violations []string `json:"violations,omitempty"`
-}
-
-// WorkloadResult is the reproducible aggregate trace of a load run.
-type WorkloadResult struct {
-	Name           string               `json:"name"`
-	Seed           int64                `json:"seed"`
-	Clients        int                  `json:"clients"`
-	Epochs         []WorkloadEpochTrace `json:"epochs"`
-	TotalServed    int                  `json:"totalServed"`
-	TotalCacheHits int                  `json:"totalCacheHits"`
-	// FinalRefresh records the pipelined run's end-of-run drain: the last
-	// epoch's tail observations were ingested at its barrier but not yet
-	// re-detected, so one more incremental refresh (and publication) runs
-	// after the clients stop, pinning the run's final posteriors to what
-	// barrier mode would have left behind. Nil unless Workload.Pipeline.
-	FinalRefresh *FeedbackTrace `json:"finalRefresh,omitempty"`
-	// Violations is the total invariant violation count across epochs.
-	Violations int `json:"violations,omitempty"`
-	// Digest chains the epoch digests.
-	Digest string `json:"digest"`
-}
+// WorkloadResult is the name bench/ reads a load run's Result under.
+type WorkloadResult = Result
 
 // WorkloadPerf carries the wall-clock side of a run — everything that is
 // real but not reproducible.
@@ -319,15 +260,14 @@ type Observer func(epoch int, det core.DetectResult, origin graph.PeerID, q quer
 
 // RunWorkload replays the scenario's epochs and serves the workload's query
 // stream against each epoch's published snapshot with concurrent clients.
-// The returned WorkloadResult depends only on the spec; WorkloadPerf holds
-// the wall-clock measurements.
-func (s *Simulation) RunWorkload(w Workload, obs Observer) (*WorkloadResult, *WorkloadPerf, error) {
+// The returned Result depends only on the spec; WorkloadPerf holds the
+// wall-clock measurements.
+func (s *Simulation) RunWorkload(w Workload, obs Observer) (*Result, *WorkloadPerf, error) {
 	w = w.withDefaults(s.sc)
 	if err := w.check(s.sc); err != nil {
 		return nil, nil, err
 	}
-	_, res, perf, err := s.drive(w, obs)
-	return res, perf, err
+	return s.drive(w, obs)
 }
 
 // workloadClient is one client's persistent per-epoch state. It outlives the
@@ -391,10 +331,8 @@ func (cl *workloadClient) serve(s *Simulation, w Workload, srv *serve.Server, sn
 // against a network churn has emptied fail the epoch before any client
 // starts: there is no origin to draw.
 func (s *Simulation) servePhase(epoch int, w Workload, srv *serve.Server, snap *core.RoutingSnapshot,
-	det core.DetectResult, obs Observer, wtr *WorkloadEpochTrace, mid func()) ([]time.Duration, error) {
+	det core.DetectResult, obs Observer, tr *EpochTrace, mid func()) ([]time.Duration, error) {
 	if w.QueriesPerEpoch == 0 {
-		sum := sha256.Sum256(nil)
-		wtr.Digest = hex.EncodeToString(sum[:])
 		if mid != nil {
 			mid()
 		}
@@ -466,11 +404,11 @@ func (s *Simulation) servePhase(epoch int, w Workload, srv *serve.Server, snap *
 	epochDigest := sha256.New()
 	for _, cl := range clients {
 		epochDigest.Write(cl.h.Sum(nil))
-		wtr.Visits += cl.visits
-		wtr.Records += cl.records
+		tr.Visits += cl.visits
+		tr.Records += cl.records
 		lats = append(lats, cl.lats...)
 	}
-	wtr.Digest = hex.EncodeToString(epochDigest.Sum(nil))
+	tr.Digest = hex.EncodeToString(epochDigest.Sum(nil))
 	return lats, nil
 }
 
@@ -562,7 +500,7 @@ func (s *Simulation) drawQuery(rng *rand.Rand, w Workload, live []string, hot in
 	var lit string
 	if isHot {
 		origin = graph.PeerID(live[rng.Intn(hot)])
-		attr = schema.Attribute(s.sc.AnalysisAttr)
+		attr = analysisAttr
 		v := w.Vocab
 		if v > 4 {
 			v = 4

@@ -24,7 +24,7 @@ func workloadSpec(t *testing.T, seed int64) LoadSpec {
 // whatever the goroutine interleaving.
 func TestWorkloadDeterministic(t *testing.T) {
 	spec := workloadSpec(t, 21)
-	var results []*WorkloadResult
+	var results []*Result
 	for run := 0; run < 2; run++ {
 		s, err := New(spec.Scenario)
 		if err != nil {

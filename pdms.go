@@ -185,9 +185,13 @@ type (
 	ScenarioEvent = sim.Event
 	// Simulation replays a scenario against a live network.
 	Simulation = sim.Simulation
-	// ScenarioResult is the bit-reproducible trace of a replay.
+	// ScenarioResult is the bit-reproducible trace of a run, replayed
+	// (Simulation.Run) or served (RunWorkload): one EpochTrace per epoch,
+	// the answer-digest chain when clients served, and the final inference
+	// digest on every run.
 	ScenarioResult = sim.Result
-	// EpochTrace records one epoch of a replay.
+	// EpochTrace records one epoch of a run: discovery, detection, routing
+	// and the invariant suite, plus the serving fields when clients served.
 	EpochTrace = sim.EpochTrace
 	// GenConfig parameterizes random scenario generation.
 	GenConfig = sim.GenConfig
@@ -265,8 +269,8 @@ type (
 	LoadSpec = sim.LoadSpec
 	// Workload parameterizes the client side of a load run.
 	Workload = sim.Workload
-	// WorkloadResult is the deterministic aggregate trace of a load run.
-	WorkloadResult = sim.WorkloadResult
+	// WorkloadResult is ScenarioResult under the name load runs used.
+	WorkloadResult = sim.Result
 	// WorkloadPerf carries the wall-clock latency/throughput measurements.
 	WorkloadPerf = sim.WorkloadPerf
 )

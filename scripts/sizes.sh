@@ -45,4 +45,8 @@ printf 'case core.Mut files outside core:  %s\n' "$(gofiles -not -name '*_test.g
 # of the codecs built on it.
 printf 'strict readers:                    %s\n' "$(gofiles -not -name '*_test.go' | xargs grep -l 'non-minimal varint' | wc -l | tr -d ' ')"
 printf 'codec lines (wire, wal record, canon): %s\n' "$(gofiles -not -name '*_test.go' \( -path './internal/wire/wire.go' -o -path './internal/wal/record.go' -o -path './internal/canon/*' \) | lines)"
+# What a run emits: the per-epoch record types and the run-result types
+# internal/sim declares (a type alias is not a second struct).
+structs() { gofiles -not -name '*_test.go' -path './internal/sim/*' | xargs grep -h "^type [A-Za-z]*$1 struct" | wc -l | tr -d ' '; }
+printf 'sim epoch-record / result structs: %s / %s\n' "$(structs EpochTrace)" "$(structs Result)"
 printf 'context.Context in non-test Go:    %s\n' "$(gofiles -not -name '*_test.go' | xargs grep -l 'context\.Context' | wc -l | tr -d ' ')"
