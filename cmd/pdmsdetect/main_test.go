@@ -42,3 +42,15 @@ func TestRejectsProbesWithCoarse(t *testing.T) {
 		t.Errorf("err %v, want a usage error naming both flags; output:\n%s", err, out)
 	}
 }
+
+// A NaN Δ is rejected on both discovery paths: it used to poison detection
+// into a one-round "converged" run that flagged nothing, or, with -probes, to
+// be replaced by the schema-derived Δ.
+func TestRejectsNaNDelta(t *testing.T) {
+	for _, args := range [][]string{{"-in", "-", "-delta", "NaN"}, {"-in", "-", "-delta", "NaN", "-probes"}} {
+		out, err := runIntro(args...)
+		if err == nil || !strings.Contains(err.Error(), "delta") {
+			t.Errorf("%v: err %v, want a delta range error; output:\n%s", args, err, out)
+		}
+	}
+}

@@ -226,10 +226,11 @@ func TestDetectionRoundAllocsConstant(t *testing.T) {
 		if _, err := net.IngestFeedback(fbOpts, obs...); err != nil {
 			t.Fatal(err)
 		}
-		// A negative tolerance never holds: the run spends exactly MaxRounds.
+		// More stable rounds than MaxRounds can never be met: the run spends
+		// exactly MaxRounds.
 		run := func(rounds int) float64 {
 			return testing.AllocsPerRun(5, func() {
-				res, err := net.RunDetection(DetectOptions{MaxRounds: rounds, Tolerance: -1})
+				res, err := net.RunDetection(DetectOptions{MaxRounds: rounds, StableRounds: rounds + 1})
 				if err != nil || res.Rounds != rounds || res.TouchedVars != vars || res.RemoteMessages != 0 {
 					t.Fatalf("%d vars: run %+v, err %v", vars, res, err)
 				}

@@ -116,6 +116,9 @@ func TestDiscoverStructuralValidation(t *testing.T) {
 	if _, err := n.DiscoverStructural([]schema.Attribute{paper.Creator}, 6, 1.5); err == nil {
 		t.Error("delta>1: want error")
 	}
+	if _, err := n.DiscoverStructural([]schema.Attribute{paper.Creator}, 6, math.NaN()); err == nil {
+		t.Error("delta NaN: want error")
+	}
 }
 
 // TestIntroExampleReproduction reproduces §4.5 end to end: uniform priors
@@ -218,6 +221,9 @@ func TestDecentralizedMatchesCentralized(t *testing.T) {
 
 func TestDetectOptionsValidation(t *testing.T) {
 	n := paper.IntroNetwork()
+	if _, err := n.DiscoverStructural([]schema.Attribute{paper.Creator}, 6, paper.Delta); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := n.RunDetection(core.DetectOptions{DefaultPrior: 2}); err == nil {
 		t.Error("bad prior: want error")
 	}
@@ -229,6 +235,34 @@ func TestDetectOptionsValidation(t *testing.T) {
 	}
 	if _, err := n.RunDetection(core.DetectOptions{StableRounds: -1}); err == nil {
 		t.Error("bad StableRounds: want error")
+	}
+	nan := math.NaN()
+	for name, opts := range map[string]core.DetectOptions{
+		"NaN prior":             {DefaultPrior: nan},
+		"NaN PSend":             {PSend: nan},
+		"NaN Tolerance":         {Tolerance: nan},
+		"negative Tolerance":    {Tolerance: -1e-6},
+		"negative Workers":      {Workers: -1},
+		"negative Shards (sim)": {Shards: -1},
+	} {
+		if _, err := n.RunDetection(opts); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+	}
+	// A rejected run leaves no poisoned messages behind.
+	res, err := n.RunDetection(core.DetectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Posteriors) == 0 {
+		t.Fatal("no posteriors to check")
+	}
+	for m, attrs := range res.Posteriors {
+		for a, v := range attrs {
+			if math.IsNaN(v) {
+				t.Errorf("posterior[%s,%s] is NaN after the rejected runs", m, a)
+			}
+		}
 	}
 }
 

@@ -33,13 +33,13 @@ type DetectOptions struct {
 	// Seed drives message loss.
 	Seed int64
 	// Transport selects the message substrate the µ-messages cross:
-	// network.KindSim (the default single-threaded deterministic
-	// simulator), network.KindSharded (parallel sharded simulator for very
-	// large networks) or network.KindTCP (loopback TCP — every message
-	// travels as real bytes through a socket). All three produce identical
-	// results and stats.
+	// network.KindSim (the default one-shard deterministic simulator),
+	// network.KindSharded (the same simulator with Shards parallel shards,
+	// for very large networks) or network.KindTCP (loopback TCP — every
+	// message travels as real bytes through a socket). All three produce
+	// identical results and stats.
 	Transport network.Kind
-	// Shards is the worker count for the sharded transport (0 picks
+	// Shards is the shard count of the sharded transport (0 picks
 	// GOMAXPROCS). With a sharded transport the per-peer compute of every
 	// round — message production and refresh — also runs on the shard
 	// workers, and any peer state outside a worker's own shard is reached
@@ -86,7 +86,7 @@ func (o DetectOptions) withDefaults() (DetectOptions, error) {
 	if o.DefaultPrior == 0 {
 		o.DefaultPrior = 0.5
 	}
-	if o.DefaultPrior < 0 || o.DefaultPrior > 1 {
+	if !(0 <= o.DefaultPrior && o.DefaultPrior <= 1) {
 		return o, fmt.Errorf("core: default prior %v out of [0,1]", o.DefaultPrior)
 	}
 	if o.MaxRounds == 0 {
@@ -98,7 +98,13 @@ func (o DetectOptions) withDefaults() (DetectOptions, error) {
 	if o.Tolerance == 0 {
 		o.Tolerance = 1e-6
 	}
-	if o.PSend < 0 || o.PSend > 1 {
+	if !(o.Tolerance > 0) {
+		return o, fmt.Errorf("core: Tolerance %v is negative or NaN", o.Tolerance)
+	}
+	if o.Workers < 0 || o.Shards < 0 {
+		return o, fmt.Errorf("core: negative Workers %d or Shards %d", o.Workers, o.Shards)
+	}
+	if !(0 <= o.PSend && o.PSend <= 1) {
 		return o, fmt.Errorf("core: PSend %v out of [0,1]", o.PSend)
 	}
 	if o.PSend == 0 {
@@ -341,12 +347,12 @@ type runVar struct {
 // given peers, or those of the scope of an incremental run — in canonical
 // peer-then-key order, bucketed along the transport's shard partition so the
 // per-variable compute of a round runs on the worker that owns the peer's
-// messages. Non-sharded transports get a single bucket.
+// messages. Other transports, and a one-shard simulator, get a single bucket.
 func shardVars(tr network.Transport, peers []*Peer, scope *detectScope) [][]runVar {
 	shardOf := func(graph.PeerID) int { return 0 }
 	shards := make([][]runVar, 1)
-	if si, ok := tr.(network.ShardInfo); ok && si.Shards() > 1 {
-		shardOf, shards = si.ShardOf, make([][]runVar, si.Shards())
+	if sim, ok := tr.(*network.Simulator); ok && sim.Shards() > 1 {
+		shardOf, shards = sim.ShardOf, make([][]runVar, sim.Shards())
 	}
 	for _, p := range peers {
 		s := shardOf(p.id)

@@ -113,7 +113,7 @@ func (cfg DiscoverConfig) check() error {
 	if cfg.MaxLen < 2 {
 		return fmt.Errorf("core: maxLen %d too small for cycle discovery", cfg.MaxLen)
 	}
-	if cfg.Delta < 0 || cfg.Delta > 1 {
+	if !(0 <= cfg.Delta && cfg.Delta <= 1) {
 		return fmt.Errorf("core: delta %v out of [0,1]", cfg.Delta)
 	}
 	if len(cfg.Attrs) == 0 {

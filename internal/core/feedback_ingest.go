@@ -68,13 +68,13 @@ type FeedbackOptions struct {
 }
 
 func (o FeedbackOptions) withDefaults() (FeedbackOptions, error) {
-	if o.Delta < 0 || o.Delta > 1 {
+	if !(0 <= o.Delta && o.Delta <= 1) {
 		return o, fmt.Errorf("core: feedback delta %v out of [0,1]", o.Delta)
 	}
 	if o.Noise == 0 {
 		o.Noise = 0.02
 	}
-	if o.Noise < 0 || o.Noise >= 0.5 {
+	if !(0 <= o.Noise && o.Noise < 0.5) {
 		return o, fmt.Errorf("core: feedback noise %v out of [0,0.5)", o.Noise)
 	}
 	return o, nil

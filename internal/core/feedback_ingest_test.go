@@ -138,6 +138,12 @@ func TestIngestFeedbackNeutralAndStale(t *testing.T) {
 	if _, err := net.IngestFeedback(FeedbackOptions{Delta: 2}); err == nil {
 		t.Error("delta 2: want error")
 	}
+	if _, err := net.IngestFeedback(FeedbackOptions{Delta: math.NaN()}); err == nil {
+		t.Error("delta NaN: want error")
+	}
+	if _, err := net.IngestFeedback(FeedbackOptions{Noise: math.NaN()}); err == nil {
+		t.Error("noise NaN: want error")
+	}
 }
 
 // TestFeedbackRetractedOnRemoveMapping is the churn regression: removing a

@@ -95,11 +95,14 @@ func (n *Network) RunLazy(workload []LazyQuery, opts LazyOptions) (LazyResult, e
 	if opts.DefaultPrior == 0 {
 		opts.DefaultPrior = 0.5
 	}
-	if opts.DefaultPrior < 0 || opts.DefaultPrior > 1 {
+	if !(0 <= opts.DefaultPrior && opts.DefaultPrior <= 1) {
 		return LazyResult{}, fmt.Errorf("core: default prior %v out of [0,1]", opts.DefaultPrior)
 	}
 	if opts.Tolerance == 0 {
 		opts.Tolerance = 1e-6
+	}
+	if !(opts.Tolerance > 0) {
+		return LazyResult{}, fmt.Errorf("core: tolerance %v is negative or NaN", opts.Tolerance)
 	}
 	if opts.MaxHops <= 0 {
 		opts.MaxHops = n.NumPeers()

@@ -49,7 +49,7 @@ func (n *Network) DiscoverByProbes(attrs []schema.Attribute, ttl int, delta floa
 	if ttl < 2 {
 		return DiscoveryReport{}, fmt.Errorf("core: ttl %d too small for cycle discovery", ttl)
 	}
-	if delta < 0 || delta > 1 {
+	if !(0 <= delta && delta <= 1) {
 		return DiscoveryReport{}, fmt.Errorf("core: delta %v out of [0,1]", delta)
 	}
 	if len(attrs) == 0 {

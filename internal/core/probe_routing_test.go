@@ -86,6 +86,9 @@ func TestProbeDiscoveryValidation(t *testing.T) {
 	if _, err := n.DiscoverByProbes([]schema.Attribute{paper.Creator}, 6, 2); err == nil {
 		t.Error("delta>1: want error")
 	}
+	if _, err := n.DiscoverByProbes([]schema.Attribute{paper.Creator}, 6, math.NaN()); err == nil {
+		t.Error("delta NaN: want error")
+	}
 }
 
 func TestProbeTTLLimitsCycleLength(t *testing.T) {
@@ -380,6 +383,15 @@ func TestLazyValidation(t *testing.T) {
 	}
 	if _, err := n.RunLazy([]core.LazyQuery{{Origin: "p1", Query: q}}, core.LazyOptions{DefaultPrior: 7}); err == nil {
 		t.Error("bad prior: want error")
+	}
+	for name, opts := range map[string]core.LazyOptions{
+		"NaN prior":          {DefaultPrior: math.NaN()},
+		"NaN tolerance":      {Tolerance: math.NaN()},
+		"negative tolerance": {Tolerance: -1},
+	} {
+		if _, err := n.RunLazy([]core.LazyQuery{{Origin: "p1", Query: q}}, opts); err == nil {
+			t.Errorf("%s: want error", name)
+		}
 	}
 }
 

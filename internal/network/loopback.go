@@ -16,18 +16,17 @@ import (
 // Loopback is a stepped transport whose every envelope crosses a real byte
 // stream: Send frames the envelope onto one end of a connection, a reader
 // goroutine reassembles frames on the other end, and Step waits for the
-// stream to catch up before delivering — so a run over Loopback proves that
-// every message survives genuine serialization and transport, while
-// remaining bit-for-bit reproducible (a single ordered stream delivers in
-// exactly the global send order, like Simulator).
+// stream to catch up before feeding the received frames to a one-shard
+// Simulator, which owns registration, loss, delivery and the counters. A
+// run over Loopback thus proves that every message survives genuine
+// serialization and transport, while remaining bit-for-bit reproducible: a
+// single ordered stream delivers in exactly the global send order.
 //
 // NewTCPLoopback carries the stream over a localhost TCP socket; in
 // environments where the OS forbids even loopback sockets it falls back to
 // an in-memory net.Pipe, which exercises the identical framing path.
 type Loopback struct {
-	handlers map[graph.PeerID]Handler
-	drop     *dropper
-	stats    Stats
+	sim *Simulator
 
 	wc  net.Conn
 	rc  net.Conn
@@ -35,10 +34,10 @@ type Loopback struct {
 	buf []byte // frame scratch, reused across sends
 
 	qmu   sync.Mutex
-	queue []Envelope
+	queue []Envelope // frames reassembled by the reader, not yet fed to sim
 
 	accepted uint64 // frames written to the stream (driver goroutine only)
-	consumed uint64 // frames taken off the queue and processed by Step
+	consumed uint64 // frames fed to sim by Step
 	received atomic.Uint64
 	readErr  atomic.Value // error set by the reader goroutine
 	sideErr  error        // first write/flush/deadline error (driver goroutine only)
@@ -50,7 +49,7 @@ type Loopback struct {
 // NewTCPLoopback creates a loopback transport over a 127.0.0.1 TCP socket,
 // falling back to net.Pipe when loopback sockets are unavailable.
 func NewTCPLoopback(psend float64, seed int64) (*Loopback, error) {
-	d, err := newDropper(psend, seed)
+	sim, err := NewSimulator(psend, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -59,13 +58,12 @@ func NewTCPLoopback(psend float64, seed int64) (*Loopback, error) {
 		return nil, err
 	}
 	t := &Loopback{
-		handlers: make(map[graph.PeerID]Handler),
-		drop:     d,
-		wc:       wc,
-		rc:       rc,
-		w:        bufio.NewWriterSize(wc, 1<<16),
-		done:     make(chan struct{}),
-		tcp:      tcp,
+		sim:  sim,
+		wc:   wc,
+		rc:   rc,
+		w:    bufio.NewWriterSize(wc, 1<<16),
+		done: make(chan struct{}),
+		tcp:  tcp,
 	}
 	go t.readLoop()
 	return t, nil
@@ -107,22 +105,14 @@ func dialSelf() (wc, rc net.Conn, tcp bool, err error) {
 func (t *Loopback) TCP() bool { return t.tcp }
 
 // Register installs the handler for a peer.
-func (t *Loopback) Register(p graph.PeerID, h Handler) error {
-	if _, dup := t.handlers[p]; dup {
-		return fmt.Errorf("network: peer %q already registered", p)
-	}
-	t.handlers[p] = h
-	return nil
-}
+func (t *Loopback) Register(p graph.PeerID, h Handler) error { return t.sim.Register(p, h) }
 
 // Send frames the envelope onto the stream for delivery at the next Step.
 // Loss is applied at send time, before serialization. Send and Step must be
 // called from the same goroutine (handlers sending during a Step satisfy
 // this).
 func (t *Loopback) Send(e Envelope) {
-	t.stats.Sent++
-	if t.drop.drop(e.From, e.To) {
-		t.stats.Dropped++
+	if !t.sim.admit(0, e) {
 		return
 	}
 	b := t.buf[:0]
@@ -185,9 +175,10 @@ func (t *Loopback) readLoop() {
 }
 
 // Step flushes the stream, waits until every frame written so far has been
-// received on the far end, and delivers the batch in arrival order (= send
-// order: the stream is ordered). Messages sent by handlers during the step
-// ride the stream again and are delivered in the next one.
+// received on the far end, and has the simulator deliver the batch in
+// arrival order (= send order: the stream is ordered). Messages sent by
+// handlers during the step ride the stream again and are delivered in the
+// next one.
 func (t *Loopback) Step() int {
 	if err := t.w.Flush(); err != nil {
 		if t.sideErr == nil {
@@ -211,22 +202,13 @@ func (t *Loopback) Step() int {
 		time.Sleep(20 * time.Microsecond)
 	}
 	t.qmu.Lock()
-	batch := t.queue
-	t.queue = nil
+	in := &t.sim.next[0]
+	*in = append(*in, t.queue...)
+	t.consumed += uint64(len(t.queue))
+	clear(t.queue)
+	t.queue = t.queue[:0]
 	t.qmu.Unlock()
-	n := 0
-	for _, e := range batch {
-		t.consumed++
-		h, ok := t.handlers[e.To]
-		if !ok {
-			t.stats.Dropped++
-			continue
-		}
-		t.stats.Delivered++
-		n++
-		h(e)
-	}
-	return n
+	return t.sim.Step()
 }
 
 // Pending returns the number of frames in flight or queued: accepted onto
@@ -237,17 +219,10 @@ func (t *Loopback) Pending() int {
 
 // Drain steps until nothing is in flight or maxSteps is reached, returning
 // the number of steps taken.
-func (t *Loopback) Drain(maxSteps int) int {
-	steps := 0
-	for steps < maxSteps && t.Pending() > 0 {
-		t.Step()
-		steps++
-	}
-	return steps
-}
+func (t *Loopback) Drain(maxSteps int) int { return drain(t, maxSteps) }
 
 // Stats returns a copy of the transport counters.
-func (t *Loopback) Stats() Stats { return t.stats }
+func (t *Loopback) Stats() Stats { return t.sim.Stats() }
 
 // Err returns the first stream error observed — a failed write or flush, a
 // reader-side decode/IO failure, or a Step that timed out waiting for the

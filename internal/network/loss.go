@@ -13,14 +13,14 @@ import (
 // hash(seed, from, to, n) maps below 1−psend. Because the decision depends
 // only on the pair and its message ordinal — never on global send order or
 // on a shared RNG cursor — every transport produces the *same* loss pattern
-// for the same traffic: the single-threaded Simulator, the sharded parallel
-// simulator (where each sender's stream lives in its shard) and the TCP
-// loopback all drop exactly the same messages, which is what lets golden
-// traces stay byte-identical across transports even under loss (Fig 11).
+// for the same traffic: the Simulator at any shard count (each sender's
+// stream lives in its shard), the TCP loopback and the Bus all drop exactly
+// the same messages, which is what lets golden traces stay byte-identical
+// across transports even under loss (Fig 11).
 //
-// A dropper is not safe for concurrent use; owners that shard traffic give
-// each shard its own dropper (same seed), which yields identical decisions
-// as long as every (from, to) pair is confined to one shard.
+// A dropper is not safe for concurrent use; the Simulator gives each shard
+// its own dropper (same seed), which yields identical decisions as long as
+// every (from, to) pair is confined to one shard.
 type dropper struct {
 	psend float64
 	seed  uint64
@@ -34,7 +34,7 @@ type pairKey struct {
 // newDropper validates psend ∈ (0, 1] and returns a loss model (nil when
 // delivery is reliable — callers treat a nil dropper as psend = 1).
 func newDropper(psend float64, seed int64) (*dropper, error) {
-	if psend <= 0 || psend > 1 {
+	if !(0 < psend && psend <= 1) {
 		return nil, fmt.Errorf("network: psend %v out of (0,1]", psend)
 	}
 	if psend == 1 {
@@ -44,11 +44,11 @@ func newDropper(psend float64, seed int64) (*dropper, error) {
 }
 
 // drop decides the fate of the next message from → to and advances the
-// pair's stream.
-func (d *dropper) drop(from, to graph.PeerID) bool {
-	if d == nil {
-		return false
-	}
+// pair's stream. It is small enough to inline, so reliable delivery costs a
+// nil check per message.
+func (d *dropper) drop(from, to graph.PeerID) bool { return d != nil && d.lose(from, to) }
+
+func (d *dropper) lose(from, to graph.PeerID) bool {
 	k := pairKey{from, to}
 	n := d.ctr[k]
 	d.ctr[k] = n + 1

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,9 @@ func TestNewSimulatorValidation(t *testing.T) {
 	}
 	if _, err := NewSimulator(1.5, 0); err == nil {
 		t.Error("psend>1: want error")
+	}
+	if _, err := NewSimulator(math.NaN(), 0); err == nil {
+		t.Error("psend NaN: want error")
 	}
 	if _, err := NewSimulator(1, 0); err != nil {
 		t.Errorf("reliable simulator should work: %v", err)

@@ -62,25 +62,14 @@ type Stepped interface {
 	Drain(maxSteps int) int
 }
 
-// ShardInfo is implemented by transports that partition peers across
-// parallel shards. A peer's state is only ever touched by its own shard's
-// worker, so drivers may parallelize per-peer work along the same partition
-// — and must route any cross-shard effect through messages.
-type ShardInfo interface {
-	// Shards returns the number of shards.
-	Shards() int
-	// ShardOf returns the shard owning a registered peer (0 for unknown
-	// peers).
-	ShardOf(p graph.PeerID) int
-}
-
 // Kind names a stepped transport implementation.
 type Kind string
 
 const (
-	// KindSim is the single-threaded deterministic simulator (the default).
+	// KindSim is the one-shard deterministic simulator (the default).
 	KindSim Kind = "sim"
-	// KindSharded is the sharded parallel simulator for very large runs.
+	// KindSharded is the simulator with Config.Shards parallel shards, for
+	// very large runs.
 	KindSharded Kind = "sharded"
 	// KindTCP is the loopback TCP transport: every frame crosses a real
 	// socket (or an in-memory pipe where the OS forbids loopback sockets).
@@ -100,7 +89,7 @@ type Config struct {
 	PSend float64
 	// Seed drives message loss.
 	Seed int64
-	// Shards is the worker count for KindSharded; 0 picks GOMAXPROCS.
+	// Shards is KindSharded's shard count; 0 picks GOMAXPROCS.
 	Shards int
 }
 

@@ -13,16 +13,15 @@ import (
 // Interface compliance.
 var (
 	_ Stepped   = (*Simulator)(nil)
-	_ Stepped   = (*ShardedSim)(nil)
 	_ Stepped   = (*Loopback)(nil)
-	_ ShardInfo = (*ShardedSim)(nil)
 	_ Transport = (*Bus)(nil)
 )
 
 // driveWorkload pushes a fixed multi-step traffic pattern through a stepped
 // transport — every peer relays to its ring successor with a TTL, so
-// handler-time sends are exercised too — and returns per-peer delivery
-// tallies plus the final stats.
+// handler-time sends are exercised too — plus one envelope to an
+// unregistered peer, and returns per-peer delivery tallies plus the final
+// stats.
 func driveWorkload(t *testing.T, tr Stepped, peers int) (map[string][]string, Stats) {
 	t.Helper()
 	got := make(map[string][]string)
@@ -45,6 +44,7 @@ func driveWorkload(t *testing.T, tr Stepped, peers int) (map[string][]string, St
 	for i := 0; i < peers; i++ {
 		tr.Send(Envelope{From: "driver", To: name(i), Payload: []byte{4}})
 	}
+	tr.Send(Envelope{From: "driver", To: "ghost", Payload: []byte{0}})
 	tr.Drain(20)
 	st := tr.Stats()
 	if err := tr.Close(); err != nil {
@@ -59,13 +59,17 @@ func driveWorkload(t *testing.T, tr Stepped, peers int) (map[string][]string, St
 }
 
 // TestSteppedTransportsEquivalent: the same workload yields identical
-// deliveries, drops and stats on the Simulator, the sharded simulator (at
-// several shard counts) and the TCP loopback — reliable and lossy.
+// deliveries, drops and stats on the one-shard Simulator, the simulator at
+// several other shard counts and the TCP loopback — reliable and lossy, the
+// drop of the envelope to an unregistered peer included.
 func TestSteppedTransportsEquivalent(t *testing.T) {
 	for _, psend := range []float64{1, 0.7} {
 		psend := psend
 		t.Run(fmt.Sprintf("psend=%v", psend), func(t *testing.T) {
 			ref, refStats := driveWorkload(t, mustSim(t, psend, 42), 9)
+			if refStats.Sent != refStats.Delivered+refStats.Dropped || psend == 1 && refStats.Dropped != 1 {
+				t.Fatalf("simulator stats %+v: want the unregistered peer's envelope as the only reliable drop", refStats)
+			}
 			build := map[string]func() (Stepped, error){
 				"sharded-1": func() (Stepped, error) { return NewSharded(1, psend, 42) },
 				"sharded-4": func() (Stepped, error) { return NewSharded(4, psend, 42) },

@@ -45,9 +45,9 @@
 // probes, lazy piggybacks — crosses the
 // transport as typed, versioned, canonical binary frames (internal/wire),
 // and the transport itself is pluggable: DetectOptions.Transport selects
-// TransportSim (the default deterministic simulator), TransportSharded (a
-// parallel sharded simulator for 100k+ peer networks; DetectOptions.Shards
-// sets the worker count) or TransportTCP (a loopback TCP socket proving the
+// TransportSim (the default deterministic simulator), TransportSharded (the
+// same simulator split into parallel shards for 100k+ peer networks;
+// DetectOptions.Shards sets the shard count) or TransportTCP (a loopback TCP socket proving the
 // frames survive real serialization). Message loss is a deterministic
 // per-(sender, receiver) hash stream, so results — posteriors, message
 // counts, drops — are identical on every transport, which the
@@ -354,12 +354,12 @@ func ParseLoadSpec(data []byte) (LoadSpec, error) { return sim.ParseLoadSpec(dat
 type TransportKind = network.Kind
 
 // Transport kinds. All produce identical results; they differ in execution
-// model (single-threaded, sharded-parallel, real sockets) only.
+// model (one shard, parallel shards, real sockets) only.
 const (
-	// TransportSim is the single-threaded deterministic simulator (default).
+	// TransportSim is the one-shard deterministic simulator (default).
 	TransportSim = network.KindSim
-	// TransportSharded is the sharded parallel simulator for very large
-	// networks.
+	// TransportSharded is the same simulator with DetectOptions.Shards
+	// parallel shards, for very large networks.
 	TransportSharded = network.KindSharded
 	// TransportTCP is the loopback TCP transport: every message travels as
 	// wire-encoded bytes through a real socket.

@@ -49,4 +49,6 @@ printf 'codec lines (wire, wal record, canon): %s\n' "$(gofiles -not -name '*_te
 # internal/sim declares (a type alias is not a second struct).
 structs() { gofiles -not -name '*_test.go' -path './internal/sim/*' | xargs grep -h "^type [A-Za-z]*$1 struct" | wc -l | tr -d ' '; }
 printf 'sim epoch-record / result structs: %s / %s\n' "$(structs EpochTrace)" "$(structs Result)"
+# Stepped transports that implement delivery themselves (a Step method).
+printf 'stepped transport types:           %s\n' "$(gofiles -not -name '*_test.go' -path './internal/network/*' | xargs grep -hE '^func \([a-z]+ \*?[A-Za-z]+\) Step\(\) int' | wc -l | tr -d ' ')"
 printf 'context.Context in non-test Go:    %s\n' "$(gofiles -not -name '*_test.go' | xargs grep -l 'context\.Context' | wc -l | tr -d ' ')"
