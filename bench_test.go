@@ -156,9 +156,11 @@ func benchNecklacePDMS(tb testing.TB, peers int, corrupt float64) *core.Network 
 // BenchmarkTransportDetectionRound times one full round of the periodic
 // detection schedule — produce, marshal, cross the transport, unmarshal,
 // fold, refresh, snapshot — per transport and network size, up to a
-// 100k-peer overlay on the sharded parallel simulator (the acceptance
+// 100k-peer overlay on the simulator at GOMAXPROCS shards (the acceptance
 // workload of the transport layer; numbers in PERFORMANCE.md). Evidence
-// discovery runs once outside the timer.
+// discovery runs once outside the timer; with -benchmem the allocations are
+// the run's setup plus the round's own, which CI's bench smoke prints for
+// sim-10k.
 func BenchmarkTransportDetectionRound(b *testing.B) {
 	cases := []struct {
 		name  string

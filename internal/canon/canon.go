@@ -148,13 +148,17 @@ func Slice[T any](r *Reader, min int) []T {
 	return make([]T, n)
 }
 
-// Str reads a length-prefixed string.
-func (r *Reader) Str() string {
+// View reads a length-prefixed string as a view into the input: nothing is
+// copied, and the bytes are valid for as long as the input is.
+func (r *Reader) View() []byte {
 	n := r.length(1)
-	s := string(r.buf[r.off : r.off+n])
+	v := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
-	return s
+	return v
 }
+
+// Str reads a length-prefixed string.
+func (r *Reader) Str() string { return string(r.View()) }
 
 // Float reads eight big-endian bytes as IEEE-754 bits.
 func (r *Reader) Float() float64 {

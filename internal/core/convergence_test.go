@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/feedback"
@@ -241,5 +242,65 @@ func TestDetectionRoundAllocsConstant(t *testing.T) {
 	small, large := perRound(100), perRound(1000)
 	if small != large || small > 16 {
 		t.Errorf("allocations per steady-state round: %v with 100 variables, %v with 1,000 (want equal and small)", small, large)
+	}
+}
+
+// triangles builds n disjoint directed 3-cycles of identity mappings, three
+// peers each, and discovers their evidence: every factor spans three peers, so
+// every variable sends two frames a round.
+func triangles(t *testing.T, n int) *Network {
+	t.Helper()
+	net := NewNetwork(true)
+	peer := func(i int) graph.PeerID { return graph.PeerID(fmt.Sprintf("p%d", i)) }
+	for i := 0; i < 3*n; i++ {
+		net.MustAddPeer(peer(i), schema.MustNew(fmt.Sprintf("S%d", i), "a", "b"))
+	}
+	for i := 0; i < 3*n; i++ {
+		next := i - i%3 + (i+1)%3
+		net.MustAddMapping(graph.EdgeID(fmt.Sprintf("m%d", i)), peer(i), peer(next),
+			map[schema.Attribute]schema.Attribute{"a": "a", "b": "b"})
+	}
+	if _, err := net.DiscoverStructural([]schema.Attribute{"a"}, 3, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// TestDetectionRoundFramesAllocsConstant: a steady-state round whose frames
+// really cross the transport — encoded into the round's arena, delivered and
+// decoded in place — allocates a constant, not per frame: the same at 30 and
+// at 300 triangles, and on the one-shard simulator no more than the peer-local
+// rounds of TestDetectionRoundAllocsConstant. The sharded simulator's workers
+// add a constant of their own. The collector is off while it counts: a
+// garbage-collection cycle makes allocations of its own, which would land in
+// whichever run it happens to interrupt.
+func TestDetectionRoundFramesAllocsConstant(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	perRound := func(opts DetectOptions, n int) float64 {
+		net := triangles(t, n)
+		run := func(rounds int) float64 {
+			o := opts
+			o.MaxRounds, o.StableRounds = rounds, rounds+1
+			return testing.AllocsPerRun(5, func() {
+				res, err := net.RunDetection(o)
+				if err != nil || res.Rounds != rounds || res.RemoteMessages != 6*n*rounds || res.Transport.Delivered != res.RemoteMessages {
+					t.Fatalf("%d triangles: run %+v, err %v", n, res, err)
+				}
+			})
+		}
+		return (run(110) - run(10)) / 100
+	}
+	for _, tc := range []struct {
+		name string
+		opts DetectOptions
+		max  float64
+	}{
+		{"sim", DetectOptions{}, 16},
+		{"sharded-2", DetectOptions{Transport: network.KindSharded, Shards: 2}, math.Inf(1)},
+	} {
+		small, large := perRound(tc.opts, 30), perRound(tc.opts, 300)
+		if small != large || small > tc.max {
+			t.Errorf("%s: allocations per steady-state round: %v with 30 triangles, %v with 300 (want equal, ≤ %v)", tc.name, small, large, tc.max)
+		}
 	}
 }

@@ -294,8 +294,8 @@ func (n *Network) lockstep(opts DetectOptions, scope *detectScope, res DetectRes
 }
 
 // openTransport builds the transport of a run and registers on it, for each
-// of the given peers, the handler that folds wire.Remote frames into the
-// peer's factor replicas.
+// of the given peers, the handler that decodes wire.Remote frames in place
+// and folds them into the peer's factor replicas.
 func openTransport(cfg network.Config, peers []*Peer) (network.Stepped, error) {
 	tr, err := network.New(cfg)
 	if err != nil {
@@ -303,13 +303,11 @@ func openTransport(cfg network.Config, peers []*Peer) (network.Stepped, error) {
 	}
 	for _, p := range peers {
 		err := tr.Register(p.id, func(e network.Envelope) {
-			m, err := wire.Decode(e.Payload)
+			evID, pos, msg, err := wire.DecodeRemote(e.Payload)
 			if err != nil {
-				return // malformed frame: drop, exactly like a real node
+				return // malformed or not a µ-message: drop, exactly like a real node
 			}
-			if rm, ok := m.(wire.Remote); ok {
-				p.handleRemote(rm)
-			}
+			p.handleRemote(evID, pos, msg)
 		})
 		if err != nil {
 			tr.Close()
@@ -372,13 +370,13 @@ type roundTally struct {
 	maxDelta      float64
 }
 
-// eachShard runs f over every bucket — inline for a single bucket, on one
-// goroutine per shard otherwise — and folds the tallies. Peer state is touched
-// only by the bucket's own worker; everything cross-shard rides the transport
-// as bytes.
-func eachShard(shards [][]runVar, f func(vars []runVar) roundTally) roundTally {
+// eachShard runs f over every bucket, with its shard index — inline for a
+// single bucket, on one goroutine per shard otherwise — and folds the tallies.
+// Peer state, and whatever else f indexes by shard, is touched only by the
+// bucket's own worker; everything cross-shard rides the transport as bytes.
+func eachShard(shards [][]runVar, f func(si int, vars []runVar) roundTally) roundTally {
 	if len(shards) == 1 {
-		return f(shards[0])
+		return f(0, shards[0])
 	}
 	tallies := make([]roundTally, len(shards))
 	var wg sync.WaitGroup
@@ -386,7 +384,7 @@ func eachShard(shards [][]runVar, f func(vars []runVar) roundTally) roundTally {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tallies[si] = f(vars)
+			tallies[si] = f(si, vars)
 		}()
 	}
 	wg.Wait()
@@ -407,14 +405,21 @@ func eachShard(shards [][]runVar, f func(vars []runVar) roundTally) roundTally {
 // round sends every message, steps the transport and refreshes every
 // variable. onRound, if non-nil, runs after each round's refresh. Returns the
 // rounds' contribution: rounds, convergence, remote messages, work.
+//
+// Each shard appends its round's frames into its own arena, which the Step
+// delivers from and which is reused once Step has returned.
 func lockstepRounds(tr network.Stepped, shards [][]runVar, opts DetectOptions, onRound func(round int)) componentResult {
 	var out componentResult
+	arenas := make([][]byte, len(shards))
 	stable := 0
 	for round := 1; round <= opts.MaxRounds; round++ {
-		remote, updates := sendRound(tr, shards, opts.DefaultPrior, opts.Blocked)
+		remote, updates := sendRound(tr, shards, arenas, opts.DefaultPrior, opts.Blocked)
 		out.remote += remote
 		out.work.MessageUpdates += updates
 		tr.Step()
+		for i := range arenas {
+			arenas[i] = arenas[i][:0]
+		}
 		updates, maxDelta := refreshRound(shards, opts.DefaultPrior)
 		out.work.FactorUpdates += updates
 		out.rounds = round
@@ -437,15 +442,17 @@ func lockstepRounds(tr network.Stepped, shards [][]runVar, opts DetectOptions, o
 }
 
 // emit puts one variable→factor µ-message on the transport: a single
-// wire.Remote frame, sent to every other peer replicating the factor whose
-// link from p is not severed by the blocked predicate (a partition; nil
-// severs nothing). A self-promoting adversary lies here and only here — the
+// wire.Remote frame, appended to arena and sent to every other peer
+// replicating the factor whose link from p is not severed by the blocked
+// predicate (a partition; nil severs nothing). Every destination shares the
+// frame's bytes, so the arena must not be reused before the transport's next
+// Step has returned. A self-promoting adversary lies here and only here — the
 // frame claims absolute certainty that its mapping is correct while its
 // local replica copy stays honest; the receiving side's products stay finite
 // (Normalized leaves zero-sum messages alone), so the lie saturates beliefs
 // without poisoning the arithmetic. Returns the number of frames handed to
 // the transport.
-func emit(tr network.Transport, p *Peer, f *factorRef, msg factorgraph.Msg, blocked func(from, to graph.PeerID) bool) int {
+func emit(tr network.Transport, arena *[]byte, p *Peer, f *factorRef, msg factorgraph.Msg, blocked func(from, to graph.PeerID) bool) int {
 	dests := f.destinations(p.id)
 	if len(dests) == 0 {
 		return 0
@@ -453,7 +460,9 @@ func emit(tr network.Transport, p *Peer, f *factorRef, msg factorgraph.Msg, bloc
 	if p.selfPromote {
 		msg = factorgraph.Msg{1, 0}
 	}
-	frame := wire.Encode(wire.Remote{EvID: f.replica.ev.ID, Pos: f.pos, Msg: msg})
+	start := len(*arena)
+	*arena = wire.AppendRemote(*arena, wire.Remote{EvID: f.replica.ev.ID, Pos: f.pos, Msg: msg})
+	frame := (*arena)[start:]
 	sent := 0
 	for _, dest := range dests {
 		if blocked != nil && blocked(p.id, dest) {
@@ -469,11 +478,11 @@ func emit(tr network.Transport, p *Peer, f *factorRef, msg factorgraph.Msg, bloc
 // and emit the variable→factor messages. Messages to factors replicated on
 // the same peer are applied locally (they never touch the network);
 // messages to other peers are sent once per (factor, destination peer). A
-// non-nil blocked predicate severs links (partition). Returns the number of
-// remote messages handed to the transport and the number of variable→factor
-// messages applied.
-func sendRound(tr network.Transport, shards [][]runVar, defPrior float64, blocked func(from, to graph.PeerID) bool) (int, int) {
-	total := eachShard(shards, func(vars []runVar) (t roundTally) {
+// non-nil blocked predicate severs links (partition). Shard si's frames go
+// into arenas[si]. Returns the number of remote messages handed to the
+// transport and the number of variable→factor messages applied.
+func sendRound(tr network.Transport, shards [][]runVar, arenas [][]byte, defPrior float64, blocked func(from, to graph.PeerID) bool) (int, int) {
+	total := eachShard(shards, func(si int, vars []runVar) (t roundTally) {
 		for _, rv := range vars {
 			vs := rv.vs
 			outs := vs.outgoingAll(rv.p.PriorFor(vs.key.Mapping, vs.key.Attr, defPrior))
@@ -482,7 +491,7 @@ func sendRound(tr network.Transport, shards [][]runVar, defPrior float64, blocke
 				// other variables in this factor see it.
 				f.replica.setRemote(f.pos, outs[fi])
 				t.updates++
-				t.sent += emit(tr, rv.p, f, outs[fi], blocked)
+				t.sent += emit(tr, &arenas[si], rv.p, f, outs[fi], blocked)
 			}
 		}
 		return t
@@ -495,7 +504,7 @@ func sendRound(tr network.Transport, shards [][]runVar, defPrior float64, blocke
 // number of factor→variable rebinds applied and the largest posterior move —
 // the round's convergence measure.
 func refreshRound(shards [][]runVar, defPrior float64) (int, float64) {
-	total := eachShard(shards, func(vars []runVar) (t roundTally) {
+	total := eachShard(shards, func(_ int, vars []runVar) (t roundTally) {
 		for _, rv := range vars {
 			vs := rv.vs
 			d := vs.refresh(rv.p.PriorFor(vs.key.Mapping, vs.key.Attr, defPrior))

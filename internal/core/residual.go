@@ -266,6 +266,7 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions) component
 	defer tr.Close()
 
 	var out componentResult
+	var arena []byte // the round's frames, reused once Step has returned
 	resTol := opts.Tolerance
 	// The frontier, indexed like c.vars: everything is active in round one.
 	active, next := make([]bool, len(c.vars)), make([]bool, len(c.vars))
@@ -292,10 +293,11 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions) component
 				}
 				f.replica.setRemote(f.pos, msg)
 				out.work.MessageUpdates++
-				out.remote += emit(tr, rv.p, f, msg, opts.Blocked)
+				out.remote += emit(tr, &arena, rv.p, f, msg, opts.Blocked)
 			}
 		}
 		tr.Step()
+		arena = arena[:0]
 		// Rebind factor→variable messages; a variable re-enters the frontier
 		// only when one of its inputs moved beyond tolerance.
 		front := 0

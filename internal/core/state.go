@@ -7,7 +7,6 @@ import (
 	"repro/internal/factorgraph"
 	"repro/internal/graph"
 	"repro/internal/schema"
-	"repro/internal/wire"
 )
 
 // evReplica is a peer-local replica of one feedback factor (§4.1): the
@@ -254,18 +253,23 @@ func (p *Peer) SetPrior(mapping graph.EdgeID, attr schema.Attribute, prior float
 	p.net.bumpInfer()
 }
 
-// handleRemote stores an incoming (unmarshalled) remote message into the
-// matching factor replica. Unknown evidence IDs are ignored (stale messages
-// after churn), as are out-of-range positions (malformed frames).
-func (p *Peer) handleRemote(m wire.Remote) {
-	r, ok := p.evs[m.EvID]
-	if !ok {
+// handleRemote stores an incoming remote message, decoded in place (evID is
+// a view into the frame), into the matching factor replica. Unknown evidence
+// IDs are ignored (stale messages after churn), as are out-of-range positions
+// and messages with a NaN, infinite or negative component (malformed frames):
+// honest senders emit finite non-negative messages, and one such value would
+// poison every posterior of the component.
+func (p *Peer) handleRemote(evID []byte, pos int, msg [2]float64) {
+	r, ok := p.evs[string(evID)]
+	if !ok || pos < 0 || pos >= len(r.remote) {
 		return
 	}
-	if m.Pos < 0 || m.Pos >= len(r.remote) {
-		return
+	for _, v := range msg {
+		if !(0 <= v && v <= math.MaxFloat64) {
+			return
+		}
 	}
-	r.setRemote(m.Pos, factorgraph.Msg(m.Msg))
+	r.setRemote(pos, factorgraph.Msg(msg))
 }
 
 // Pinned reports whether the peer has pinned (mapping, attr) to zero

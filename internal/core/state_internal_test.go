@@ -9,6 +9,7 @@ import (
 	"repro/internal/factorgraph"
 	"repro/internal/feedback"
 	"repro/internal/graph"
+	"repro/internal/network"
 	"repro/internal/schema"
 	"repro/internal/wire"
 )
@@ -109,12 +110,49 @@ func TestHandleRemoteBounds(t *testing.T) {
 	p.evs[ev.ID] = newEvReplica(ev)
 	// Unknown evidence and out-of-range positions are ignored silently
 	// (stale messages after churn must not crash peers).
-	p.handleRemote(wire.Remote{EvID: "ghost", Pos: 0, Msg: factorgraph.Unit()})
-	p.handleRemote(wire.Remote{EvID: ev.ID, Pos: -1, Msg: factorgraph.Unit()})
-	p.handleRemote(wire.Remote{EvID: ev.ID, Pos: 99, Msg: factorgraph.Unit()})
-	p.handleRemote(wire.Remote{EvID: ev.ID, Pos: 1, Msg: [2]float64{0.2, 0.8}})
+	p.handleRemote([]byte("ghost"), 0, factorgraph.Unit())
+	p.handleRemote([]byte(ev.ID), -1, factorgraph.Unit())
+	p.handleRemote([]byte(ev.ID), 99, factorgraph.Unit())
+	p.handleRemote([]byte(ev.ID), 1, [2]float64{0.2, 0.8})
 	if got := p.evs[ev.ID].remote[1]; got != (factorgraph.Msg{0.2, 0.8}) {
 		t.Errorf("remote not stored: %v", got)
+	}
+}
+
+// TestHandlerDropsNonFiniteMessages: a delivered frame whose µ-message has a
+// NaN, infinite or negative component is malformed — honest senders emit
+// finite non-negative messages — and the detection handler drops it, leaving
+// the replica's slot as it was. Stored, one such frame would poison every
+// posterior of its component, and a NaN move would never count against
+// convergence.
+func TestHandlerDropsNonFiniteMessages(t *testing.T) {
+	n := NewNetwork(true)
+	p, err := n.AddPeer("p", mustSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := testEvidence(2, []float64{1, 0, 0.1})
+	p.evs[ev.ID] = newEvReplica(ev)
+	tr, err := openTransport(network.Config{}, []*Peer{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	deliver := func(msg [2]float64) {
+		tr.Send(network.Envelope{From: "B", To: "p", Payload: wire.Encode(wire.Remote{EvID: ev.ID, Pos: 1, Msg: msg})})
+		if tr.Step() != 1 {
+			t.Fatalf("frame %v not delivered", msg)
+		}
+	}
+	want := factorgraph.Msg{0.2, 0.8}
+	deliver(want)
+	for _, bad := range [][2]float64{
+		{math.NaN(), 0.5}, {0.5, math.NaN()}, {math.Inf(1), 0}, {0, math.Inf(-1)}, {-0.25, 1.25}, {1, -1e-300},
+	} {
+		deliver(bad)
+		if got := p.evs[ev.ID].remote[1]; got != want {
+			t.Errorf("frame %v stored: slot holds %v, want %v", bad, got, want)
+		}
 	}
 }
 

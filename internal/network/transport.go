@@ -9,12 +9,19 @@ import (
 // Envelope is one message in flight. The payload is opaque bytes — peers
 // marshal through internal/wire, so a message that crosses any Transport is
 // exactly the frame that would cross a real network.
+//
+// A stepped transport may hand a payload's bytes to the handler without
+// copying them, and they stay valid only until the Step that delivers them
+// returns: a sender may reuse its frame buffer from then on (detection
+// appends a round's frames into one arena and truncates it after each Step).
 type Envelope struct {
 	From, To graph.PeerID
 	Payload  []byte
 }
 
 // Handler consumes a delivered envelope. Handlers may send further messages.
+// A handler must not retain e.Payload, or anything aliasing it, past its
+// return: copy what it keeps.
 type Handler func(Envelope)
 
 // Stats counts transport activity. All transports account identically:

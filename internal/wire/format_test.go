@@ -29,9 +29,10 @@ func TestFrameFormatPinned(t *testing.T) {
 	}
 }
 
-// Decode runs once per delivered µ-message: a Remote costs its string and the
-// interface box; a heap-allocated reader or an error formatted on the happy
-// path would show up here as a third allocation.
+// Decode costs a Remote its string and the interface box; a heap-allocated
+// reader or an error formatted on the happy path would show up here as a third
+// allocation. Detection's per-message path, AppendRemote and DecodeRemote,
+// allocates nothing.
 func TestCodecAllocs(t *testing.T) {
 	var m Message = Remote{EvID: "cycle:m1|m2|m3@a0", Pos: 2, Msg: [2]float64{0.25, 0.75}}
 	frame := Encode(m)
@@ -45,5 +46,18 @@ func TestCodecAllocs(t *testing.T) {
 	buf := make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(100, func() { buf = Append(buf[:0], m) }); n != 0 {
 		t.Errorf("Append into a reused buffer allocates %v times, want 0", n)
+	}
+	// The in-place path detection runs every round: nothing boxed, nothing
+	// copied.
+	rm := m.(Remote)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendRemote(buf[:0], rm) }); n != 0 {
+		t.Errorf("AppendRemote into a reused buffer allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := DecodeRemote(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("DecodeRemote allocates %v times, want 0", n)
 	}
 }

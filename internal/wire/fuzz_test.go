@@ -2,13 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
 // FuzzWireRoundTrip pins the canonical-encoding property: any byte string
 // Decode accepts must re-encode to exactly the same bytes (and any frame we
 // emit must decode back to itself — covered by seeding the corpus with an
-// encoding of every message kind). CI runs this for 30 seconds as a smoke
+// encoding of every message kind). It also pins DecodeRemote/AppendRemote to
+// Decode/Append on every input. CI runs this for 30 seconds as a smoke
 // step; run it longer locally with:
 //
 //	go test ./internal/wire -fuzz FuzzWireRoundTrip -fuzztime 5m
@@ -26,6 +28,23 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{Version, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
+		// The in-place path accepts exactly the Remote frames Decode accepts,
+		// with the same fields, and re-encodes them to the same bytes.
+		evID, pos, msg, rerr := DecodeRemote(data)
+		rm, isRemote := m.(Remote)
+		if (rerr == nil) != isRemote {
+			t.Fatalf("DecodeRemote err %v, Decode returned %#v (err %v)", rerr, m, err)
+		}
+		if isRemote {
+			if string(evID) != rm.EvID || pos != rm.Pos ||
+				math.Float64bits(msg[0]) != math.Float64bits(rm.Msg[0]) ||
+				math.Float64bits(msg[1]) != math.Float64bits(rm.Msg[1]) {
+				t.Fatalf("DecodeRemote = %q %d %v, Decode = %#v", evID, pos, msg, rm)
+			}
+			if !bytes.Equal(AppendRemote(nil, rm), Append(nil, rm)) {
+				t.Fatalf("AppendRemote and Append disagree on %#v", rm)
+			}
+		}
 		if err != nil {
 			return // malformed input: rejecting is the correct outcome
 		}

@@ -22,6 +22,13 @@
 // TestFrameFormatPinned the bytes. Determinism matters beyond hygiene: golden
 // traces byte-compare runs across transports, including one that pushes
 // every frame through a real TCP socket.
+//
+// Remote frames are the per-round traffic of detection, so they also have an
+// in-place path: AppendRemote writes a frame without boxing it into a
+// Message, and DecodeRemote reads one without copying its evidence ID — the
+// ID comes back as a view into the frame. Both share their field writer and
+// reader with Append and Decode, accept and emit exactly the same bytes, and
+// allocate nothing.
 package wire
 
 import (
@@ -123,10 +130,7 @@ func Append(dst []byte, m Message) []byte {
 	dst = append(dst, Version, byte(m.WireKind()))
 	switch v := m.(type) {
 	case Remote:
-		dst = canon.String(dst, v.EvID)
-		dst = canon.Uint(dst, uint64(v.Pos))
-		dst = canon.Float(dst, v.Msg[0])
-		dst = canon.Float(dst, v.Msg[1])
+		dst = appendRemoteFields(dst, v)
 	case Probe:
 		dst = canon.String(dst, v.Origin)
 		dst = canon.String(dst, v.Attr)
@@ -153,7 +157,59 @@ func Append(dst []byte, m Message) []byte {
 	return dst
 }
 
-var errUnknownKind = errors.New("unknown kind")
+// AppendRemote appends the canonical frame for v to dst without boxing v
+// into a Message: the same bytes as Append(dst, v).
+func AppendRemote(dst []byte, v Remote) []byte {
+	return appendRemoteFields(append(dst, Version, byte(KindRemote)), v)
+}
+
+// appendRemoteFields writes a Remote's fields, in format order.
+func appendRemoteFields(dst []byte, v Remote) []byte {
+	dst = canon.String(dst, v.EvID)
+	dst = canon.Uint(dst, uint64(v.Pos))
+	dst = canon.Float(dst, v.Msg[0])
+	return canon.Float(dst, v.Msg[1])
+}
+
+// readRemoteFields reads back what appendRemoteFields wrote; evID is a view
+// into the reader's input.
+func readRemoteFields(r *canon.Reader) (evID []byte, pos int, msg [2]float64) {
+	evID = r.View()
+	pos = r.Uint()
+	msg[0] = r.Float()
+	msg[1] = r.Float()
+	return evID, pos, msg
+}
+
+var (
+	errUnknownKind = errors.New("unknown kind")
+	errNotRemote   = errors.New("not a remote frame")
+)
+
+// readHeader reads a frame's version and kind bytes, failing r on a version
+// other than Version.
+func readHeader(r *canon.Reader) Kind {
+	if ver := r.Byte(); ver != Version {
+		r.Fail(fmt.Errorf("unsupported version %d", ver))
+	}
+	return Kind(r.Byte())
+}
+
+// DecodeRemote parses one Remote frame in place. It accepts exactly the
+// frames Decode returns a Remote for, with the same fields, but allocates
+// nothing: evID is a view into b, valid only as long as b is.
+func DecodeRemote(b []byte) (evID []byte, pos int, msg [2]float64, err error) {
+	r := canon.Read(b)
+	k := readHeader(&r)
+	if k != KindRemote {
+		r.Fail(errNotRemote)
+	}
+	evID, pos, msg = readRemoteFields(&r)
+	if err := r.Err(); err != nil {
+		return nil, 0, [2]float64{}, fmt.Errorf("wire: decoding %s: %w", k, err)
+	}
+	return evID, pos, msg, nil
+}
 
 // Decode parses one canonical frame. It fails on unknown versions or kinds,
 // truncated or trailing bytes, and non-canonical encodings. Each arm reads
@@ -161,19 +217,12 @@ var errUnknownKind = errors.New("unknown kind")
 // failure sticks, so the one check follows the switch.
 func Decode(b []byte) (Message, error) {
 	r := canon.Read(b)
-	if ver := r.Byte(); ver != Version {
-		r.Fail(fmt.Errorf("unsupported version %d", ver))
-	}
-	k := Kind(r.Byte())
+	k := readHeader(&r)
 	var m Message
 	switch k {
 	case KindRemote:
-		var v Remote
-		v.EvID = r.Str()
-		v.Pos = r.Uint()
-		v.Msg[0] = r.Float()
-		v.Msg[1] = r.Float()
-		m = v
+		evID, pos, msg := readRemoteFields(&r)
+		m = Remote{EvID: string(evID), Pos: pos, Msg: msg}
 	case KindProbe:
 		var v Probe
 		v.Origin = graph.PeerID(r.Str())
