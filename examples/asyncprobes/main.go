@@ -44,9 +44,9 @@ func run(w io.Writer) error {
 	net.MustAddMapping("m41", "p4", "p1", identity)
 	net.MustAddMapping("m24", "p2", "p4", faulty)
 
-	// Probe flooding with TTL 6: peers discover cycles and parallel paths
-	// by comparing attribute images carried in the probes — no one ever
-	// sees the topology.
+	// Probe flooding with TTL 6: the flood finds the cycles and parallel
+	// paths, and every peer's mapping is then applied around them — no one
+	// ever sees the topology.
 	rep, err := net.DiscoverByProbes([]pdms.Attribute{"Creator"}, 6, 0.1)
 	if err != nil {
 		return err

@@ -212,12 +212,10 @@ func TestDurableStateRoundTrip(t *testing.T) {
 
 // TestProbeDiscoveryDurableState: a probe-discovered network exports the
 // pass it ran, so NewNetwork + Apply over DurableState()[1:] rebuilds its
-// evidence — not an earlier pass's, and not none. The flood finds exactly
-// the structures Discover finds at MaxLen = ttl
-// (TestProbeDiscoveryMatchesStructural), which is how the export names it.
-// The flood sums that evidence in another order, so posteriors agree only to
-// rounding: unlike TestDurableStateRoundTrip, this holds the rebuild to the
-// structural InferenceDigest alone.
+// evidence — not an earlier pass's, and not none. Probe discovery builds
+// exactly Discover's state at MaxLen = ttl (TestProbeDiscoveryBitIdentical),
+// which is how the export names it; internal/wal's
+// TestProbeDiscoveryRecovers holds recovery to bit-equal posteriors.
 func TestProbeDiscoveryDurableState(t *testing.T) {
 	attrs := []schema.Attribute{paper.Creator}
 	for _, tc := range []struct {

@@ -54,7 +54,7 @@ func randomPDMS(rng *rand.Rand) *core.Network {
 
 // TestProbeEqualsStructuralOnRandomNetworksProperty: on arbitrary random
 // directed PDMS, probe flooding and structural enumeration must discover the
-// same evidence and detection must produce identical posteriors.
+// same evidence and detection must produce bit-identical posteriors.
 func TestProbeEqualsStructuralOnRandomNetworksProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		a := randomPDMS(rand.New(rand.NewSource(seed)))
@@ -81,10 +81,7 @@ func TestProbeEqualsStructuralOnRandomNetworksProperty(t *testing.T) {
 		}
 		for m, attrs := range ra.Posteriors {
 			for at, v := range attrs {
-				// 1e-8, not tighter: the two discovery orders sum the same
-				// evidence in different map orders, which legitimately moves
-				// posteriors by a few ulps-worth (~2e-9 on some seeds).
-				if math.Abs(v-rb.Posterior(m, at, -1)) > 1e-8 {
+				if v != rb.Posterior(m, at, -1) {
 					t.Logf("seed %d: posterior[%s,%s] differs", seed, m, at)
 					return false
 				}

@@ -33,7 +33,7 @@ type LazyOptions struct {
 	// DefaultPrior as in DetectOptions. Defaults to 0.5.
 	DefaultPrior float64
 	// Theta gates query forwarding during the run (0 forwards everywhere,
-	// letting the workload reach the whole network).
+	// letting the workload reach the whole network). It must lie in [0,1].
 	Theta float64
 	// MaxHops bounds each query's propagation. Defaults to the peer count.
 	MaxHops int
@@ -80,8 +80,6 @@ type lazyState struct {
 	// seq is the global freshness counter (each production is fresher than
 	// every earlier one; a per-producer counter would work equally well).
 	seq int
-	// participants[evID] caches the owner set of each factor.
-	participants map[string]map[graph.PeerID]bool
 }
 
 // RunLazy processes the query workload in order, piggybacking pending
@@ -104,6 +102,9 @@ func (n *Network) RunLazy(workload []LazyQuery, opts LazyOptions) (LazyResult, e
 	if !(opts.Tolerance > 0) {
 		return LazyResult{}, fmt.Errorf("core: tolerance %v is negative or NaN", opts.Tolerance)
 	}
+	if !(0 <= opts.Theta && opts.Theta <= 1) {
+		return LazyResult{}, fmt.Errorf("core: theta %v out of [0,1]", opts.Theta)
+	}
 	if opts.MaxHops <= 0 {
 		opts.MaxHops = n.NumPeers()
 	}
@@ -111,22 +112,9 @@ func (n *Network) RunLazy(workload []LazyQuery, opts LazyOptions) (LazyResult, e
 		opts.StableQueries = 10
 	}
 
-	st := &lazyState{
-		n:            n,
-		relay:        make(map[graph.PeerID]map[lazyKey]lazyEntry),
-		participants: make(map[string]map[graph.PeerID]bool),
-	}
+	st := &lazyState{n: n, relay: make(map[graph.PeerID]map[lazyKey]lazyEntry)}
 	for _, p := range n.Peers() {
 		st.relay[p.id] = make(map[lazyKey]lazyEntry)
-		for id, r := range p.evs {
-			if st.participants[id] == nil {
-				set := make(map[graph.PeerID]bool, len(r.ev.Owners))
-				for _, o := range r.ev.Owners {
-					set[o] = true
-				}
-				st.participants[id] = set
-			}
-		}
 	}
 	// Initial production so the first queries have something to carry.
 	for _, p := range n.Peers() {
@@ -239,9 +227,11 @@ func (st *lazyState) propagate(lq LazyQuery, opts LazyOptions, res *LazyResult) 
 // carry. Applied messages update the receiver's factor replicas; if
 // anything landed, the receiver re-produces its own messages.
 func (st *lazyState) hop(from, to graph.PeerID, defPrior float64, res *LazyResult) float64 {
+	dst := st.n.peers[to]
 	var batch []wire.PiggybackEntry
 	for key, entry := range st.relay[from] {
-		if !st.participants[key.ev][to] {
+		// A peer participates in a factor exactly when it holds a replica.
+		if _, ok := dst.evs[key.ev]; !ok {
 			continue
 		}
 		have, ok := st.relay[to][key]
@@ -267,7 +257,6 @@ func (st *lazyState) hop(from, to graph.PeerID, defPrior float64, res *LazyResul
 	}
 	pb := decoded.(wire.Piggyback)
 
-	dst := st.n.peers[to]
 	applied := false
 	for _, e := range pb.Entries {
 		key := lazyKey{ev: e.EvID, pos: e.Pos}

@@ -2,264 +2,148 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/feedback"
 	"repro/internal/graph"
 	"repro/internal/network"
 	"repro/internal/schema"
 	"repro/internal/wire"
 )
 
-// probeMsg is a probe flooded through the mapping network to detect cycles
-// and parallel paths (§3.2.1: "cycles of mappings can be easily discovered
-// by the peers, either by proactively flooding their neighborhood with probe
-// messages with a certain Time-To-Live or by examining the trace of routed
-// queries"). The probe carries the image of the origin attribute under the
-// mappings traversed so far, so the destination can compare transitive
-// closures without any further communication. It is the wire frame itself:
-// what a peer forwards is exactly what travels on the transport.
-type probeMsg = wire.Probe
-
-// probeRun accumulates discovery state across the flood.
-type probeRun struct {
-	n         *Network
-	delta     float64
-	rep       DiscoveryReport
-	installed map[string]bool
-	// arrived[dest][origin+attr] collects probes for parallel-path
-	// detection at the destination (§3.3).
-	arrived map[graph.PeerID]map[string][]probeMsg
-}
-
-// DiscoverByProbes floods probes with the given TTL from every peer for
-// every analysis attribute, detecting cycles and (on directed networks)
-// parallel paths, and installs the resulting evidence exactly as
-// DiscoverStructural does. The two discovery methods find the same
-// structures up to the TTL/maxLen horizon, but only to within floating-
-// point tolerance (the two flood orders sum the same evidence in different
-// orders), so probe discovery has no journal form: replaying it as a
-// MutDiscover would diverge from the journaled checkpoint digests.
-// Networks with a WAL attached must use Discover/DiscoverIncremental;
-// calling this on one is rejected before any state changes.
-//
-// The unjournaled resetInference below can never desync a log: the guard
-// rejects WAL-backed networks before any state changes.
-// pdms:nojournal-ok — probe discovery is rejected on WAL-backed networks.
+// DiscoverByProbes is Discover(DiscoverConfig{Attrs: attrs, MaxLen: ttl,
+// Delta: delta}) with the structural enumeration replaced by the mechanism of
+// §3.2.1: "cycles of mappings can be easily discovered by the peers, either
+// by proactively flooding their neighborhood with probe messages with a
+// certain Time-To-Live or by examining the trace of routed queries". Every
+// peer floods probes through its mappings; a probe back at its origin closes
+// a cycle, and on a directed network two disjoint probes from one origin
+// meeting at a peer form a parallel pair (§3.3). The flood finds structures
+// only: the installer Discover uses then applies every peer's mappings around
+// them, one analysis attribute at a time. The state it builds is therefore
+// exactly Discover's, and it is journaled as that MutDiscover record.
 func (n *Network) DiscoverByProbes(attrs []schema.Attribute, ttl int, delta float64) (DiscoveryReport, error) {
-	if ttl < 2 {
-		return DiscoveryReport{}, fmt.Errorf("core: ttl %d too small for cycle discovery", ttl)
+	cfg := DiscoverConfig{Attrs: attrs, MaxLen: ttl, Delta: delta}
+	if err := cfg.check(); err != nil {
+		return DiscoveryReport{}, err
 	}
-	if !(0 <= delta && delta <= 1) {
-		return DiscoveryReport{}, fmt.Errorf("core: delta %v out of [0,1]", delta)
+	cycles, pairs, err := n.flood(ttl)
+	if err != nil {
+		return DiscoveryReport{}, err
 	}
-	if len(attrs) == 0 {
-		return DiscoveryReport{}, fmt.Errorf("core: no attributes to analyze")
+	if err := n.journal(Mutation{Kind: MutDiscover, Cfg: &cfg}); err != nil {
+		return DiscoveryReport{}, err
 	}
-	if n.wal != nil {
-		return DiscoveryReport{}, fmt.Errorf("core: probe discovery has no journal form; detach the WAL or use Discover")
-	}
-	// Recorded as Discover records its pass: the flood finds exactly the
-	// structures of a structural pass at MaxLen ttl, so DurableState
-	// exports this evidence, not the previous pass's.
-	n.discovered = &DiscoverConfig{Attrs: attrs, MaxLen: ttl, Delta: delta}
+	n.discovered = &cfg
 	clear(n.pending)
 	n.bumpInfer()
 	n.resetInference()
 
-	run := &probeRun{
-		n:         n,
-		delta:     delta,
-		installed: make(map[string]bool),
-		arrived:   make(map[graph.PeerID]map[string][]probeMsg),
-	}
+	rep := DiscoveryReport{Structures: len(cycles) + len(pairs)}
+	return rep, n.installFine(&rep, cfg, cycles, pairs, n.Resolver())
+}
+
+// probeFlood is the state of one flood: the structures found so far and, on a
+// directed network, the paths that reached each peer, by origin.
+type probeFlood struct {
+	n       *Network
+	cycles  []graph.Cycle
+	pairs   []graph.ParallelPair
+	arrived map[[2]graph.PeerID][][]graph.Step // [at, origin] → paths
+}
+
+// flood sends one probe with the given TTL from every peer and returns the
+// cycles and (on a directed network) parallel pairs of at most ttl mappings,
+// each once and in the form graph.Cycles and graph.ParallelPaths report it.
+// Their order is the flood's: installFine does not depend on it, because a
+// variable keeps its factors in evidence-ID order (varState.addFactor). A
+// probe is the wire frame itself: what a peer forwards is exactly what
+// travels on the transport.
+func (n *Network) flood(ttl int) ([]graph.Cycle, []graph.ParallelPair, error) {
+	f := &probeFlood{n: n, arrived: make(map[[2]graph.PeerID][][]graph.Step)}
 	sim, err := network.NewSimulator(1, 0)
 	if err != nil {
-		return DiscoveryReport{}, err
+		return nil, nil, err
 	}
-	for _, p := range n.Peers() {
-		p := p
-		err := sim.Register(p.id, func(e network.Envelope) {
-			m, err := wire.Decode(e.Payload)
-			if err != nil {
-				return
-			}
-			if pb, ok := m.(wire.Probe); ok {
-				run.receive(sim, p, pb)
+	for _, id := range n.order {
+		err := sim.Register(id, func(e network.Envelope) {
+			if m, err := wire.Decode(e.Payload); err == nil {
+				if pb, ok := m.(wire.Probe); ok {
+					f.receive(sim, id, pb)
+				}
 			}
 		})
 		if err != nil {
-			return DiscoveryReport{}, err
+			return nil, nil, err
 		}
 	}
-	// Seed: every peer probes through its outgoing mappings for every
-	// analysis attribute its schema declares.
-	for _, p := range n.Peers() {
-		for _, a := range attrs {
-			if !p.schema.Has(a) {
-				continue
-			}
-			seed := probeMsg{Origin: p.id, Attr: a, Image: a, TTL: ttl}
-			run.forward(sim, p, seed)
-		}
+	for _, id := range n.order {
+		f.forward(sim, id, wire.Probe{Origin: id, TTL: ttl})
 	}
 	// The flood terminates because probes follow simple paths with a TTL.
 	sim.Drain(ttl + 2)
 	if sim.Pending() > 0 {
-		return DiscoveryReport{}, fmt.Errorf("core: probe flood did not terminate within TTL %d", ttl)
+		return nil, nil, fmt.Errorf("core: probe flood did not terminate within TTL %d", ttl)
 	}
-
-	// Count distinct structures examined (cycles + pairs observed),
-	// mirroring DiscoverStructural's report semantics.
-	run.rep.Structures = run.rep.Cycles + run.rep.ParallelPairs + run.rep.Neutral
-	return run.rep, nil
+	return f.cycles, f.pairs, nil
 }
 
-// forward extends the probe through every usable mapping of p, respecting
-// simple-path semantics (no repeated edges, no repeated peers other than a
-// final return to the origin).
-func (r *probeRun) forward(sim *network.Simulator, p *Peer, pm probeMsg) {
-	if len(pm.Steps) >= pm.TTL {
+// forward extends the probe through every mapping of peer at that keeps its
+// path simple: no edge twice, and no peer twice other than a final return to
+// the origin.
+func (f *probeFlood) forward(sim *network.Simulator, at graph.PeerID, pb wire.Probe) {
+	if len(pb.Steps) >= pb.TTL {
 		return
 	}
-	used := make(map[graph.EdgeID]bool, len(pm.Steps))
-	onPath := map[graph.PeerID]bool{pm.Origin: true}
-	for _, s := range pm.Steps {
-		used[s.Edge] = true
-		onPath[s.To(r.n.topo)] = true
-	}
-	for _, eid := range r.n.topo.Outgoing(p.id) {
-		if used[eid] {
+	topo := f.n.topo
+	for _, eid := range topo.Outgoing(at) {
+		e, _ := topo.Edge(eid)
+		step := graph.Step{Edge: eid, Forward: e.From == at}
+		next := step.To(topo)
+		if slices.ContainsFunc(pb.Steps, func(s graph.Step) bool {
+			return s.Edge == eid || (next != pb.Origin && s.To(topo) == next)
+		}) {
 			continue
 		}
-		e, ok := r.n.topo.Edge(eid)
-		if !ok {
-			continue
-		}
-		step := graph.Step{Edge: eid, Forward: e.From == p.id}
-		next := step.To(r.n.topo)
-		if onPath[next] && next != pm.Origin {
-			continue
-		}
-		m, ok := r.n.Mapping(eid)
-		if !ok {
-			continue
-		}
-		out := pm
-		out.Steps = append(append([]graph.Step(nil), pm.Steps...), step)
-		if out.Lost == "" {
-			use := m
-			invertible := true
-			if !step.Forward {
-				inv, err := m.Inverse()
-				if err != nil {
-					invertible = false
-				} else {
-					use = inv
-				}
-			}
-			if !invertible {
-				out.Lost = eid
-			} else if img, ok := use.Map(out.Image); ok {
-				out.Image = img
-			} else {
-				out.Lost = eid
-			}
-		}
-		sim.Send(network.Envelope{From: p.id, To: next, Payload: wire.Encode(out)})
+		out := pb
+		out.Steps = append(slices.Clip(pb.Steps), step)
+		sim.Send(network.Envelope{From: at, To: next, Payload: wire.Encode(out)})
 	}
 }
 
-// receive handles a probe arriving at peer p: closes cycles, detects
-// parallel paths, and keeps flooding.
-func (r *probeRun) receive(sim *network.Simulator, p *Peer, pm probeMsg) {
-	if p.id == pm.Origin {
-		if len(pm.Steps) >= 2 {
-			r.closeCycle(pm)
+// receive handles probe pb arriving at peer at. Back at its origin it closes
+// a cycle and stops; elsewhere, on a directed network, the destination
+// compares it with the earlier arrivals from the same origin (§3.3: the
+// destination peer compares q′ and q′′), and it floods on.
+func (f *probeFlood) receive(sim *network.Simulator, at graph.PeerID, pb wire.Probe) {
+	topo, steps := f.n.topo, pb.Steps
+	if at == pb.Origin {
+		// A cycle comes back to each of its peers, on an undirected network
+		// once in each direction. Keep the walk graph.Cycles reports: from
+		// the least peer, first edge the lesser of the two at that peer.
+		if len(steps) >= 2 &&
+			!slices.ContainsFunc(steps, func(s graph.Step) bool { return s.To(topo) < at }) &&
+			(f.n.directed || steps[0].Edge < steps[len(steps)-1].Edge) {
+			f.cycles = append(f.cycles, graph.Cycle{Steps: steps})
 		}
-		return // probes stop at their origin
-	}
-	if r.n.directed {
-		r.detectParallel(p, pm)
-	}
-	r.forward(sim, p, pm)
-}
-
-// closeCycle converts a returned probe into cycle evidence (§3.2.1).
-func (r *probeRun) closeCycle(pm probeMsg) {
-	c := graph.Cycle{Steps: pm.Steps}
-	id := c.Signature() + "@" + string(pm.Attr)
-	if r.installed[id] {
 		return
 	}
-	r.installed[id] = true
-	ev := feedback.Evidence{
-		ID:       id,
-		Attr:     pm.Attr,
-		Origin:   pm.Origin,
-		Mappings: c.Edges(),
-	}
-	switch {
-	case pm.Lost != "":
-		ev.Polarity = feedback.Neutral
-		ev.LostAt = pm.Lost
-	case pm.Image == pm.Attr:
-		ev.Polarity = feedback.Positive
-	default:
-		ev.Polarity = feedback.Negative
-	}
-	r.n.recordEvidence(&r.rep, ev, pm.Attr, pm.Steps, r.deltaFor(pm.Origin), false)
-}
-
-// detectParallel compares the arriving probe with previously arrived probes
-// from the same origin and attribute (§3.3: the destination peer compares
-// q′ and q′′).
-func (r *probeRun) detectParallel(p *Peer, pm probeMsg) {
-	key := string(pm.Origin) + "@" + string(pm.Attr)
-	if r.arrived[p.id] == nil {
-		r.arrived[p.id] = make(map[string][]probeMsg)
-	}
-	for _, other := range r.arrived[p.id][key] {
-		if !stepsDisjoint(r.n.topo, pm.Steps, other.Steps) {
-			continue
+	if f.n.directed {
+		key := [2]graph.PeerID{at, pb.Origin}
+		for _, other := range f.arrived[key] {
+			if !stepsDisjoint(topo, other, steps) {
+				continue
+			}
+			// A is the path graph.ParallelPaths meets first: the one whose
+			// first edge is the lesser.
+			a, b := other, steps
+			if b[0].Edge < a[0].Edge {
+				a, b = b, a
+			}
+			f.pairs = append(f.pairs, graph.ParallelPair{Source: pb.Origin, Dest: at, A: a, B: b})
 		}
-		pair := graph.ParallelPair{Source: pm.Origin, Dest: p.id, A: other.Steps, B: pm.Steps}
-		id := pair.Signature() + "@" + string(pm.Attr)
-		if r.installed[id] {
-			continue
-		}
-		r.installed[id] = true
-		ev := feedback.Evidence{
-			ID:       id,
-			Attr:     pm.Attr,
-			Origin:   pm.Origin,
-			Mappings: pair.Edges(),
-		}
-		switch {
-		case other.Lost != "":
-			ev.Polarity = feedback.Neutral
-			ev.LostAt = other.Lost
-		case pm.Lost != "":
-			ev.Polarity = feedback.Neutral
-			ev.LostAt = pm.Lost
-		case other.Image == pm.Image:
-			ev.Polarity = feedback.Positive
-		default:
-			ev.Polarity = feedback.Negative
-		}
-		steps := append(append([]graph.Step(nil), pair.A...), pair.B...)
-		r.n.recordEvidence(&r.rep, ev, pm.Attr, steps, r.deltaFor(pm.Origin), true)
+		f.arrived[key] = append(f.arrived[key], steps)
 	}
-	r.arrived[p.id][key] = append(r.arrived[p.id][key], pm)
-}
-
-func (r *probeRun) deltaFor(origin graph.PeerID) float64 {
-	if r.delta > 0 {
-		return r.delta
-	}
-	if p, ok := r.n.peers[origin]; ok {
-		return feedback.Delta(p.schema.Len())
-	}
-	return 0.1
+	f.forward(sim, at, pb)
 }
 
 // stepsDisjoint reports whether two paths share no edges and no internal

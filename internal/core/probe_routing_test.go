@@ -75,6 +75,122 @@ func TestProbeDiscoveryMatchesStructural(t *testing.T) {
 	}
 }
 
+// randomUndirectedPDMS builds a random undirected PDMS in which roughly a
+// third of the peers do not declare a0: a cycle whose least peer lacks an
+// analysis attribute is evaluated from another of its peers, and a mapping
+// into such a peer loses a0 (⊥).
+func randomUndirectedPDMS(rng *rand.Rand) *core.Network {
+	full := []schema.Attribute{"a0", "a1", "a2", "a3"}
+	nPeers := 4 + rng.Intn(3)
+	net := core.NewNetwork(false)
+	schemas := make([]*schema.Schema, nPeers)
+	for i := range schemas {
+		attrs := full
+		if rng.Float64() < 0.35 {
+			attrs = full[1:]
+		}
+		schemas[i] = schema.MustNew(fmt.Sprintf("S%d", i), attrs...)
+		net.MustAddPeer(graph.PeerID(fmt.Sprintf("p%d", i)), schemas[i])
+	}
+	e := 0
+	for i := 0; i < nPeers; i++ {
+		for j := i + 1; j < nPeers; j++ {
+			// Occasionally a second mapping between the same pair: a
+			// two-mapping cycle.
+			for k := 0; k < 2 && rng.Float64() < 0.5; k++ {
+				pairs := make(map[schema.Attribute]schema.Attribute)
+				for _, a := range full {
+					if schemas[i].Has(a) && schemas[j].Has(a) {
+						pairs[a] = a
+					}
+				}
+				if rng.Float64() < 0.25 && schemas[i].Has("a0") && schemas[j].Has("a0") {
+					pairs["a0"], pairs["a1"] = "a1", "a0"
+				}
+				net.MustAddMapping(graph.EdgeID(fmt.Sprintf("e%02d", e)),
+					graph.PeerID(fmt.Sprintf("p%d", i)), graph.PeerID(fmt.Sprintf("p%d", j)), pairs)
+				e++
+			}
+		}
+	}
+	return net
+}
+
+// TestProbeDiscoveryBitIdentical: probe discovery is Discover with a flood in
+// place of the enumerator, so the two build the same state bit for bit — the
+// same report, the same inference digest, and after detection the same
+// posterior bits and the same number of remote messages.
+func TestProbeDiscoveryBitIdentical(t *testing.T) {
+	type tc struct {
+		name  string
+		build func() *core.Network
+		attrs []schema.Attribute
+		ttl   int
+		delta float64 // 0 derives Δ from the evaluating peer's schema
+	}
+	cases := []tc{
+		{"intro", paper.IntroNetwork, []schema.Attribute{paper.Creator, paper.CreatedOn}, 6, paper.Delta},
+		{"fig5", paper.Fig5Network, []schema.Attribute{paper.Creator}, 6, paper.Delta},
+		{"fig4-undirected", paper.Fig4Network, []schema.Attribute{paper.Creator}, 6, paper.Delta},
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		ttl := 2 + int(seed)%4
+		cases = append(cases,
+			tc{fmt.Sprintf("directed-seed%d-ttl%d", seed, ttl), func() *core.Network {
+				return randomPDMS(rand.New(rand.NewSource(seed)))
+			}, []schema.Attribute{"a0", "a1", "a2"}, ttl, 0.1},
+			tc{fmt.Sprintf("undirected-seed%d-ttl%d", seed, ttl), func() *core.Network {
+				return randomUndirectedPDMS(rand.New(rand.NewSource(seed)))
+			}, []schema.Attribute{"a0", "a1"}, ttl, 0},
+		)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, b := c.build(), c.build()
+			repA, err := a.Discover(core.DiscoverConfig{Attrs: c.attrs, MaxLen: c.ttl, Delta: c.delta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			repB, err := b.DiscoverByProbes(c.attrs, c.ttl, c.delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if repA != repB {
+				t.Errorf("reports differ: Discover %+v, probes %+v", repA, repB)
+			}
+			if da, db := a.InferenceDigest(), b.InferenceDigest(); !digestEqual(da, db) {
+				t.Errorf("inference digests differ:\n Discover %v\n probes   %v", da, db)
+			}
+			opts := core.DetectOptions{MaxRounds: 40, Tolerance: 1e-300}
+			ra, err := a.RunDetection(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := b.RunDetection(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ra.RemoteMessages != rb.RemoteMessages {
+				t.Errorf("remote messages: Discover %d, probes %d", ra.RemoteMessages, rb.RemoteMessages)
+			}
+			if len(ra.Posteriors) != len(rb.Posteriors) {
+				t.Fatalf("posteriors over %d mappings, probes %d", len(ra.Posteriors), len(rb.Posteriors))
+			}
+			for m, attrs := range ra.Posteriors {
+				if len(attrs) != len(rb.Posteriors[m]) {
+					t.Errorf("mapping %s: %d posteriors, probes %d", m, len(attrs), len(rb.Posteriors[m]))
+				}
+				for at, va := range attrs {
+					vb, ok := rb.Posteriors[m][at]
+					if !ok || math.Float64bits(va) != math.Float64bits(vb) {
+						t.Errorf("posterior[%s,%s]: Discover %v, probes %v (present %v)", m, at, va, vb, ok)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestProbeDiscoveryValidation(t *testing.T) {
 	n := paper.IntroNetwork()
 	if _, err := n.DiscoverByProbes(nil, 6, 0.1); err == nil {
@@ -388,6 +504,9 @@ func TestLazyValidation(t *testing.T) {
 		"NaN prior":          {DefaultPrior: math.NaN()},
 		"NaN tolerance":      {Tolerance: math.NaN()},
 		"negative tolerance": {Tolerance: -1},
+		"NaN theta":          {Theta: math.NaN()},
+		"negative theta":     {Theta: -0.5},
+		"theta above 1":      {Theta: 1.5},
 	} {
 		if _, err := n.RunLazy([]core.LazyQuery{{Origin: "p1", Query: q}}, opts); err == nil {
 			t.Errorf("%s: want error", name)

@@ -176,6 +176,58 @@ func TestRecoverReplaysFullHistory(t *testing.T) {
 	}
 }
 
+// TestProbeDiscoveryRecovers: probe discovery is journaled as the MutDiscover
+// record of the pass it equals, so a network discovered by probes — once
+// before a checkpoint and again, shorter, after it — recovers bit for bit.
+func TestProbeDiscoveryRecovers(t *testing.T) {
+	st := NewMemStorage()
+	n, lg := buildJournaled(t, st, Options{})
+	// Close a four-mapping cycle through p4 that the second, shorter pass
+	// cannot see.
+	for _, m := range []struct{ id, from, to string }{{"m34", "p3", "p4"}, {"m41", "p4", "p1"}} {
+		if _, err := n.AddMapping(graph.EdgeID(m.id), graph.PeerID(m.from), graph.PeerID(m.to), idPairs()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	long, err := n.DiscoverByProbes(testAttrs, 4, 0)
+	if err != nil {
+		t.Fatalf("DiscoverByProbes: %v", err)
+	}
+	if err := lg.Checkpoint(n); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	short, err := n.DiscoverByProbes(testAttrs, 3, 0)
+	if err != nil {
+		t.Fatalf("DiscoverByProbes after checkpoint: %v", err)
+	}
+	if short.Structures >= long.Structures {
+		t.Fatalf("fixture: TTL 3 finds %d structures, TTL 4 %d; want fewer", short.Structures, long.Structures)
+	}
+	if err := n.JournalError(); err != nil {
+		t.Fatalf("JournalError: %v", err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	lg2, err := Open(st, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	rec, rep, err := lg2.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rep.Checkpoint == nil || !rep.DigestOK || rep.LogRecords != 1 {
+		t.Errorf("report = %+v, want a verified checkpoint and one log record", rep)
+	}
+	if got, want := DigestNetwork(rec), DigestNetwork(n); got != want {
+		t.Errorf("recovered digest %s, live %s", got, want)
+	}
+	sameDigest(t, n, rec)
+	samePosteriors(t, posteriors(t, n), posteriors(t, rec), 0)
+}
+
 func TestCheckpointCompactsAndRecovers(t *testing.T) {
 	st := NewMemStorage()
 	n, lg := buildJournaled(t, st, Options{})

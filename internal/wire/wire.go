@@ -85,10 +85,10 @@ type Remote struct {
 // WireKind implements Message.
 func (Remote) WireKind() Kind { return KindRemote }
 
-// Probe is a structure-discovery probe flooded with a TTL (§3.2.1). It
-// carries the image of the origin attribute under the mappings traversed so
-// far; Lost is the first edge whose mapping had no correspondence (⊥), after
-// which Image is meaningless.
+// Probe is a structure-discovery probe flooded with a TTL (§3.2.1): the path
+// from Origin it has taken so far. The flood finds structures only, so Attr,
+// Image and Lost travel empty; they stay in the version 1 layout, and dropping
+// them is a frame change that needs a new Version.
 type Probe struct {
 	Origin graph.PeerID
 	Attr   schema.Attribute

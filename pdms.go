@@ -14,8 +14,9 @@
 //  2. Gather evidence: DiscoverStructural enumerates mapping cycles and
 //     parallel paths and compares every attribute against its image under
 //     the transitive closure of the mappings (positive, negative or
-//     neutral feedback); DiscoverByProbes does the same with TTL-bounded
-//     probe floods over the simulated transport.
+//     neutral feedback); DiscoverByProbes finds the same structures with
+//     TTL-bounded probe floods over the simulated transport and installs
+//     exactly the same evidence.
 //  3. RunDetection executes decentralized loopy belief propagation — every
 //     peer holds only its slice of the global factor graph and exchanges
 //     small remote messages — and yields P(mapping correct) per attribute.
