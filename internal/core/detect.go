@@ -296,7 +296,7 @@ func (n *Network) lockstep(opts DetectOptions, scope *detectScope, res DetectRes
 // openTransport builds the transport of a run and registers on it, for each
 // of the given peers, the handler that decodes wire.Remote frames in place
 // and folds them into the peer's factor replicas.
-func openTransport(cfg network.Config, peers []*Peer) (network.Stepped, error) {
+func openTransport(cfg network.Config, peers []*Peer) (network.Transport, error) {
 	tr, err := network.New(cfg)
 	if err != nil {
 		return nil, err
@@ -322,10 +322,8 @@ func openTransport(cfg network.Config, peers []*Peer) (network.Stepped, error) {
 // would otherwise degrade into silently missing messages and a bogus
 // "converged" result.
 func transportErr(tr network.Transport) error {
-	if ec, ok := tr.(interface{ Err() error }); ok {
-		if err := ec.Err(); err != nil {
-			return fmt.Errorf("core: transport failed: %w", err)
-		}
+	if err := tr.Err(); err != nil {
+		return fmt.Errorf("core: transport failed: %w", err)
 	}
 	return nil
 }
@@ -408,7 +406,7 @@ func eachShard(shards [][]runVar, f func(si int, vars []runVar) roundTally) roun
 //
 // Each shard appends its round's frames into its own arena, which the Step
 // delivers from and which is reused once Step has returned.
-func lockstepRounds(tr network.Stepped, shards [][]runVar, opts DetectOptions, onRound func(round int)) componentResult {
+func lockstepRounds(tr network.Transport, shards [][]runVar, opts DetectOptions, onRound func(round int)) componentResult {
 	var out componentResult
 	arenas := make([][]byte, len(shards))
 	stable := 0

@@ -80,7 +80,7 @@ func (n *Network) flood(ttl int) ([]graph.Cycle, []graph.ParallelPair, error) {
 		f.forward(sim, id, wire.Probe{Origin: id, TTL: ttl})
 	}
 	// The flood terminates because probes follow simple paths with a TTL.
-	sim.Drain(ttl + 2)
+	network.Drain(sim, ttl+2)
 	if sim.Pending() > 0 {
 		return nil, nil, fmt.Errorf("core: probe flood did not terminate within TTL %d", ttl)
 	}

@@ -357,7 +357,7 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions) component
 // restricted to this component — which is exactly what a scratch detection
 // computes here, whatever the rest of the network does — so the incremental
 // ≡ scratch differential contract holds on non-converging components too.
-func (n *Network) lockstepComponent(c *detectComponent, tr network.Stepped, opts DetectOptions, out *componentResult) {
+func (n *Network) lockstepComponent(c *detectComponent, tr network.Transport, opts DetectOptions, out *componentResult) {
 	scope := &detectScope{vars: make(map[varKey]bool, len(c.vars)), evs: c.evs}
 	for _, rv := range c.vars {
 		scope.vars[rv.vs.key] = true

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -42,7 +43,8 @@ func routeOn(n *core.Network, det core.DetectResult, opts core.SnapshotOptions, 
 
 // TestRouteQueryThetaEdgeCases: table-driven edge cases of the θ gate —
 // a posterior exactly at θ is blocked (the gate is strict), barely above
-// passes, per-attribute thresholds override the default, unmapped
+// passes, per-attribute thresholds override the default (a negative or NaN
+// one is θ_a = 0, which blocks a posterior of 0), unmapped
 // attributes drop the hop, disconnected peers stay unreachable, and a peer
 // with no outgoing mappings yields a zero-hop result.
 func TestRouteQueryThetaEdgeCases(t *testing.T) {
@@ -81,6 +83,22 @@ func TestRouteQueryThetaEdgeCases(t *testing.T) {
 			det:         posteriors(map[graph.EdgeID]float64{"m12": 0.9, "m15": 0.96}),
 			wantReached: []graph.PeerID{"p1", "p5"},
 			wantBlocked: 1,
+		},
+		{
+			name:   "negative per-attribute theta is theta 0",
+			origin: "p1", attr: "a",
+			opts:        core.SnapshotOptions{Theta: map[schema.Attribute]float64{"a": -1}},
+			det:         posteriors(map[graph.EdgeID]float64{"m12": 0, "m23": 0, "m15": 0}),
+			wantReached: []graph.PeerID{"p1"},
+			wantBlocked: 2,
+		},
+		{
+			name:   "NaN per-attribute theta is theta 0",
+			origin: "p1", attr: "a",
+			opts:        core.SnapshotOptions{Theta: map[schema.Attribute]float64{"a": math.NaN()}},
+			det:         posteriors(map[graph.EdgeID]float64{"m12": 0, "m23": 0, "m15": 0}),
+			wantReached: []graph.PeerID{"p1"},
+			wantBlocked: 2,
 		},
 		{
 			name:   "unmapped attribute drops the hop",

@@ -47,7 +47,8 @@ const ExplicitZero = -1.0
 // walks only follow precomputed verdicts.
 type SnapshotOptions struct {
 	// Theta is the per-attribute semantic threshold θ_a; attributes not in
-	// the map use DefaultTheta. Explicit zeros in the map are honoured as-is.
+	// the map use DefaultTheta. Explicit zeros in the map are honoured as-is,
+	// and a negative or NaN entry is θ_a = 0, as for DefaultTheta.
 	Theta map[schema.Attribute]float64
 	// DefaultTheta defaults to 0.5 when left at its zero value; use
 	// ExplicitZero (or any negative value) for a true θ_a = 0 policy.
@@ -81,12 +82,28 @@ func resolveDefault(v, def float64) float64 {
 }
 
 func (o SnapshotOptions) withDefaults(peers int) SnapshotOptions {
+	o.Theta = resolveTheta(o.Theta)
 	o.DefaultTheta = resolveDefault(o.DefaultTheta, 0.5)
 	o.DefaultPosterior = resolveDefault(o.DefaultPosterior, 0.5)
 	if o.MaxHops <= 0 {
 		o.MaxHops = peers
 	}
 	return o
+}
+
+// resolveTheta applies resolveDefault's rule to the per-attribute entries
+// (where 0 stays 0), copying the map only when an entry changes.
+func resolveTheta(theta map[schema.Attribute]float64) map[schema.Attribute]float64 {
+	for _, v := range theta {
+		if resolveDefault(v, 0) != v {
+			out := make(map[schema.Attribute]float64, len(theta))
+			for a, v := range theta {
+				out[a] = resolveDefault(v, 0)
+			}
+			return out
+		}
+	}
+	return theta
 }
 
 // samePolicy reports whether two already-defaulted option sets publish under

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -200,6 +201,17 @@ func TestDeltaRequiresUnchangedStructure(t *testing.T) {
 		if s.Digest() != full.Digest() {
 			t.Fatal("delta publication after discovery diverges from full")
 		}
+	})
+	// A NaN θ entry resolves to 0 at publication, so it compares equal to
+	// itself and to ExplicitZero, and republication stays a delta.
+	t.Run("NaN theta entry keeps delta", func(t *testing.T) {
+		n := snapNet(t)
+		nan := core.SnapshotOptions{Theta: map[schema.Attribute]float64{"a": math.NaN()}}
+		if got := n.PublishSnapshot(det, nan).Options().Theta["a"]; got != 0 {
+			t.Fatalf("NaN θ entry resolved to %v, want 0", got)
+		}
+		mustDelta(t, n, nan)
+		mustDelta(t, n, core.SnapshotOptions{Theta: map[schema.Attribute]float64{"a": core.ExplicitZero}})
 	})
 	t.Run("remove peer", func(t *testing.T) {
 		n := snapNet(t)

@@ -168,43 +168,6 @@ func Plot(series []Series, width, height int) string {
 	return b.String()
 }
 
-// Trace accumulates per-iteration posteriors for convergence figures.
-type Trace struct {
-	names []string
-	rows  map[string][]float64
-	iters []int
-}
-
-// NewTrace creates a trace for the named quantities.
-func NewTrace(names ...string) *Trace {
-	sort.Strings(names)
-	return &Trace{names: names, rows: make(map[string][]float64)}
-}
-
-// Record appends one iteration's values.
-func (t *Trace) Record(iter int, values map[string]float64) {
-	t.iters = append(t.iters, iter)
-	for _, n := range t.names {
-		t.rows[n] = append(t.rows[n], values[n])
-	}
-}
-
-// Len returns the number of recorded iterations.
-func (t *Trace) Len() int { return len(t.iters) }
-
-// Series converts the trace to plot series.
-func (t *Trace) Series() []Series {
-	out := make([]Series, 0, len(t.names))
-	for _, n := range t.names {
-		s := Series{Name: n}
-		for i, it := range t.iters {
-			s.Add(float64(it), t.rows[n][i])
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // MeanAbsError returns the mean absolute difference between two posterior
 // maps over the keys of want — the error measure of Fig 9. The terms are
 // summed in key order: float addition is not associative, and map order

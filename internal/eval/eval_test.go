@@ -83,26 +83,6 @@ func TestPlot(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	tr := NewTrace("b", "a")
-	tr.Record(1, map[string]float64{"a": 0.5, "b": 0.6})
-	tr.Record(2, map[string]float64{"a": 0.7, "b": 0.4})
-	if tr.Len() != 2 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	series := tr.Series()
-	if len(series) != 2 {
-		t.Fatalf("Series = %d", len(series))
-	}
-	// Names are sorted.
-	if series[0].Name != "a" || series[1].Name != "b" {
-		t.Errorf("series order: %s, %s", series[0].Name, series[1].Name)
-	}
-	if len(series[0].X) != 2 || series[0].Y[1] != 0.7 {
-		t.Errorf("series content wrong: %+v", series[0])
-	}
-}
-
 func TestMeanAbsError(t *testing.T) {
 	got := map[string]float64{"a": 0.5, "b": 0.9}
 	want := map[string]float64{"a": 0.6, "b": 0.8}

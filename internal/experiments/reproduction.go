@@ -164,29 +164,20 @@ func intro() (Table, error) {
 // factor graph of Fig 4 (feedback f1+, f2−, f3−) across iterations.
 func fig7() (Table, error) {
 	t := Table{Columns: []string{"iteration", "m12", "m23", "m24", "m34", "m41"}}
-	tr := eval.NewTrace(t.Columns[1:]...)
 	_, _, err := detect(paper.Fig4Network(), example, core.DetectOptions{
 		DefaultPrior: 0.7,
 		MaxRounds:    40,
 		Tolerance:    1e-3,
 		Trace: func(round int, post map[graph.EdgeID]map[schema.Attribute]float64) {
-			vals := make(map[string]float64, len(post))
-			for m, attrs := range post {
-				vals[string(m)] = attrs[paper.Creator]
+			row := []any{round}
+			for _, m := range t.Columns[1:] {
+				row = append(row, post[graph.EdgeID(m)][paper.Creator])
 			}
-			tr.Record(round, vals)
+			t.Rows = append(t.Rows, row)
 		},
 	})
 	if err != nil {
 		return Table{}, err
-	}
-	series := tr.Series()
-	for i := 0; i < tr.Len(); i++ {
-		row := []any{int(series[0].X[i])}
-		for _, s := range series {
-			row = append(row, s.Y[i])
-		}
-		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/graph"
 )
 
-// Loopback is a stepped transport whose every envelope crosses a real byte
+// Loopback is a transport whose every envelope crosses a real byte
 // stream: Send frames the envelope onto one end of a connection, a reader
 // goroutine reassembles frames on the other end, and Step waits for the
 // stream to catch up before feeding the received frames to a one-shard
@@ -217,18 +217,14 @@ func (t *Loopback) Pending() int {
 	return int(t.accepted - t.consumed)
 }
 
-// Drain steps until nothing is in flight or maxSteps is reached, returning
-// the number of steps taken.
-func (t *Loopback) Drain(maxSteps int) int { return drain(t, maxSteps) }
-
 // Stats returns a copy of the transport counters.
 func (t *Loopback) Stats() Stats { return t.sim.Stats() }
 
 // Err returns the first stream error observed — a failed write or flush, a
 // reader-side decode/IO failure, or a Step that timed out waiting for the
-// stream. Drivers must check it after a run: the Transport interface cannot
-// carry errors per Send/Step, so a broken socket otherwise degrades into
-// silently missing messages (RunDetection does check).
+// stream. Drivers must check it after a run: Send and Step cannot carry
+// errors, so a broken socket otherwise degrades into silently missing
+// messages (RunDetection does check).
 func (t *Loopback) Err() error {
 	if t.sideErr != nil {
 		return t.sideErr

@@ -14,9 +14,9 @@ import (
 // only on the pair and its message ordinal — never on global send order or
 // on a shared RNG cursor — every transport produces the *same* loss pattern
 // for the same traffic: the Simulator at any shard count (each sender's
-// stream lives in its shard), the TCP loopback and the Bus all drop exactly
-// the same messages, which is what lets golden traces stay byte-identical
-// across transports even under loss (Fig 11).
+// stream lives in its shard) and the TCP loopback drop exactly the same
+// messages, which is what lets golden traces stay byte-identical across
+// transports even under loss (Fig 11).
 //
 // A dropper is not safe for concurrent use; the Simulator gives each shard
 // its own dropper (same seed), which yields identical decisions as long as

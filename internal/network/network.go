@@ -1,7 +1,8 @@
-// Package network provides the pluggable message transport substrate a PDMS
-// runs on. Payloads are opaque bytes (see internal/wire for the typed frame
-// codec); the Transport interface decouples the peer runtime from any
-// particular substrate. Three implementations are provided:
+// Package network provides the message transport a PDMS runs on. Payloads
+// are opaque bytes (see internal/wire for the typed frame codec); the
+// Transport interface decouples the peer runtime from the substrate. There
+// is one execution model — stepped rounds, a message sent during a Step
+// delivered in the next one — and two implementations of it:
 //
 //   - Simulator: the deterministic stepped message bus with seeded message
 //     loss — the reference transport. Runs are reproducible bit-for-bit and
@@ -18,14 +19,9 @@
 //     where sockets are unavailable) before the simulator delivers it,
 //     proving the messages survive real serialization.
 //
-//   - Bus: a goroutine-per-peer asynchronous runtime built on channels. No
-//     product code uses it any more — core's asynchronous schedule is the
-//     deterministic residual engine — and it is exercised under the race
-//     detector in tests only.
-//
 // Message loss is a deterministic per-(sender, receiver) hash stream shared
-// by every transport (see dropper), so a lossy run is reproducible — and
-// identical — no matter which substrate carries it.
+// by both (see dropper), so a lossy run is reproducible — and identical — no
+// matter which substrate carries it.
 package network
 
 import (
@@ -216,20 +212,6 @@ func (s *Simulator) Pending() int {
 	return n
 }
 
-// Drain steps until the queue is empty or maxSteps is reached, returning the
-// number of steps taken.
-func (s *Simulator) Drain(maxSteps int) int { return drain(s, maxSteps) }
-
-// drain is Drain for any stepped transport.
-func drain(s Stepped, maxSteps int) int {
-	steps := 0
-	for steps < maxSteps && s.Pending() > 0 {
-		s.Step()
-		steps++
-	}
-	return steps
-}
-
 // Stats returns a copy of the transport counters, summed over the shards.
 func (s *Simulator) Stats() Stats {
 	var st Stats
@@ -241,12 +223,8 @@ func (s *Simulator) Stats() Stats {
 	return st
 }
 
-// ResetStats zeroes the counters.
-func (s *Simulator) ResetStats() {
-	for i := range s.shards {
-		s.shards[i].stats = Stats{}
-	}
-}
-
 // Close implements Transport; the simulator holds no resources.
 func (s *Simulator) Close() error { return nil }
+
+// Err implements Transport; in-process queues cannot fail.
+func (s *Simulator) Err() error { return nil }

@@ -2,11 +2,7 @@ package network
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 	"testing"
-
-	"repro/internal/graph"
 )
 
 func TestNewSimulatorValidation(t *testing.T) {
@@ -107,7 +103,7 @@ func TestSimulatorLossIsSeeded(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			s.Send(Envelope{From: "b", To: "a"})
 		}
-		s.Drain(10)
+		Drain(s, 10)
 		return s.Stats()
 	}
 	a, b := run(7), run(7)
@@ -135,114 +131,11 @@ func TestSimulatorDrain(t *testing.T) {
 		}
 	})
 	s.Send(Envelope{From: "x", To: "a"})
-	steps := s.Drain(10)
+	steps := Drain(s, 10)
 	if steps != 3 {
 		t.Errorf("Drain took %d steps, want 3", steps)
 	}
 	if s.Pending() != 0 {
 		t.Error("queue not drained")
-	}
-	s.ResetStats()
-	if s.Stats() != (Stats{}) {
-		t.Error("ResetStats did not zero counters")
-	}
-}
-
-func TestBusDeliversConcurrently(t *testing.T) {
-	b := NewBus()
-	const n = 200
-	var delivered int64
-	var wg sync.WaitGroup
-	wg.Add(n * 2)
-	for _, p := range []graph.PeerID{"a", "b"} {
-		if err := b.Register(p, func(Envelope) {
-			atomic.AddInt64(&delivered, 1)
-			wg.Done()
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		go b.Send(Envelope{From: "a", To: "b"})
-		go b.Send(Envelope{From: "b", To: "a"})
-	}
-	wg.Wait()
-	b.Close()
-	if delivered != n*2 {
-		t.Errorf("delivered = %d, want %d", delivered, n*2)
-	}
-	if st := b.Stats(); st.Delivered != n*2 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestBusOrderPerPeer(t *testing.T) {
-	b := NewBus()
-	var mu sync.Mutex
-	var got []int
-	done := make(chan struct{})
-	if err := b.Register("a", func(e Envelope) {
-		mu.Lock()
-		got = append(got, int(e.Payload[0]))
-		n := len(got)
-		mu.Unlock()
-		if n == 100 {
-			close(done)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		b.Send(Envelope{From: "x", To: "a", Payload: []byte{byte(i)}})
-	}
-	<-done
-	b.Close()
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("out of order delivery: %v", got[:i+1])
-		}
-	}
-}
-
-func TestBusErrors(t *testing.T) {
-	b := NewBus()
-	if err := b.Register("a", func(Envelope) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Register("a", func(Envelope) {}); err == nil {
-		t.Error("duplicate registration: want error")
-	}
-	b.Send(Envelope{From: "a", To: "ghost"})
-	b.Close()
-	b.Close() // idempotent
-	if err := b.Register("b", func(Envelope) {}); err == nil {
-		t.Error("register after close: want error")
-	}
-	b.Send(Envelope{From: "a", To: "a"}) // dropped, no panic
-	st := b.Stats()
-	if st.Dropped < 2 {
-		t.Errorf("stats = %+v, want at least 2 drops", st)
-	}
-}
-
-func TestBusCloseDrainsQueued(t *testing.T) {
-	b := NewBus()
-	var count int64
-	block := make(chan struct{})
-	if err := b.Register("a", func(e Envelope) {
-		if e.Payload[0] == 0 {
-			<-block
-		}
-		atomic.AddInt64(&count, 1)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		b.Send(Envelope{From: "x", To: "a", Payload: []byte{byte(i)}})
-	}
-	close(block)
-	b.Close()
-	if got := atomic.LoadInt64(&count); got != 10 {
-		t.Errorf("delivered %d, want all 10 before Close returns", got)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // marshal through internal/wire, so a message that crosses any Transport is
 // exactly the frame that would cross a real network.
 //
-// A stepped transport may hand a payload's bytes to the handler without
+// A transport may hand a payload's bytes to the handler without
 // copying them, and they stay valid only until the Step that delivers them
 // returns: a sender may reuse its frame buffer from then on (detection
 // appends a round's frames into one arena and truncates it after each Step).
@@ -37,39 +37,44 @@ type Stats struct {
 }
 
 // Transport is the message substrate a PDMS runs on: peers register a
-// handler and exchange opaque byte envelopes. Implementations differ in
-// execution model (stepped vs. free-running) and in locality (in-process
-// queues vs. a real socket), never in semantics.
+// handler and exchange opaque byte envelopes in rounds. Messages sent during
+// a Step are delivered in the next one, mirroring one synchronous round of
+// the periodic schedule (§4.3.1) per step. Implementations differ only in
+// locality (in-process queues vs. a real byte stream), never in semantics.
 type Transport interface {
 	// Register installs the handler for a peer. Registering the same peer
 	// twice is an error.
 	Register(p graph.PeerID, h Handler) error
-	// Send enqueues an envelope for asynchronous delivery. Loss is applied
-	// at send time.
+	// Send enqueues an envelope for delivery at the next Step. Loss is
+	// applied at send time.
 	Send(e Envelope)
-	// Stats returns a copy of the transport counters.
-	Stats() Stats
-	// Close releases the transport's resources. No sends or steps may
-	// follow.
-	Close() error
-}
-
-// Stepped is a deterministic, round-based transport: messages sent during a
-// step are delivered in the next one, mirroring one synchronous round of the
-// periodic schedule (§4.3.1) per step.
-type Stepped interface {
-	Transport
 	// Step delivers every currently queued message and returns the number
 	// delivered.
 	Step() int
 	// Pending returns the number of queued messages.
 	Pending() int
-	// Drain steps until the queue is empty or maxSteps is reached,
-	// returning the number of steps taken.
-	Drain(maxSteps int) int
+	// Stats returns a copy of the transport counters.
+	Stats() Stats
+	// Close releases the transport's resources. No sends or steps may
+	// follow.
+	Close() error
+	// Err returns the first failure the transport could not report per
+	// Send or Step (a broken stream), or nil. Drivers check it after a run.
+	Err() error
 }
 
-// Kind names a stepped transport implementation.
+// Drain steps tr until its queue is empty or maxSteps is reached, returning
+// the number of steps taken.
+func Drain(tr Transport, maxSteps int) int {
+	steps := 0
+	for steps < maxSteps && tr.Pending() > 0 {
+		tr.Step()
+		steps++
+	}
+	return steps
+}
+
+// Kind names a transport implementation.
 type Kind string
 
 const (
@@ -83,10 +88,10 @@ const (
 	KindTCP Kind = "tcp"
 )
 
-// Kinds lists the selectable stepped transports.
+// Kinds lists the selectable transports.
 func Kinds() []Kind { return []Kind{KindSim, KindSharded, KindTCP} }
 
-// Config selects and parameterizes a stepped transport.
+// Config selects and parameterizes a transport.
 type Config struct {
 	// Kind of transport; empty means KindSim.
 	Kind Kind
@@ -100,8 +105,8 @@ type Config struct {
 	Shards int
 }
 
-// New builds the configured stepped transport.
-func New(cfg Config) (Stepped, error) {
+// New builds the configured transport.
+func New(cfg Config) (Transport, error) {
 	psend := cfg.PSend
 	if psend == 0 {
 		psend = 1

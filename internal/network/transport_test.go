@@ -5,24 +5,22 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 )
 
 // Interface compliance.
 var (
-	_ Stepped   = (*Simulator)(nil)
-	_ Stepped   = (*Loopback)(nil)
-	_ Transport = (*Bus)(nil)
+	_ Transport = (*Simulator)(nil)
+	_ Transport = (*Loopback)(nil)
 )
 
-// driveWorkload pushes a fixed multi-step traffic pattern through a stepped
+// driveWorkload pushes a fixed multi-step traffic pattern through a
 // transport — every peer relays to its ring successor with a TTL, so
 // handler-time sends are exercised too — plus one envelope to an
 // unregistered peer, and returns per-peer delivery tallies plus the final
 // stats.
-func driveWorkload(t *testing.T, tr Stepped, peers int) (map[string][]string, Stats) {
+func driveWorkload(t *testing.T, tr Transport, peers int) (map[string][]string, Stats) {
 	t.Helper()
 	got := make(map[string][]string)
 	var mu sync.Mutex
@@ -45,7 +43,7 @@ func driveWorkload(t *testing.T, tr Stepped, peers int) (map[string][]string, St
 		tr.Send(Envelope{From: "driver", To: name(i), Payload: []byte{4}})
 	}
 	tr.Send(Envelope{From: "driver", To: "ghost", Payload: []byte{0}})
-	tr.Drain(20)
+	Drain(tr, 20)
 	st := tr.Stats()
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -70,11 +68,11 @@ func TestSteppedTransportsEquivalent(t *testing.T) {
 			if refStats.Sent != refStats.Delivered+refStats.Dropped || psend == 1 && refStats.Dropped != 1 {
 				t.Fatalf("simulator stats %+v: want the unregistered peer's envelope as the only reliable drop", refStats)
 			}
-			build := map[string]func() (Stepped, error){
-				"sharded-1": func() (Stepped, error) { return NewSharded(1, psend, 42) },
-				"sharded-4": func() (Stepped, error) { return NewSharded(4, psend, 42) },
-				"sharded-0": func() (Stepped, error) { return NewSharded(0, psend, 42) },
-				"tcp":       func() (Stepped, error) { return NewTCPLoopback(psend, 42) },
+			build := map[string]func() (Transport, error){
+				"sharded-1": func() (Transport, error) { return NewSharded(1, psend, 42) },
+				"sharded-4": func() (Transport, error) { return NewSharded(4, psend, 42) },
+				"sharded-0": func() (Transport, error) { return NewSharded(0, psend, 42) },
+				"tcp":       func() (Transport, error) { return NewTCPLoopback(psend, 42) },
 			}
 			for name, mk := range build {
 				tr, err := mk()
@@ -98,6 +96,86 @@ func TestSteppedTransportsEquivalent(t *testing.T) {
 	}
 }
 
+// TestTransportsKeepPairOrder: on every transport, each receiver sees each
+// sender's envelopes in send order — consecutively when delivery is
+// reliable, in increasing order under loss. Senders send from the driver
+// between steps and from handlers during them, to several receivers each.
+func TestTransportsKeepPairOrder(t *testing.T) {
+	const peers, perPair, ttl = 6, 5, 2
+	name := func(i int) graph.PeerID { return graph.PeerID(fmt.Sprintf("p%d", i)) }
+	for _, psend := range []float64{1, 0.7} {
+		cfgs := []Config{{Kind: KindSharded, Shards: 4}}
+		for _, k := range Kinds() {
+			cfgs = append(cfgs, Config{Kind: k})
+		}
+		for _, cfg := range cfgs {
+			cfg.PSend, cfg.Seed = psend, 3
+			t.Run(fmt.Sprintf("%s-%d/psend=%v", cfg.Kind, cfg.Shards, psend), func(t *testing.T) {
+				tr, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A peer's state is touched only by its own handler (on its
+				// shard's worker) and by the driver between steps.
+				type peer struct {
+					next, last map[graph.PeerID]uint32 // per-pair send ordinal; last ordinal seen + 1
+					errs       []string
+				}
+				state := make([]*peer, peers)
+				send := func(i, to int, hops byte) {
+					p := state[i]
+					n := p.next[name(to)]
+					p.next[name(to)] = n + 1
+					tr.Send(Envelope{From: name(i), To: name(to), Payload: []byte{hops, byte(n >> 8), byte(n)}})
+				}
+				for i := range peers {
+					state[i] = &peer{next: map[graph.PeerID]uint32{}, last: map[graph.PeerID]uint32{}}
+					err := tr.Register(name(i), func(e Envelope) {
+						p := state[i]
+						n := uint32(e.Payload[1])<<8 | uint32(e.Payload[2])
+						if want := p.last[e.From]; n < want || psend == 1 && n != want {
+							p.errs = append(p.errs, fmt.Sprintf("from %s: ordinal %d after %d", e.From, n, want))
+						}
+						p.last[e.From] = n + 1
+						if hops := e.Payload[0]; hops > 0 {
+							send(i, (i+1)%peers, hops-1)
+							send(i, (i+2)%peers, hops-1)
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				for range perPair {
+					for i := range peers {
+						for to := range peers {
+							if to != i {
+								send(i, to, ttl)
+							}
+						}
+					}
+				}
+				Drain(tr, ttl+2)
+				st := tr.Stats()
+				if err := tr.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if err := tr.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if tr.Pending() != 0 || st.Sent != st.Delivered+st.Dropped || psend == 1 && st.Dropped != 0 {
+					t.Fatalf("stats %+v, %d pending: traffic did not settle", st, tr.Pending())
+				}
+				for i, p := range state {
+					for _, e := range p.errs {
+						t.Errorf("%s: %s", name(i), e)
+					}
+				}
+			})
+		}
+	}
+}
+
 func mustSim(t *testing.T, psend float64, seed int64) *Simulator {
 	t.Helper()
 	s, err := NewSimulator(psend, seed)
@@ -105,91 +183,6 @@ func mustSim(t *testing.T, psend float64, seed int64) *Simulator {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// TestBusDropAccountingMatchesSimulator: under identical lossy traffic the
-// Bus drops exactly the messages the Simulator drops, and both account them
-// identically (Sent = Delivered + Dropped, loss counted at send time).
-func TestBusDropAccountingMatchesSimulator(t *testing.T) {
-	const n = 500
-	sim := mustSim(t, 0.6, 99)
-	sim.Register("a", func(Envelope) {})
-	sim.Register("b", func(Envelope) {})
-	for i := 0; i < n; i++ {
-		sim.Send(Envelope{From: "x", To: "a"})
-		sim.Send(Envelope{From: "y", To: "b"})
-	}
-	sim.Drain(5)
-	simStats := sim.Stats()
-
-	bus, err := NewLossyBus(0.6, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("a", func(Envelope) {})
-	bus.Register("b", func(Envelope) {})
-	for i := 0; i < n; i++ {
-		bus.Send(Envelope{From: "x", To: "a"})
-		bus.Send(Envelope{From: "y", To: "b"})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !bus.Quiescent() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	bus.Close()
-	busStats := bus.Stats()
-
-	if busStats != simStats {
-		t.Errorf("bus stats %+v, simulator stats %+v — drop accounting diverged", busStats, simStats)
-	}
-	if busStats.Sent != busStats.Delivered+busStats.Dropped {
-		t.Errorf("bus accounting leak: %+v", busStats)
-	}
-	if busStats.Dropped == 0 || busStats.Dropped == 2*n {
-		t.Errorf("degenerate loss: %+v", busStats)
-	}
-}
-
-// TestLossyBusControlFramesExempt: low-priority envelopes (local timers)
-// are never lost, whatever the loss rate of regular traffic.
-func TestLossyBusControlFramesExempt(t *testing.T) {
-	bus, err := NewLossyBus(0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ticks int
-	var mu sync.Mutex
-	bus.Register("a", func(Envelope) {
-		mu.Lock()
-		ticks++
-		mu.Unlock()
-	})
-	for i := 0; i < 100; i++ {
-		bus.SendLow(Envelope{From: "driver", To: "a"})
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !bus.Quiescent() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	bus.Close()
-	if ticks != 100 {
-		t.Errorf("delivered %d of 100 low-priority envelopes", ticks)
-	}
-}
-
-// TestNewLossyBusValidation mirrors the simulator's psend validation.
-func TestNewLossyBusValidation(t *testing.T) {
-	if _, err := NewLossyBus(0, 0); err == nil {
-		t.Error("psend=0: want error")
-	}
-	if _, err := NewLossyBus(2, 0); err == nil {
-		t.Error("psend>1: want error")
-	}
-	b, err := NewLossyBus(1, 0)
-	if err != nil || b == nil {
-		t.Errorf("psend=1 must build a reliable bus: %v", err)
-	}
-	b.Close()
 }
 
 // TestShardedAssignsAndSteps: peers spread across shards, delivery works,

@@ -258,13 +258,13 @@ func (sc Scenario) check() error {
 	if sc.Attrs < 2 {
 		return fmt.Errorf("sim: need at least 2 attributes, got %d", sc.Attrs)
 	}
-	if sc.Corrupt < 0 || sc.Corrupt > 1 {
+	if !(0 <= sc.Corrupt && sc.Corrupt <= 1) {
 		return fmt.Errorf("sim: corrupt fraction %v out of [0,1]", sc.Corrupt)
 	}
 	if sc.MaxLen < 2 {
 		return fmt.Errorf("sim: maxLen %d too small", sc.MaxLen)
 	}
-	if sc.Theta < 0 || sc.Theta >= 1 {
+	if !(0 <= sc.Theta && sc.Theta < 1) {
 		return fmt.Errorf("sim: theta %v out of [0,1)", sc.Theta)
 	}
 	switch network.Kind(sc.Transport) {
@@ -278,7 +278,7 @@ func (sc Scenario) check() error {
 	if sc.DetectWorkers < 0 {
 		return fmt.Errorf("sim: negative detect worker count %d", sc.DetectWorkers)
 	}
-	if sc.FeedbackNoise < 0 || sc.FeedbackNoise >= 0.5 {
+	if !(0 <= sc.FeedbackNoise && sc.FeedbackNoise < 0.5) {
 		return fmt.Errorf("sim: feedback noise %v out of [0,0.5)", sc.FeedbackNoise)
 	}
 	if sc.CheckpointEvery != 0 && !sc.WAL {
@@ -305,7 +305,7 @@ func (sc Scenario) check() error {
 		}
 	}
 	for i, ep := range sc.Epochs {
-		if ep.PSend < 0 || ep.PSend > 1 {
+		if !(0 <= ep.PSend && ep.PSend <= 1) {
 			return fmt.Errorf("sim: epoch %d: psend %v out of [0,1]", i+1, ep.PSend)
 		}
 		if ep.Queries < 0 {
@@ -407,7 +407,7 @@ func (cfg GenConfig) withDefaults() GenConfig {
 // GenConfig always yields the same scenario.
 func Generate(cfg GenConfig) (Scenario, error) {
 	cfg = cfg.withDefaults()
-	if cfg.AdvFraction < 0 || cfg.AdvFraction > 1 {
+	if !(0 <= cfg.AdvFraction && cfg.AdvFraction <= 1) {
 		return Scenario{}, fmt.Errorf("sim: adversary fraction %v out of [0,1]", cfg.AdvFraction)
 	}
 	if cfg.AdvFraction == 0 && (cfg.AdvStrategy != "" || cfg.AdvVolume != 0) {

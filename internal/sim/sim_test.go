@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -105,10 +106,24 @@ func TestScenarioValidation(t *testing.T) {
 		{"bad theta", Scenario{Peers: 6, Theta: 1}},
 		{"bad psend", Scenario{Peers: 6, Epochs: []Epoch{{PSend: 2}}}},
 		{"negative queries", Scenario{Peers: 6, Epochs: []Epoch{{Queries: -1}}}},
+		{"NaN corrupt", Scenario{Peers: 6, Corrupt: math.NaN()}},
+		{"NaN theta", Scenario{Peers: 6, Theta: math.NaN()}},
+		{"NaN feedback noise", Scenario{Peers: 6, FeedbackNoise: math.NaN()}},
+		{"NaN psend", Scenario{Peers: 6, Epochs: []Epoch{{PSend: math.NaN()}}}},
 	}
 	for _, c := range cases {
 		if _, err := New(c.sc); err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// TestGenerateAdvFractionValidation: an adversary fraction outside [0,1],
+// NaN included, is rejected rather than rounded into an adversary count.
+func TestGenerateAdvFractionValidation(t *testing.T) {
+	for _, f := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := Generate(GenConfig{Seed: 1, AdvFraction: f}); err == nil {
+			t.Errorf("adversary fraction %v: accepted", f)
 		}
 	}
 }

@@ -160,7 +160,7 @@ func (w Workload) check(sc Scenario) error {
 	if w.QueriesPerEpoch < 0 {
 		return fmt.Errorf("sim: negative queriesPerEpoch")
 	}
-	if w.Hot < 0 || w.Hot > 1 {
+	if !(0 <= w.Hot && w.Hot <= 1) {
 		return fmt.Errorf("sim: hot fraction %v out of [0,1]", w.Hot)
 	}
 	if w.HotKeys < 0 {
@@ -175,13 +175,13 @@ func (w Workload) check(sc Scenario) error {
 	if w.Vocab > 100 {
 		return fmt.Errorf("sim: vocab %d too large (literals are two digits)", w.Vocab)
 	}
-	if w.FeedbackNoise < 0 || w.FeedbackNoise >= 0.5 {
+	if !(0 <= w.FeedbackNoise && w.FeedbackNoise < 0.5) {
 		return fmt.Errorf("sim: feedback noise %v out of [0,0.5)", w.FeedbackNoise)
 	}
 	if sc.FeedbackNoise != 0 && w.FeedbackNoise != sc.FeedbackNoise {
 		return fmt.Errorf("sim: workload feedback noise %v differs from the scenario's %v", w.FeedbackNoise, sc.FeedbackNoise)
 	}
-	if w.FeedbackRate < 0 || w.FeedbackRate > 1 {
+	if !(0 <= w.FeedbackRate && w.FeedbackRate <= 1) {
 		return fmt.Errorf("sim: feedback rate %v out of [0,1]", w.FeedbackRate)
 	}
 	if w.FeedbackMaxRounds < 0 {

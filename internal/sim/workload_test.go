@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -156,6 +157,9 @@ func TestWorkloadValidation(t *testing.T) {
 		{QPS: -1},
 		{Records: -1},
 		{Vocab: 101},
+		{Hot: math.NaN()},
+		{FeedbackNoise: math.NaN()},
+		{FeedbackRate: math.NaN()},
 	}
 	for _, w := range bad {
 		s, err := New(sc)
