@@ -114,15 +114,15 @@ func TestAsyncValidation(t *testing.T) {
 	}
 }
 
-func TestAttrPosterior(t *testing.T) {
-	post := map[graph.EdgeID]map[schema.Attribute]float64{"m": {"a": 0.7}}
-	if got := core.AttrPosterior(post, "m", "a", 0.5); got != 0.7 {
+func TestDetectResultPosterior(t *testing.T) {
+	res := core.DetectResult{Posteriors: map[graph.EdgeID]map[schema.Attribute]float64{"m": {"a": 0.7}}}
+	if got := res.Posterior("m", "a", 0.5); got != 0.7 {
 		t.Errorf("got %v", got)
 	}
-	if got := core.AttrPosterior(post, "m", "zz", 0.5); got != 0.5 {
+	if got := res.Posterior("m", "zz", 0.5); got != 0.5 {
 		t.Errorf("default attr: got %v", got)
 	}
-	if got := core.AttrPosterior(post, "zz", "a", 0.5); got != 0.5 {
+	if got := res.Posterior("zz", "a", 0.5); got != 0.5 {
 		t.Errorf("default mapping: got %v", got)
 	}
 }

@@ -29,14 +29,14 @@ func maxPosteriorDiff(a, b map[graph.EdgeID]map[schema.Attribute]float64) float6
 	max := 0.0
 	for m, attrs := range a {
 		for at, v := range attrs {
-			if d := math.Abs(v - core.AttrPosterior(b, m, at, -1)); d > max {
+			if d := math.Abs(v - core.DetectResult{Posteriors: b}.Posterior(m, at, -1)); d > max {
 				max = d
 			}
 		}
 	}
 	for m, attrs := range b {
 		for at, v := range attrs {
-			if d := math.Abs(v - core.AttrPosterior(a, m, at, -1)); d > max {
+			if d := math.Abs(v - core.DetectResult{Posteriors: a}.Posterior(m, at, -1)); d > max {
 				max = d
 			}
 		}

@@ -201,12 +201,6 @@ func (r DetectResult) Posterior(m graph.EdgeID, a schema.Attribute, def float64)
 	return def
 }
 
-// AttrPosterior reads one posterior from a posterior map, as
-// DetectResult.Posterior does, for the maps a LazyResult carries.
-func AttrPosterior(post map[graph.EdgeID]map[schema.Attribute]float64, m graph.EdgeID, a schema.Attribute, def float64) float64 {
-	return DetectResult{Posteriors: post}.Posterior(m, a, def)
-}
-
 // RunDetection executes the periodic embedded message passing schedule on
 // previously discovered evidence (DiscoverStructural or DiscoverByProbes):
 // in every round each peer recomputes its variable→factor messages, marshals
@@ -275,7 +269,7 @@ func (n *Network) lockstep(opts DetectOptions, scope *detectScope, res DetectRes
 				opts.Trace(round, n.snapshotPosteriors(opts.DefaultPrior))
 			}
 		}
-		lr := lockstepRounds(tr, shards, opts, onRound)
+		lr := lockstepRounds(tr, shards, make([][]byte, len(shards)), opts, onRound)
 		res.Rounds, res.Converged, res.RemoteMessages = lr.rounds, lr.converged, lr.remote
 		res.Work.Add(lr.work)
 	}
@@ -404,11 +398,11 @@ func eachShard(shards [][]runVar, f func(si int, vars []runVar) roundTally) roun
 // variable. onRound, if non-nil, runs after each round's refresh. Returns the
 // rounds' contribution: rounds, convergence, remote messages, work.
 //
-// Each shard appends its round's frames into its own arena, which the Step
-// delivers from and which is reused once Step has returned.
-func lockstepRounds(tr network.Transport, shards [][]runVar, opts DetectOptions, onRound func(round int)) componentResult {
+// Each shard appends its round's frames into its own arena, arenas[si], which
+// the Step delivers from and which is reused once Step has returned, and by
+// a caller that passes the same arenas again.
+func lockstepRounds(tr network.Transport, shards [][]runVar, arenas [][]byte, opts DetectOptions, onRound func(round int)) componentResult {
 	var out componentResult
-	arenas := make([][]byte, len(shards))
 	stable := 0
 	for round := 1; round <= opts.MaxRounds; round++ {
 		remote, updates := sendRound(tr, shards, arenas, opts.DefaultPrior, opts.Blocked)

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
-	"repro/internal/factorgraph"
 	"repro/internal/graph"
+	"repro/internal/network"
 	"repro/internal/query"
-	"repro/internal/schema"
-	"repro/internal/wire"
 )
 
 // LazyQuery is one unit of query workload driving the lazy schedule.
@@ -16,263 +16,189 @@ type LazyQuery struct {
 	Query  query.Query
 }
 
-// LazyOptions configures the lazy message passing schedule of §4.3.2:
-// remote messages are never sent on their own; they piggyback on query
-// messages travelling over mapping links, eliminating all dedicated
-// communication overhead. Convergence speed becomes proportional to the
-// query load.
+// LazyOptions configures the lazy message passing schedule of §4.3.2: the
+// periodic schedule with no dedicated messages. Remote messages piggyback on
+// query messages, so every query carries one period along its own paths and
+// convergence follows the query load.
 //
-// The participants of a feedback factor are not necessarily
-// topology-neighbours (two mappings of a cycle may be owned by peers several
-// hops apart), so piggybacked messages are relayed epidemically: every peer
-// keeps the freshest µ it has seen for each factor position and hands the
-// relevant ones to whichever factor participant a query next visits. Since
-// a cycle's owners form a closed walk in the topology, every message
-// eventually reaches every participant as long as queries keep flowing.
+// A query walks the overlay breadth-first from its origin. On the way down
+// it carries the µ-messages of every peer it reached to that peer's
+// descendants in the walk, and its answers carry them back up to the
+// ancestors: a µ-message crosses between two owners of a factor only when
+// both were reached and one lies on the other's path from the origin. Nothing
+// is buffered or relayed. A period resends every message, so the next query
+// that connects two owners carries the current one.
 type LazyOptions struct {
 	// DefaultPrior as in DetectOptions. Defaults to 0.5.
 	DefaultPrior float64
 	// Theta gates query forwarding during the run (0 forwards everywhere,
 	// letting the workload reach the whole network). It must lie in [0,1].
 	Theta float64
-	// MaxHops bounds each query's propagation. Defaults to the peer count.
+	// MaxHops bounds each query's propagation. Defaults to the peer count;
+	// negative is an error.
 	MaxHops int
-	// Tolerance declares convergence when a full query leaves every
-	// posterior within this bound. Defaults to 1e-6.
+	// Tolerance declares a query quiet when its period moves no posterior by
+	// this bound or more. Defaults to 1e-6.
 	Tolerance float64
-	// StableQueries is how many consecutive queries must stay within
-	// Tolerance before declaring convergence: a single query touches only
-	// part of the network, so one quiet query is weak evidence. Defaults
-	// to 10.
+	// StableQueries is how many consecutive queries must be quiet before
+	// declaring convergence: a single query touches only part of the
+	// network, so one quiet query is weak evidence. Defaults to 10; negative
+	// is an error.
 	StableQueries int
 }
 
-// LazyResult reports a lazy run.
-type LazyResult struct {
-	// Posteriors as in DetectResult.
-	Posteriors map[graph.EdgeID]map[schema.Attribute]float64
-	// QueriesProcessed is the number of workload queries consumed.
-	QueriesProcessed int
-	// Converged reports whether posteriors stabilized before the workload
-	// was exhausted.
-	Converged bool
-	// Piggybacked is the total number of remote messages carried on query
-	// hops (zero dedicated messages were sent).
-	Piggybacked int
-}
-
-// lazyEntry is one relayed µ message with a freshness stamp.
-type lazyEntry struct {
-	msg factorgraph.Msg
-	seq int
-}
-
-type lazyKey struct {
-	ev  string
-	pos int
-}
-
-// lazyState is the transient per-run relay state.
-type lazyState struct {
-	n *Network
-	// relay[peer] holds the freshest µ the peer has seen per position.
-	relay map[graph.PeerID]map[lazyKey]lazyEntry
-	// seq is the global freshness counter (each production is fresher than
-	// every earlier one; a per-producer counter would work equally well).
-	seq int
-}
-
-// RunLazy processes the query workload in order, piggybacking pending
-// remote messages on every query hop (§4.3.2). Evidence must have been
-// discovered beforehand. The run stops early once StableQueries consecutive
-// queries leave every touched posterior within Tolerance.
-func (n *Network) RunLazy(workload []LazyQuery, opts LazyOptions) (LazyResult, error) {
+// RunLazy processes the query workload in order, one period of the lockstep
+// schedule per query, gated by the query's paths (§4.3.2). Evidence must have
+// been discovered beforehand. The run stops early once StableQueries
+// consecutive queries are quiet. Rounds counts the queries processed and
+// RemoteMessages the µ-messages they carried; no dedicated message is sent.
+func (n *Network) RunLazy(workload []LazyQuery, opts LazyOptions) (DetectResult, error) {
 	if len(workload) == 0 {
-		return LazyResult{}, fmt.Errorf("core: empty lazy workload")
+		return DetectResult{}, fmt.Errorf("core: empty lazy workload")
 	}
-	if opts.DefaultPrior == 0 {
-		opts.DefaultPrior = 0.5
-	}
-	if !(0 <= opts.DefaultPrior && opts.DefaultPrior <= 1) {
-		return LazyResult{}, fmt.Errorf("core: default prior %v out of [0,1]", opts.DefaultPrior)
-	}
-	if opts.Tolerance == 0 {
-		opts.Tolerance = 1e-6
-	}
-	if !(opts.Tolerance > 0) {
-		return LazyResult{}, fmt.Errorf("core: tolerance %v is negative or NaN", opts.Tolerance)
+	w := &lazyWalk{n: n, tree: make(map[graph.PeerID]walkNode), arenas: make([][]byte, 1)}
+	round, err := DetectOptions{
+		DefaultPrior: opts.DefaultPrior,
+		Tolerance:    opts.Tolerance,
+		MaxRounds:    1,
+		StableRounds: 1,
+		Blocked:      w.blocked,
+	}.withDefaults()
+	if err != nil {
+		return DetectResult{}, err
 	}
 	if !(0 <= opts.Theta && opts.Theta <= 1) {
-		return LazyResult{}, fmt.Errorf("core: theta %v out of [0,1]", opts.Theta)
+		return DetectResult{}, fmt.Errorf("core: theta %v out of [0,1]", opts.Theta)
 	}
-	if opts.MaxHops <= 0 {
-		opts.MaxHops = n.NumPeers()
+	if opts.MaxHops < 0 || opts.StableQueries < 0 {
+		return DetectResult{}, fmt.Errorf("core: negative MaxHops %d or StableQueries %d", opts.MaxHops, opts.StableQueries)
 	}
-	if opts.StableQueries <= 0 {
-		opts.StableQueries = 10
-	}
+	opts.MaxHops = cmp.Or(opts.MaxHops, n.NumPeers())
+	opts.StableQueries = cmp.Or(opts.StableQueries, 10)
 
-	st := &lazyState{n: n, relay: make(map[graph.PeerID]map[lazyKey]lazyEntry)}
-	for _, p := range n.Peers() {
-		st.relay[p.id] = make(map[lazyKey]lazyEntry)
+	tr, err := openTransport(network.Config{Kind: network.KindSim}, n.Peers())
+	if err != nil {
+		return DetectResult{}, err
 	}
-	// Initial production so the first queries have something to carry.
-	for _, p := range n.Peers() {
-		st.produce(p, opts.DefaultPrior)
-	}
+	defer tr.Close()
 
-	res := LazyResult{}
+	var res DetectResult
 	stable := 0
 	for _, lq := range workload {
 		op, ok := n.peers[lq.Origin]
 		if !ok {
-			return LazyResult{}, fmt.Errorf("core: unknown origin peer %q", lq.Origin)
+			return DetectResult{}, fmt.Errorf("core: unknown origin peer %q", lq.Origin)
 		}
 		if lq.Query.SchemaName != op.schema.Name() {
-			return LazyResult{}, fmt.Errorf("core: query schema %q does not match origin %q",
+			return DetectResult{}, fmt.Errorf("core: query schema %q does not match origin %q",
 				lq.Query.SchemaName, lq.Origin)
 		}
-		res.QueriesProcessed++
-		maxDelta := st.propagate(lq, opts, &res)
-		if maxDelta < opts.Tolerance {
-			stable++
-			if stable >= opts.StableQueries {
-				res.Converged = true
-				break
-			}
-		} else {
+		reached := w.walk(op, lq.Query, opts.Theta, opts.MaxHops, round.DefaultPrior)
+		lr := lockstepRounds(tr, shardVars(tr, reached, nil), w.arenas, round, nil)
+		res.Rounds++
+		res.RemoteMessages += lr.remote
+		res.Work.Add(lr.work)
+		if !lr.converged {
 			stable = 0
+			continue
+		}
+		if stable++; stable >= opts.StableQueries {
+			res.Converged = true
+			break
 		}
 	}
-	res.Posteriors = n.snapshotPosteriors(opts.DefaultPrior)
+	res.Posteriors = n.snapshotPosteriors(round.DefaultPrior)
+	res.Transport = tr.Stats()
 	return res, nil
 }
 
-// produce refreshes p's factor→variable messages and posteriors, then
-// re-derives its outgoing µ messages into its relay buffer. Returns the
-// largest posterior change.
-func (st *lazyState) produce(p *Peer, defPrior float64) float64 {
-	relay := st.relay[p.id]
-	return p.produce(defPrior, func(f *factorRef, msg factorgraph.Msg) {
-		st.seq++
-		relay[lazyKey{ev: f.replica.ev.ID, pos: f.pos}] = lazyEntry{msg: msg, seq: st.seq}
-	})
+// lazyWalk is a lazy run's scratch, reused from query to query: the peers
+// the current query reached in breadth-first order, the query as rewritten
+// into each one's schema, each one's place in the walk's tree, the sorted
+// mappings of the peer being expanded and the periods' one-shard frame arena.
+type lazyWalk struct {
+	n       *Network
+	reached []*Peer
+	queries []query.Query
+	tree    map[graph.PeerID]walkNode
+	out     []graph.EdgeID
+	arenas  [][]byte
 }
 
-// propagate runs one query breadth-first through the network, relaying
-// messages on every hop, and returns the largest posterior change observed.
-func (st *lazyState) propagate(lq LazyQuery, opts LazyOptions, res *LazyResult) float64 {
-	n := st.n
-	maxDelta := 0.0
-	type item struct {
-		peer graph.PeerID
-		q    query.Query
-		hops int
-	}
-	visited := map[graph.PeerID]bool{lq.Origin: true}
-	queue := []item{{peer: lq.Origin, q: lq.Query}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		p := n.peers[cur.peer]
-		if cur.hops >= opts.MaxHops {
+// walkNode is a reached peer's BFS parent and its depth below the origin.
+type walkNode struct {
+	parent graph.PeerID
+	depth  int
+}
+
+// walk floods q breadth-first from origin over the mappings that pass the
+// gate and returns the peers it reached, origin first.
+func (w *lazyWalk) walk(origin *Peer, q query.Query, theta float64, maxHops int, defPrior float64) []*Peer {
+	clear(w.tree)
+	w.tree[origin.id] = walkNode{}
+	w.reached = append(w.reached[:0], origin)
+	w.queries = append(w.queries[:0], q)
+	for i := 0; i < len(w.reached); i++ {
+		p, q := w.reached[i], w.queries[i]
+		depth := w.tree[p.id].depth
+		if depth >= maxHops {
 			continue
 		}
-		for _, eid := range p.Outgoing() {
-			e, _ := n.topo.Edge(eid)
-			if visited[e.To] {
+		w.out = w.out[:0]
+		for eid := range p.out {
+			w.out = append(w.out, eid)
+		}
+		slices.Sort(w.out)
+		for _, eid := range w.out {
+			e, _ := w.n.topo.Edge(eid)
+			if _, seen := w.tree[e.To]; seen {
 				continue
 			}
 			m := p.out[eid]
-			// Piggyback propagation keeps a gate of its own, apart from the
-			// routing verdicts freezeAttr decides at publication: it reads
-			// beliefs that move mid-query (every hop may re-produce the
-			// receiver's posteriors), so there is no frozen verdict to follow.
+			// The walk keeps a gate of its own, apart from the routing
+			// verdicts freezeAttr decides at publication: a run has no frozen
+			// snapshot, so it reads the beliefs the earlier queries left.
 			forward := true
-			for _, a := range cur.q.Attributes() {
+			for _, a := range q.Attributes() {
 				if _, mapped := m.Map(a); !mapped {
 					forward = false
 					break
 				}
-				if vs := p.vars[varKey{Mapping: eid, Attr: a}]; vs != nil {
-					pr := p.PriorFor(eid, a, opts.DefaultPrior)
-					if vs.posterior(pr) <= opts.Theta {
-						forward = false
-						break
-					}
+				if vs := p.vars[varKey{Mapping: eid, Attr: a}]; vs != nil && vs.posterior(p.PriorFor(eid, a, defPrior)) <= theta {
+					forward = false
+					break
 				}
 			}
 			if !forward {
 				continue
 			}
-			if d := st.hop(p.id, e.To, opts.DefaultPrior, res); d > maxDelta {
-				maxDelta = d
-			}
-			rewritten, dropped := cur.q.Rewrite(m)
+			rewritten, dropped := q.Rewrite(m)
 			if len(dropped) > 0 {
 				continue
 			}
-			visited[e.To] = true
-			queue = append(queue, item{peer: e.To, q: rewritten, hops: cur.hops + 1})
+			w.tree[e.To] = walkNode{parent: p.id, depth: depth + 1}
+			w.reached = append(w.reached, w.n.peers[e.To])
+			w.queries = append(w.queries, rewritten)
 		}
 	}
-	return maxDelta
+	return w.reached
 }
 
-// hop transfers, from the sender's relay buffer to the receiver, every
-// message whose factor the receiver participates in and that is fresher
-// than what the receiver has. The batch crosses the hop as one wire
-// Piggyback frame — marshalled at the sender, unmarshalled at the receiver —
-// so a lazy run exercises exactly the bytes a real query message would
-// carry. Applied messages update the receiver's factor replicas; if
-// anything landed, the receiver re-produces its own messages.
-func (st *lazyState) hop(from, to graph.PeerID, defPrior float64, res *LazyResult) float64 {
-	dst := st.n.peers[to]
-	var batch []wire.PiggybackEntry
-	for key, entry := range st.relay[from] {
-		// A peer participates in a factor exactly when it holds a replica.
-		if _, ok := dst.evs[key.ev]; !ok {
-			continue
-		}
-		have, ok := st.relay[to][key]
-		if ok && have.seq >= entry.seq {
-			continue
-		}
-		batch = append(batch, wire.PiggybackEntry{
-			EvID: key.ev,
-			Pos:  key.pos,
-			Seq:  uint64(entry.seq),
-			Msg:  entry.msg,
-		})
+// blocked severs every link but those between two peers the current query
+// reached of which one is the other's ancestor in the walk: the query
+// carries µ-messages down its path and its answers carry them back up.
+func (w *lazyWalk) blocked(from, to graph.PeerID) bool {
+	b, ok := w.tree[to]
+	if !ok {
+		return true
 	}
-	if len(batch) == 0 {
-		return 0
+	a := w.tree[from] // the sender was reached
+	if a.depth < b.depth {
+		from, to, a, b = to, from, b, a
 	}
-	frame := wire.Encode(wire.Piggyback{Entries: batch})
-	decoded, err := wire.Decode(frame)
-	if err != nil {
-		// Unreachable: we just encoded it. Dropping mirrors a real node's
-		// reaction to a corrupt frame.
-		return 0
+	for a.depth > b.depth {
+		from = a.parent
+		a = w.tree[from]
 	}
-	pb := decoded.(wire.Piggyback)
-
-	applied := false
-	for _, e := range pb.Entries {
-		key := lazyKey{ev: e.EvID, pos: e.Pos}
-		st.relay[to][key] = lazyEntry{msg: factorgraph.Msg(e.Msg), seq: int(e.Seq)}
-		res.Piggybacked++
-		// Apply to the local replica unless this is the receiver's own
-		// position (its own µ is maintained by produce).
-		if r, ok := dst.evs[e.EvID]; ok {
-			if e.Pos >= 0 && e.Pos < len(r.ev.Owners) && r.ev.Owners[e.Pos] != to {
-				r.setRemote(e.Pos, factorgraph.Msg(e.Msg))
-				applied = true
-			}
-		}
-	}
-	if !applied {
-		return 0
-	}
-	return st.produce(dst, defPrior)
+	return from != to
 }

@@ -386,7 +386,9 @@ func TestRouteQueryMaxHops(t *testing.T) {
 }
 
 // TestLazyScheduleConverges: the lazy schedule reaches the same posteriors
-// as the periodic schedule, with zero dedicated messages.
+// as the periodic schedule, with zero dedicated messages: it runs the
+// periodic rounds, one per query, so it lands on the same loopy-BP fixed
+// point.
 func TestLazyScheduleConverges(t *testing.T) {
 	periodic := paper.IntroNetwork()
 	if _, err := periodic.DiscoverStructural([]schema.Attribute{paper.Creator}, 6, paper.Delta); err != nil {
@@ -417,19 +419,15 @@ func TestLazyScheduleConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Converged {
-		t.Fatalf("lazy schedule did not converge in %d queries", res.QueriesProcessed)
+		t.Fatalf("lazy schedule did not converge in %d queries", res.Rounds)
 	}
-	if res.Piggybacked == 0 {
+	if res.RemoteMessages == 0 {
 		t.Error("no messages piggybacked")
 	}
-	// The asynchronous schedule settles on a nearby loopy-BP fixed point:
-	// identical decisions, posteriors within a few hundredths of the
-	// synchronous schedule (they coincide exactly on tree factor graphs —
-	// see TestLazyEqualsPeriodicOnTree).
 	for _, m := range []graph.EdgeID{"m12", "m23", "m34", "m41", "m24"} {
 		a := want.Posterior(m, paper.Creator, -1)
 		b := res.Posteriors[m][paper.Creator]
-		if math.Abs(a-b) > 0.05 {
+		if math.Abs(a-b) > 1e-6 {
 			t.Errorf("lazy posterior[%s] = %.6f, periodic %.6f", m, b, a)
 		}
 		if (a > 0.5) != (b > 0.5) {
@@ -484,6 +482,81 @@ func TestLazyEqualsPeriodicOnTree(t *testing.T) {
 	}
 }
 
+// TestLazyCarriesAlongQueryPaths pins the delivery rule of the lazy
+// schedule: one query carries one period along its own paths, so a µ-message
+// crosses only between the origin and a peer the query reached (down with the
+// query, back up with its answer), never between two reached siblings and
+// never to or from a peer the query did not reach.
+func TestLazyCarriesAlongQueryPaths(t *testing.T) {
+	n := paper.IntroNetwork()
+	if _, err := n.DiscoverStructural([]schema.Attribute{paper.Creator}, 6, paper.Delta); err != nil {
+		t.Fatal(err)
+	}
+	n.ResetMessages()
+	const origin = graph.PeerID("p2")
+	op, _ := n.Peer(origin)
+	q := query.MustNew(op.Schema(), query.Op{Kind: query.Project, Attr: paper.Creator})
+	res, err := n.RunLazy([]core.LazyQuery{{Origin: origin, Query: q}}, core.LazyOptions{MaxHops: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One hop reaches the targets of the origin's mappings that carry the
+	// queried attribute.
+	reached := map[graph.PeerID]bool{}
+	for _, e := range n.Topology().Edges() {
+		if m, _ := n.Mapping(e.ID); e.From == origin {
+			if _, ok := m.Map(paper.Creator); ok {
+				reached[e.To] = true
+			}
+		}
+	}
+	if len(reached) != 2 {
+		t.Fatalf("reached %v, want the two targets of m23 and m24", reached)
+	}
+	carries := func(from, to graph.PeerID) bool {
+		return from != to && (from == origin && reached[to] || to == origin && reached[from])
+	}
+
+	for _, to := range n.Topology().Peers() {
+		got := n.Senders(to)
+		for from, slots := range got {
+			if !carries(from, to) {
+				t.Errorf("%s → %s carried %d messages, the query path does not join them", from, to, slots)
+			}
+		}
+		if reached[to] && (got[origin] == 0 || n.Senders(origin)[to] == 0) {
+			t.Errorf("origin %s and reached %s exchanged no message both ways", origin, to)
+		}
+	}
+
+	// Every sender position of a factor whose owner the rule lets carry sends
+	// one message to each other distinct owner it may reach.
+	want := 0
+	for m, attrs := range res.Posteriors {
+		owner, _ := n.Owner(m)
+		for a := range attrs {
+			for _, f := range n.FactorsOf(m, a) {
+				seen := map[graph.PeerID]bool{owner.ID(): true}
+				for _, other := range f.Mappings {
+					if o, _ := n.Owner(other); !seen[o.ID()] {
+						seen[o.ID()] = true
+						if carries(owner.ID(), o.ID()) {
+							want++
+						}
+					}
+				}
+			}
+		}
+	}
+	if want == 0 || res.RemoteMessages != want {
+		t.Errorf("RemoteMessages = %d, the evidence owners give %d", res.RemoteMessages, want)
+	}
+	if res.Rounds != 1 {
+		t.Errorf("Rounds = %d, want one period for one query", res.Rounds)
+	}
+}
+
 func TestLazyValidation(t *testing.T) {
 	n := paper.IntroNetwork()
 	if _, err := n.RunLazy(nil, core.LazyOptions{}); err == nil {
@@ -501,12 +574,14 @@ func TestLazyValidation(t *testing.T) {
 		t.Error("bad prior: want error")
 	}
 	for name, opts := range map[string]core.LazyOptions{
-		"NaN prior":          {DefaultPrior: math.NaN()},
-		"NaN tolerance":      {Tolerance: math.NaN()},
-		"negative tolerance": {Tolerance: -1},
-		"NaN theta":          {Theta: math.NaN()},
-		"negative theta":     {Theta: -0.5},
-		"theta above 1":      {Theta: 1.5},
+		"NaN prior":              {DefaultPrior: math.NaN()},
+		"NaN tolerance":          {Tolerance: math.NaN()},
+		"negative tolerance":     {Tolerance: -1},
+		"NaN theta":              {Theta: math.NaN()},
+		"negative theta":         {Theta: -0.5},
+		"theta above 1":          {Theta: 1.5},
+		"negative MaxHops":       {MaxHops: -1},
+		"negative StableQueries": {StableQueries: -1},
 	} {
 		if _, err := n.RunLazy([]core.LazyQuery{{Origin: "p1", Query: q}}, opts); err == nil {
 			t.Errorf("%s: want error", name)

@@ -363,7 +363,7 @@ func (n *Network) lockstepComponent(c *detectComponent, tr network.Transport, op
 		scope.vars[rv.vs.key] = true
 	}
 	out.work.Resets += n.resetScope(scope)
-	r := lockstepRounds(tr, [][]runVar{c.vars}, opts, nil)
+	r := lockstepRounds(tr, [][]runVar{c.vars}, make([][]byte, 1), opts, nil)
 	out.rounds, out.converged = r.rounds, r.converged
 	out.remote += r.remote
 	out.work.Add(r.work)

@@ -184,32 +184,11 @@ func (vs *varState) refresh(prior float64) float64 {
 	return math.Abs(vs.posterior(prior) - before)
 }
 
-// produce is one step of the round-less lazy schedule at p: refresh
-// every variable, re-derive its outgoing µ messages, record each in the local
-// replica and hand it to sink. Returns the largest posterior move.
-func (p *Peer) produce(defPrior float64, sink func(f *factorRef, msg factorgraph.Msg)) float64 {
-	maxDelta := 0.0
-	for _, key := range p.sortedVarKeys() {
-		vs := p.vars[key]
-		prior := p.PriorFor(key.Mapping, key.Attr, defPrior)
-		if d := vs.refresh(prior); d > maxDelta {
-			maxDelta = d
-		}
-		outs := vs.outgoingAll(prior)
-		for fi, f := range vs.factors {
-			f.replica.setRemote(f.pos, outs[fi])
-			sink(f, outs[fi])
-		}
-	}
-	return maxDelta
-}
-
 // sortedVarKeys returns the peer's variable keys in deterministic order.
-// The slice is cached — every run resolves its work list from it and every
-// production of the round-less schedules iterates it — and invalidated by
-// whatever mutates p.vars (installEvidence, resetInference). Callers must
-// not mutate it. The length check is a
-// second line of defense for in-package tests that populate p.vars
+// The slice is cached — every run, and every query of a lazy run, resolves
+// its work list from it — and invalidated by whatever mutates p.vars
+// (installEvidence, resetInference). Callers must not mutate it. The length
+// check is a second line of defense for in-package tests that populate p.vars
 // directly; it cannot detect same-size key replacement, which is why the
 // mutators clear the cache explicitly.
 func (p *Peer) sortedVarKeys() []varKey {

@@ -237,11 +237,14 @@ func (t *Loopback) Err() error {
 	return nil
 }
 
-// Close tears the stream down and waits for the reader to exit.
+// Close tears the stream down: it flushes and closes the write end, waits for
+// the reader to take every frame and reach the end of the stream, and only
+// then closes the read end. Closing the read end under a reader still in Read
+// would leave a "use of closed network connection" behind for Err to report.
 func (t *Loopback) Close() error {
 	t.w.Flush()
 	t.wc.Close()
-	t.rc.Close()
 	<-t.done
+	t.rc.Close()
 	return nil
 }

@@ -242,6 +242,28 @@ func TestLoopbackCarriesRealBytes(t *testing.T) {
 	}
 }
 
+// TestLoopbackCloseIsClean: closing a healthy loopback is not a stream
+// failure. Err stays nil after every Close, cycle after cycle.
+func TestLoopbackCloseIsClean(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		tr, err := NewTCPLoopback(1, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Register("a", func(Envelope) {}); err != nil {
+			t.Fatal(err)
+		}
+		tr.Send(Envelope{From: "b", To: "a", Payload: []byte{byte(i)}})
+		tr.Step()
+		if err := tr.Close(); err != nil {
+			t.Fatalf("cycle %d: Close: %v", i, err)
+		}
+		if err := tr.Err(); err != nil {
+			t.Fatalf("cycle %d: Err after Close = %v", i, err)
+		}
+	}
+}
+
 // TestNewConfigDispatch: the Config constructor builds every kind and
 // rejects unknown ones.
 func TestNewConfigDispatch(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -123,7 +124,7 @@ func maxDiff(a, b map[graph.EdgeID]map[schema.Attribute]float64) float64 {
 	max := 0.0
 	for m, attrs := range a {
 		for at, v := range attrs {
-			if d := math.Abs(v - core.AttrPosterior(b, m, at, -1)); d > max {
+			if d := math.Abs(v - core.DetectResult{Posteriors: b}.Posterior(m, at, -1)); d > max {
 				max = d
 			}
 		}
@@ -140,75 +141,79 @@ func maxDiff(a, b map[graph.EdgeID]map[schema.Attribute]float64) float64 {
 
 // TestHundredSeedScheduleDifferential is the three-way differential oracle:
 // on 100 seeded static scenarios the periodic schedule (RunDetection), the
-// piggybacking schedule (RunLazy) and the asynchronous residual schedule
-// (RunDetectionAsync) must land on the same posteriors within 1e-6 — three
-// schedules of §4.3 pinned to one fixed point.
+// lazy schedule (RunLazy, one period per query) and the asynchronous
+// residual schedule (RunDetectionAsync) must land on the same posteriors
+// within 1e-6 — three schedules of §4.3 pinned to one fixed point. Each seed
+// is a parallel subtest named by its seed.
 func TestHundredSeedScheduleDifferential(t *testing.T) {
 	seeds := 100
 	if testing.Short() {
 		seeds = 12
 	}
 	for seed := 0; seed < seeds; seed++ {
-		// Static, strongly connected necklace overlays: every peer is
-		// reachable from every origin (the lazy schedule needs the query
-		// flow), and the factor graph is a forest, so belief propagation
-		// has a unique fixed point — any divergence between the three
-		// schedules is an implementation bug, never a loopy-BP artifact.
-		sc := Scenario{
-			Name:     fmt.Sprintf("diff-%d", seed),
-			Seed:     int64(seed),
-			Topology: "necklace",
-			Peers:    12,
-			Corrupt:  0.2,
-			Epochs:   []Epoch{{}}, // one static epoch
-		}
-		s, err := New(sc)
-		if err != nil {
-			t.Fatalf("seed %d: build: %v", seed, err)
-		}
-		if _, err := s.Run(); err != nil {
-			t.Fatalf("seed %d: run: %v", seed, err)
-		}
-		net := s.Network()
-		attr := analysisAttr
-
-		net.ResetMessages()
-		det, err := net.RunDetection(core.DetectOptions{MaxRounds: 2000, Tolerance: 1e-10})
-		if err != nil {
-			t.Fatalf("seed %d: detect: %v", seed, err)
-		}
-
-		net.ResetMessages()
-		rng := rand.New(rand.NewSource(int64(seed)))
-		peers := net.Peers()
-		workload := make([]core.LazyQuery, 6000)
-		for i := range workload {
-			p := peers[rng.Intn(len(peers))]
-			workload[i] = core.LazyQuery{
-				Origin: p.ID(),
-				Query:  query.MustNew(p.Schema(), query.Op{Kind: query.Project, Attr: attr}),
+		t.Run(strconv.Itoa(seed), func(t *testing.T) {
+			t.Parallel()
+			// Static, strongly connected necklace overlays: every peer is
+			// reachable from every origin (the lazy schedule needs the query
+			// flow), and the factor graph is a forest, so belief propagation
+			// has a unique fixed point — any divergence between the three
+			// schedules is an implementation bug, never a loopy-BP artifact.
+			sc := Scenario{
+				Name:     fmt.Sprintf("diff-%d", seed),
+				Seed:     int64(seed),
+				Topology: "necklace",
+				Peers:    12,
+				Corrupt:  0.2,
+				Epochs:   []Epoch{{}}, // one static epoch
 			}
-		}
-		lazy, err := net.RunLazy(workload, core.LazyOptions{Tolerance: 1e-10, StableQueries: 50})
-		if err != nil {
-			t.Fatalf("seed %d: lazy: %v", seed, err)
-		}
+			s, err := New(sc)
+			if err != nil {
+				t.Fatalf("seed %d: build: %v", seed, err)
+			}
+			if _, err := s.Run(); err != nil {
+				t.Fatalf("seed %d: run: %v", seed, err)
+			}
+			net := s.Network()
+			attr := analysisAttr
 
-		net.ResetMessages()
-		async, err := net.RunDetectionAsync(core.DetectOptions{MaxRounds: 2000, Tolerance: 1e-10})
-		if err != nil {
-			t.Fatalf("seed %d: async: %v", seed, err)
-		}
+			net.ResetMessages()
+			det, err := net.RunDetection(core.DetectOptions{MaxRounds: 2000, Tolerance: 1e-10})
+			if err != nil {
+				t.Fatalf("seed %d: detect: %v", seed, err)
+			}
 
-		if d := maxDiff(det.Posteriors, lazy.Posteriors); d > 1e-6 {
-			t.Errorf("seed %d: detect vs lazy diverge by %.2e", seed, d)
-		}
-		if d := maxDiff(det.Posteriors, async.Posteriors); d > 1e-6 {
-			t.Errorf("seed %d: detect vs async diverge by %.2e", seed, d)
-		}
-		if d := maxDiff(lazy.Posteriors, async.Posteriors); d > 1e-6 {
-			t.Errorf("seed %d: lazy vs async diverge by %.2e", seed, d)
-		}
+			net.ResetMessages()
+			rng := rand.New(rand.NewSource(int64(seed)))
+			peers := net.Peers()
+			workload := make([]core.LazyQuery, 6000)
+			for i := range workload {
+				p := peers[rng.Intn(len(peers))]
+				workload[i] = core.LazyQuery{
+					Origin: p.ID(),
+					Query:  query.MustNew(p.Schema(), query.Op{Kind: query.Project, Attr: attr}),
+				}
+			}
+			lazy, err := net.RunLazy(workload, core.LazyOptions{Tolerance: 1e-10, StableQueries: 50})
+			if err != nil {
+				t.Fatalf("seed %d: lazy: %v", seed, err)
+			}
+
+			net.ResetMessages()
+			async, err := net.RunDetectionAsync(core.DetectOptions{MaxRounds: 2000, Tolerance: 1e-10})
+			if err != nil {
+				t.Fatalf("seed %d: async: %v", seed, err)
+			}
+
+			if d := maxDiff(det.Posteriors, lazy.Posteriors); d > 1e-6 {
+				t.Errorf("seed %d: detect vs lazy diverge by %.2e", seed, d)
+			}
+			if d := maxDiff(det.Posteriors, async.Posteriors); d > 1e-6 {
+				t.Errorf("seed %d: detect vs async diverge by %.2e", seed, d)
+			}
+			if d := maxDiff(lazy.Posteriors, async.Posteriors); d > 1e-6 {
+				t.Errorf("seed %d: lazy vs async diverge by %.2e", seed, d)
+			}
+		})
 	}
 }
 

@@ -23,7 +23,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Version})
 	f.Add([]byte{Version, byte(KindRemote), 0x80, 0x00})
-	// The retired kinds 4 and 5 must stay unknown.
+	// The retired kinds 3, 4 and 5 must stay unknown; the two kind-3 frames
+	// are what the retired Piggyback encoder emitted for a batch of two
+	// entries and for an empty batch.
+	f.Add(mustHex("0103020465762d61012a3fe00000000000003fe00000000000000465762d620080808080802001a56e1fc2f8f3593feffffffffffff7"))
+	f.Add(mustHex("010300"))
 	f.Add([]byte{Version, 4})
 	f.Add([]byte{Version, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -7,12 +7,13 @@
 //
 //   - Remote — a belief-propagation µ-message (variable→factor, §4.3)
 //   - Probe — a TTL-bounded structure-discovery probe (§3.2.1)
-//   - Piggyback — a batch of µ-messages riding on a query hop (§4.3.2)
 //
-// Kinds 4 and 5 were the control frames of a goroutine-per-peer
-// asynchronous runtime that the residual schedule replaced; they are retired,
-// Decode rejects them, and they are never reused. Version stays 1: no
-// remaining frame changed its bytes, and wire frames are never persisted.
+// Kinds 3 to 5 are retired: 3 carried the relayed µ-message batches of a lazy
+// schedule that now runs as periodic rounds carried by queries, and 4 and 5
+// were the control frames of a goroutine-per-peer asynchronous runtime that
+// the residual schedule replaced. Decode rejects them, and they are never
+// reused. Version stays 1: no remaining frame changed its bytes, and wire
+// frames are never persisted.
 //
 // A frame is a version byte, a kind byte and the kind's fields in the
 // canonical encoding of internal/canon, which owns the strictness rules
@@ -47,11 +48,10 @@ const Version = 1
 type Kind uint8
 
 // Frame kinds. Values are part of the wire format; never renumber, and
-// never reuse the retired 4 and 5.
+// never reuse the retired 3, 4 and 5.
 const (
-	KindRemote    Kind = 1
-	KindProbe     Kind = 2
-	KindPiggyback Kind = 3
+	KindRemote Kind = 1
+	KindProbe  Kind = 2
 )
 
 // String names the kind for diagnostics.
@@ -61,8 +61,6 @@ func (k Kind) String() string {
 		return "remote"
 	case KindProbe:
 		return "probe"
-	case KindPiggyback:
-		return "piggyback"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -101,23 +99,6 @@ type Probe struct {
 // WireKind implements Message.
 func (Probe) WireKind() Kind { return KindProbe }
 
-// PiggybackEntry is one relayed µ-message with its freshness stamp.
-type PiggybackEntry struct {
-	EvID string
-	Pos  int
-	Seq  uint64
-	Msg  [2]float64
-}
-
-// Piggyback is the batch of µ-messages carried on one query hop of the lazy
-// schedule (§4.3.2): zero dedicated messages, everything rides the workload.
-type Piggyback struct {
-	Entries []PiggybackEntry
-}
-
-// WireKind implements Message.
-func (Piggyback) WireKind() Kind { return KindPiggyback }
-
 // Encode renders the message as a canonical binary frame.
 //
 //pdms:deterministic
@@ -141,15 +122,6 @@ func Append(dst []byte, m Message) []byte {
 		for _, s := range v.Steps {
 			dst = canon.String(dst, s.Edge)
 			dst = canon.Bool(dst, s.Forward)
-		}
-	case Piggyback:
-		dst = canon.Uint(dst, uint64(len(v.Entries)))
-		for _, e := range v.Entries {
-			dst = canon.String(dst, e.EvID)
-			dst = canon.Uint(dst, uint64(e.Pos))
-			dst = canon.Uint(dst, e.Seq)
-			dst = canon.Float(dst, e.Msg[0])
-			dst = canon.Float(dst, e.Msg[1])
 		}
 	default:
 		panic(fmt.Sprintf("wire: unknown message type %T", m))
@@ -234,18 +206,6 @@ func Decode(b []byte) (Message, error) {
 		for i := range v.Steps {
 			v.Steps[i].Edge = graph.EdgeID(r.Str())
 			v.Steps[i].Forward = r.Bool()
-		}
-		m = v
-	case KindPiggyback:
-		var v Piggyback
-		v.Entries = canon.Slice[PiggybackEntry](&r, 19)
-		for i := range v.Entries {
-			e := &v.Entries[i]
-			e.EvID = r.Str()
-			e.Pos = r.Uint()
-			e.Seq = r.Uvarint()
-			e.Msg[0] = r.Float()
-			e.Msg[1] = r.Float()
 		}
 		m = v
 	default:

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -20,11 +21,6 @@ func everyKind() []Message {
 			{Edge: "m23", Forward: false},
 		}},
 		Probe{Origin: "p9", Attr: "a0", Image: "a0", Lost: "m7", TTL: 1},
-		Piggyback{Entries: []PiggybackEntry{
-			{EvID: "ev-a", Pos: 1, Seq: 42, Msg: [2]float64{0.5, 0.5}},
-			{EvID: "ev-b", Pos: 0, Seq: 1 << 40, Msg: [2]float64{1e-300, 1 - 1e-15}},
-		}},
-		Piggyback{},
 	}
 }
 
@@ -56,23 +52,34 @@ func TestEncodeDeterministic(t *testing.T) {
 func TestDecodeRejectsMalformedFrames(t *testing.T) {
 	good := Encode(Remote{EvID: "e", Pos: 1, Msg: [2]float64{0.5, 0.5}})
 	cases := map[string][]byte{
-		"empty":              nil,
-		"version only":       {Version},
-		"unknown version":    append([]byte{99}, good[1:]...),
-		"unknown kind":       {Version, 200},
-		"truncated remote":   good[:len(good)-1],
-		"trailing bytes":     append(append([]byte(nil), good...), 0),
-		"retired kind 4":     {Version, 4},
-		"retired kind 5":     {Version, 5},
-		"non-minimal varint": {Version, byte(KindRemote), 0x80, 0x00},
-		"huge steps length":  {Version, byte(KindProbe), 1, 'p', 1, 'a', 1, 'a', 0, 3, 0xff, 0xff, 0xff, 0x7f},
-		"bad bool":           {Version, byte(KindProbe), 0, 0, 0, 0, 1, 1, 1, 'e', 2},
+		"empty":                 nil,
+		"version only":          {Version},
+		"unknown version":       append([]byte{99}, good[1:]...),
+		"unknown kind":          {Version, 200},
+		"truncated remote":      good[:len(good)-1],
+		"trailing bytes":        append(append([]byte(nil), good...), 0),
+		"retired kind 3":        mustHex("0103020465762d61012a3fe00000000000003fe00000000000000465762d620080808080802001a56e1fc2f8f3593feffffffffffff7"),
+		"retired kind 3, empty": mustHex("010300"),
+		"retired kind 4":        {Version, 4},
+		"retired kind 5":        {Version, 5},
+		"non-minimal varint":    {Version, byte(KindRemote), 0x80, 0x00},
+		"huge steps length":     {Version, byte(KindProbe), 1, 'p', 1, 'a', 1, 'a', 0, 3, 0xff, 0xff, 0xff, 0x7f},
+		"bad bool":              {Version, byte(KindProbe), 0, 0, 0, 0, 1, 1, 1, 'e', 2},
 	}
 	for name, b := range cases {
 		if _, err := Decode(b); err == nil {
 			t.Errorf("%s: Decode accepted %x", name, b)
 		}
 	}
+}
+
+// mustHex decodes a hex literal of a test table.
+func mustHex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 func TestFloatBitsPreserved(t *testing.T) {
@@ -89,7 +96,7 @@ func TestFloatBitsPreserved(t *testing.T) {
 
 func TestAppendReusesBuffer(t *testing.T) {
 	buf := make([]byte, 0, 256)
-	one := Append(buf, Piggyback{})
+	one := Append(buf, Probe{})
 	if &one[0] != &buf[:1][0] {
 		t.Error("Append did not reuse the provided buffer")
 	}

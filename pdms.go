@@ -22,9 +22,9 @@
 //     small remote messages — and yields P(mapping correct) per attribute.
 //     RunDetectionAsync is the asynchronous schedule: no global rounds,
 //     every component converges on its own residual frontier, and a peer
-//     resends only the messages whose inputs moved. RunLazy piggybacks the
-//     same messages on query traffic instead, with zero dedicated
-//     communication.
+//     resends only the messages whose inputs moved. RunLazy runs the
+//     periodic rounds on query traffic instead, one period per query along
+//     the query's paths, with zero dedicated communication.
 //  4. PublishSnapshot freezes the posteriors under a routing policy
 //     (SnapshotOptions) and RoutingSnapshot.RouteQuery forwards queries only
 //     through mappings whose posteriors clear the per-attribute semantic
@@ -42,8 +42,8 @@
 // invariants, the three-way schedule differential, the scratch-rediscovery
 // oracle and how to add a scenario.
 //
-// Every message the stack sends — belief-propagation µ-messages, discovery
-// probes, lazy piggybacks — crosses the
+// Every message the stack sends — belief-propagation µ-messages, including
+// the ones queries carry under RunLazy, and discovery probes — crosses the
 // transport as typed, versioned, canonical binary frames (internal/wire),
 // and the transport itself is pluggable: DetectOptions.Transport selects
 // TransportSim (the default deterministic simulator), TransportSharded (the
@@ -148,8 +148,6 @@ type (
 	LazyOptions = core.LazyOptions
 	// LazyQuery is one unit of query workload for the lazy schedule.
 	LazyQuery = core.LazyQuery
-	// LazyResult reports a lazy run.
-	LazyResult = core.LazyResult
 	// RouteResult is the outcome of a routed query.
 	RouteResult = core.RouteResult
 	// Visit records a routed query's arrival at one peer.

@@ -171,6 +171,6 @@ func TestPublicLazySchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Converged {
-		t.Errorf("lazy run did not converge after %d queries", res.QueriesProcessed)
+		t.Errorf("lazy run did not converge after %d queries", res.Rounds)
 	}
 }

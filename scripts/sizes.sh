@@ -49,6 +49,8 @@ printf 'codec lines (wire, wal record, canon): %s\n' "$(gofiles -not -name '*_te
 # What a run emits: the per-epoch record types and the run-result types
 # internal/sim declares (a type alias is not a second struct).
 structs() { gofiles -not -name '*_test.go' -path './internal/sim/*' | xargs grep -h "^type [A-Za-z]*$1 struct" | wc -l | tr -d ' '; }
+# Frame kinds the wire protocol still defines (retired kinds have no constant).
+printf 'wire frame kinds:                  %s\n' "$(grep -cE '^\s+Kind[A-Za-z]+ +Kind = [0-9]+$' internal/wire/wire.go)"
 printf 'sim epoch-record / result structs: %s / %s\n' "$(structs EpochTrace)" "$(structs Result)"
 # Stepped transports that implement delivery themselves (a Step method).
 printf 'stepped transport types:           %s\n' "$(gofiles -not -name '*_test.go' -path './internal/network/*' | xargs grep -hE '^func \([a-z]+ \*?[A-Za-z]+\) Step\(\) int' | wc -l | tr -d ' ')"
