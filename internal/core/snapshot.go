@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/query"
@@ -368,30 +371,43 @@ func (s *RoutingSnapshot) Posterior(m graph.EdgeID, a schema.Attribute, def floa
 //pdms:deterministic
 func (s *RoutingSnapshot) Digest() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "opts|%x|%x|%d\n",
-		math.Float64bits(s.opts.DefaultTheta), math.Float64bits(s.opts.DefaultPosterior), s.opts.MaxHops)
+	d := digestWriter{h: h, b: make([]byte, 0, 8<<10)}
+	d.line("opts")
+	d.hex(math.Float64bits(s.opts.DefaultTheta))
+	d.hex(math.Float64bits(s.opts.DefaultPosterior))
+	d.b = strconv.AppendInt(append(d.b, '|'), int64(s.opts.MaxHops), 10)
 	tks := make([]schema.Attribute, 0, len(s.opts.Theta))
 	for a := range s.opts.Theta {
 		tks = append(tks, a)
 	}
-	sort.Slice(tks, func(i, j int) bool { return tks[i] < tks[j] })
+	slices.Sort(tks)
 	for _, a := range tks {
-		fmt.Fprintf(h, "theta|%s|%x\n", a, math.Float64bits(s.opts.Theta[a]))
+		d.line("theta")
+		d.str(string(a))
+		d.hex(math.Float64bits(s.opts.Theta[a]))
 	}
 	var attrs []schema.Attribute
 	for _, id := range s.order {
 		p := s.peers[id]
-		fmt.Fprintf(h, "peer|%s|%s|%t\n", id, p.schema.Name(), p.store != nil)
+		d.line("peer")
+		d.str(string(id))
+		d.str(p.schema.Name())
+		d.bool(p.store != nil)
 		for i := range p.out {
 			e := &p.out[i]
-			fmt.Fprintf(h, "edge|%s|%s|%t\n", e.id, e.to, e.passable)
+			d.line("edge")
+			d.str(string(e.id))
+			d.str(string(e.to))
+			d.bool(e.passable)
 			attrs = attrs[:0]
 			for a := range e.verdicts {
 				attrs = append(attrs, a)
 			}
-			sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
+			slices.Sort(attrs)
 			for _, a := range attrs {
-				fmt.Fprintf(h, "v|%s|%d\n", a, e.verdicts[a])
+				d.line("v")
+				d.str(string(a))
+				d.b = strconv.AppendUint(append(d.b, '|'), uint64(e.verdicts[a]), 10)
 			}
 			mm, ok := s.posteriors[e.id]
 			if !ok {
@@ -401,13 +417,53 @@ func (s *RoutingSnapshot) Digest() string {
 			for a := range mm {
 				attrs = append(attrs, a)
 			}
-			sort.Slice(attrs, func(i, j int) bool { return attrs[i] < attrs[j] })
+			slices.Sort(attrs)
 			for _, a := range attrs {
-				fmt.Fprintf(h, "p|%s|%x\n", a, math.Float64bits(mm[a]))
+				d.line("p")
+				d.str(string(a))
+				d.hex(math.Float64bits(mm[a]))
 			}
 		}
 	}
+	d.flush()
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// digestWriter renders Digest's lines into one reused buffer that is flushed
+// into the hash whenever it fills: each line is a tag followed by
+// '|'-separated fields and ends in '\n', the bytes the historical
+// fmt.Fprintf rendering wrote.
+type digestWriter struct {
+	h io.Writer
+	b []byte
+}
+
+// line ends the previous line, flushes a full buffer and starts a line with
+// tag.
+func (d *digestWriter) line(tag string) {
+	if len(d.b) > 0 {
+		d.b = append(d.b, '\n')
+	}
+	if len(d.b) >= cap(d.b)-512 {
+		d.h.Write(d.b)
+		d.b = d.b[:0]
+	}
+	d.b = append(d.b, tag...)
+}
+
+func (d *digestWriter) str(v string) { d.b = append(append(d.b, '|'), v...) }
+
+func (d *digestWriter) hex(v uint64) { d.b = strconv.AppendUint(append(d.b, '|'), v, 16) }
+
+func (d *digestWriter) bool(v bool) { d.b = strconv.AppendBool(append(d.b, '|'), v) }
+
+// flush ends the last line and writes what is buffered.
+func (d *digestWriter) flush() {
+	if len(d.b) > 0 {
+		d.b = append(d.b, '\n')
+	}
+	d.h.Write(d.b)
+	d.b = d.b[:0]
 }
 
 // RouteQuery propagates q from the origin peer through the frozen overlay,
@@ -417,9 +473,9 @@ func (s *RoutingSnapshot) Digest() string {
 // sim.ReferenceRoute — the specification written against the live network's
 // exported API — must agree with it visit for visit. It executes nothing:
 // visits carry the hop-by-hop rewritten query and the mapping chain only, and
-// callers execute Visit.Query at the peer's store (the serve layer re-derives
-// the rewrite per reachable peer). The returned Sig covers every edge the
-// walk examined, whether or not it was crossed.
+// callers execute Visit.Query at the peer's store (the serve layer checks it
+// against the chain's rewrite, query.RewritesTo). The returned Sig covers
+// every edge the walk examined, whether or not it was crossed.
 func (s *RoutingSnapshot) RouteQuery(origin graph.PeerID, q query.Query) (RouteResult, error) {
 	op, ok := s.peers[origin]
 	if !ok {
@@ -429,31 +485,34 @@ func (s *RoutingSnapshot) RouteQuery(origin graph.PeerID, q query.Query) (RouteR
 		return RouteResult{}, fmt.Errorf("core: snapshot %d: query schema %q does not match origin schema %q",
 			s.epoch, q.SchemaName, op.schema.Name())
 	}
-	for _, a := range q.Attributes() {
-		if !op.schema.Has(a) {
+	for _, o := range q.Ops {
+		if !op.schema.Has(o.Attr) {
 			return RouteResult{}, fmt.Errorf("core: snapshot %d: origin schema %q has no attribute %q",
-				s.epoch, op.schema.Name(), a)
+				s.epoch, op.schema.Name(), o.Attr)
 		}
 	}
 
-	type item struct {
-		peer graph.PeerID
-		q    query.Query
-		via  []graph.EdgeID
-	}
-	res := RouteResult{}
-	visited := map[graph.PeerID]bool{origin: true}
-	queue := []item{{peer: origin, q: q}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		p := s.peers[cur.peer]
-		res.Visits = append(res.Visits, Visit{Peer: cur.peer, Query: cur.q, Via: cur.via})
-
-		if len(cur.via) >= s.opts.MaxHops {
+	// The visits double as the BFS queue: a peer is visited in the order it
+	// was reached, so res.Visits[head:] are the peers still to expand.
+	// Rewritten ops and Via chains are carved out of two shared arenas, each
+	// visit's slice capped so that no later append can reach into it.
+	res := RouteResult{Visits: make([]Visit, 1, 4)}
+	res.Visits[0] = Visit{Peer: origin, Query: q}
+	// visited holds the peers reached past the origin. It is made when the
+	// walk first leaves the origin, which most walks never do (92–98% of
+	// the benchmark's walks, PERFORMANCE.md); until then a lookup is a nil
+	// check.
+	var visited map[graph.PeerID]struct{}
+	var attrBuf [8]schema.Attribute
+	var ops []query.Op
+	var vias []graph.EdgeID
+	for head := 0; head < len(res.Visits); head++ {
+		cur := res.Visits[head]
+		if len(cur.Via) >= s.opts.MaxHops {
 			continue
 		}
-		attrs := cur.q.Attributes()
+		p := s.peers[cur.Peer]
+		attrs := cur.Query.AppendAttributes(attrBuf[:0])
 		for i := range p.out {
 			e := &p.out[i]
 			// Every examined edge is part of the answer's route signature:
@@ -461,40 +520,54 @@ func (s *RoutingSnapshot) RouteQuery(origin graph.PeerID, q query.Query) (RouteR
 			// because its destination was already reached — can change what
 			// the same walk would produce on a later snapshot.
 			res.Sig.Or(e.sig)
-			if visited[e.to] {
+			if _, seen := visited[e.to]; seen || e.to == origin {
 				continue
 			}
-			ok := true
-			for _, a := range attrs {
-				switch e.verdicts[a] {
-				case verdictDropped:
-					res.DroppedAttr++
-					ok = false
-				case verdictBlocked:
-					res.Blocked++
-					ok = false
-				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
+			if !passes(e, attrs, &res) {
 				continue
 			}
-			rewritten, dropped := cur.q.Rewrite(e.mapping)
-			if len(dropped) > 0 {
+			if ops == nil {
+				ops = make([]query.Op, 0, 4*len(q.Ops))
+				vias = make([]graph.EdgeID, 0, 8)
+			}
+			start := len(ops)
+			var whole bool
+			if ops, whole = cur.Query.AppendRewrite(ops, e.mapping); !whole {
+				ops = ops[:start]
 				res.DroppedAttr++
 				continue
 			}
-			visited[e.to] = true
-			queue = append(queue, item{
-				peer: e.to,
-				q:    rewritten,
-				via:  append(append([]graph.EdgeID(nil), cur.via...), e.id),
-			})
+			next := Visit{Peer: e.to, Query: query.Query{SchemaName: e.mapping.Target().Name()}}
+			if len(ops) > start {
+				next.Query.Ops = ops[start:len(ops):len(ops)]
+			}
+			vstart := len(vias)
+			vias = append(append(vias, cur.Via...), e.id)
+			next.Via = vias[vstart:len(vias):len(vias)]
+			res.Visits = append(res.Visits, next)
+			if visited == nil {
+				visited = make(map[graph.PeerID]struct{})
+			}
+			visited[e.to] = struct{}{}
 		}
 	}
 	return res, nil
+}
+
+// passes applies the θ gate of edge e to attrs, the distinct attributes of
+// the query at e's source, and counts the first rejection in res.
+func passes(e *snapEdge, attrs []schema.Attribute, res *RouteResult) bool {
+	for _, a := range attrs {
+		switch e.verdicts[a] {
+		case verdictDropped:
+			res.DroppedAttr++
+			return false
+		case verdictBlocked:
+			res.Blocked++
+			return false
+		}
+	}
+	return true
 }
 
 // PublishSnapshot freezes the network's current topology, stores and the

@@ -8,6 +8,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -87,15 +88,25 @@ func MustNew(s *schema.Schema, ops ...Op) Query {
 // first-appearance order. These are the attributes whose mapping-correctness
 // posteriors gate query forwarding (§2).
 func (q Query) Attributes() []schema.Attribute {
-	seen := make(map[schema.Attribute]bool, len(q.Ops))
-	var out []schema.Attribute
+	if len(q.Ops) == 0 {
+		return nil
+	}
+	return q.AppendAttributes(make([]schema.Attribute, 0, len(q.Ops)))
+}
+
+// AppendAttributes appends the query's distinct attributes to dst in
+// first-appearance order, the same list as Attributes, and returns the
+// extended slice. A query has a handful of operations, so a duplicate is
+// found by scanning what this call already appended; a router that gates
+// every edge on them passes a reused buffer and allocates nothing.
+func (q Query) AppendAttributes(dst []schema.Attribute) []schema.Attribute {
+	start := len(dst)
 	for _, op := range q.Ops {
-		if !seen[op.Attr] {
-			seen[op.Attr] = true
-			out = append(out, op.Attr)
+		if !slices.Contains(dst[start:], op.Attr) {
+			dst = append(dst, op.Attr)
 		}
 	}
-	return out
+	return dst
 }
 
 // Rewrite translates the query through mapping m, producing the query
@@ -104,17 +115,43 @@ func (q Query) Attributes() []schema.Attribute {
 // value (the ⊥ case of §3.2.1): the caller decides whether a partially
 // rewritable query should still be forwarded.
 func (q Query) Rewrite(m *schema.Mapping) (Query, []schema.Attribute) {
-	out := Query{SchemaName: m.Target().Name()}
+	ops, whole := q.AppendRewrite(nil, m)
+	out := Query{SchemaName: m.Target().Name(), Ops: ops}
+	if whole {
+		return out, nil
+	}
 	var dropped []schema.Attribute
 	for _, op := range q.Ops {
-		dst, ok := m.Map(op.Attr)
-		if !ok {
+		if _, ok := rewriteOp(op, m); !ok {
 			dropped = append(dropped, op.Attr)
-			continue
 		}
-		out.Ops = append(out.Ops, Op{Kind: op.Kind, Attr: dst, Literal: op.Literal})
 	}
 	return out, dropped
+}
+
+// AppendRewrite appends the operations of q.Rewrite(m) to dst — every
+// operation whose attribute m maps, rewritten, in order — and reports
+// whether m maps all of them. It allocates only when dst must grow, so a
+// router can carve every hop's rewritten operations out of one arena.
+func (q Query) AppendRewrite(dst []Op, m *schema.Mapping) ([]Op, bool) {
+	whole := true
+	for _, op := range q.Ops {
+		r, ok := rewriteOp(op, m)
+		if !ok {
+			whole = false
+			continue
+		}
+		dst = append(dst, r)
+	}
+	return dst, whole
+}
+
+// rewriteOp is the rewrite rule for one operation: its attribute goes
+// through m's correspondence, its kind and literal stay. The second result
+// is false when m has no correspondence for the attribute (⊥).
+func rewriteOp(op Op, m *schema.Mapping) (Op, bool) {
+	dst, ok := m.Map(op.Attr)
+	return Op{Kind: op.Kind, Attr: dst, Literal: op.Literal}, ok
 }
 
 // RewriteChain rewrites the query through each mapping in turn, mimicking
@@ -129,6 +166,26 @@ func (q Query) RewriteChain(chain ...*schema.Mapping) (Query, []schema.Attribute
 		dropped = append(dropped, d...)
 	}
 	return cur, dropped
+}
+
+// RewritesTo reports whether q.RewriteChain(chain...) drops nothing and
+// its result is Equal to want, without building the rewritten query.
+func (q Query) RewritesTo(want Query, chain ...*schema.Mapping) bool {
+	if len(q.Ops) != len(want.Ops) {
+		return false
+	}
+	for i, op := range q.Ops {
+		for _, m := range chain {
+			var ok bool
+			if op, ok = rewriteOp(op, m); !ok {
+				return false
+			}
+		}
+		if op != want.Ops[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Equal reports whether two queries are operation-for-operation identical

@@ -76,6 +76,13 @@ func (s *Schema) Has(a Attribute) bool {
 	return ok
 }
 
+// Index returns the ordinal of attribute a in declaration order, and false
+// when the schema does not declare it.
+func (s *Schema) Index(a Attribute) (int, bool) {
+	i, ok := s.index[a]
+	return i, ok
+}
+
 // Attributes returns the schema's attributes in declaration order. The
 // returned slice is a copy.
 func (s *Schema) Attributes() []Attribute {

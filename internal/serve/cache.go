@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -49,14 +50,22 @@ type cacheShard struct {
 	// and in-flight ones (elem == nil, not evictable yet).
 	entries map[string]*cacheEntry
 	lru     *list.List // front = most recent; values are *cacheEntry
+	// floor is a lower bound on the epochs of the shard's resident entries
+	// (math.MaxUint64 while it has none). It is written under mu only:
+	// lowered by every insertion, raised to the exact minimum by a stale
+	// sweep that walked the whole shard and found nothing stale. Rebinding
+	// only raises an entry's epoch, so it never breaks the bound. Eviction
+	// reads it without the lock to skip shards that cannot hold a stale
+	// entry.
+	floor atomic.Uint64
 }
 
 type cacheEntry struct {
 	key   string
-	ready chan struct{} // closed once ans/sig/err are set
+	ready sync.WaitGroup // done once ans/sig/err are set
 	ans   Answer
 	// sig is the answer's route signature: the bloom bits of every edge the
-	// frozen walk examined. Immutable once ready is closed.
+	// frozen walk examined. Immutable once ready is done.
 	sig core.Sig
 	err error
 	// epoch is the latest snapshot epoch the answer is known valid for. It
@@ -84,6 +93,11 @@ const (
 	hitBypass
 )
 
+// revalidateHook, when set by a test, runs between a successful DeltaSince
+// proof and the rebinding CAS, where concurrent revalidations of one entry
+// race.
+var revalidateHook func()
+
 // computeFn computes an answer against one snapshot and returns it with its
 // route signature. Package-level functions (computeAnswer) satisfy it
 // without a closure allocation on the lookup path.
@@ -98,6 +112,7 @@ func newCache(size int) *cache {
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]*cacheEntry)
 		c.shards[i].lru = list.New()
+		c.shards[i].floor.Store(math.MaxUint64)
 	}
 	return c
 }
@@ -125,7 +140,7 @@ func shardIndex(key []byte) int {
 // is only materialized to a string when an entry must be inserted, so the
 // caller can pass a stack buffer and the hit path performs no allocation.
 // Errors are never cached, and a panicking compute is converted into an
-// error: the entry must always be finalized and its ready channel closed, or
+// error: the entry must always be finalized and its ready group done, or
 // every later request for the key would block on it forever.
 func (c *cache) getOrCompute(key []byte, snap *core.RoutingSnapshot, origin graph.PeerID, q query.Query, compute computeFn) (Answer, hitKind, error) {
 	epoch := snap.Epoch()
@@ -141,7 +156,7 @@ func (c *cache) getOrCompute(key []byte, snap *core.RoutingSnapshot, origin grap
 			s.lru.MoveToFront(e.elem)
 		}
 		s.mu.Unlock()
-		<-e.ready
+		e.ready.Wait()
 		if e.err != nil {
 			// Coalesced onto a computation that failed; the finalizer has
 			// already removed the entry.
@@ -162,9 +177,15 @@ func (c *cache) getOrCompute(key []byte, snap *core.RoutingSnapshot, origin grap
 			// No θ verdict changed on any edge this answer's walk examined
 			// between ee and epoch: the bytes are still exact, only the
 			// stamp moves. A lost CAS means a concurrent request rebound
-			// the entry to this epoch or a newer one — just as good.
-			e.epoch.CompareAndSwap(ee, epoch)
-			return e.ans, hitRevalidated, nil
+			// the entry to this epoch or a newer one — just as good, and
+			// that request counts the revalidation: this one is a hit.
+			if revalidateHook != nil {
+				revalidateHook()
+			}
+			if e.epoch.CompareAndSwap(ee, epoch) {
+				return e.ans, hitRevalidated, nil
+			}
+			return e.ans, hitFresh, nil
 		}
 		// Stale: replace the entry with a fresh in-flight computation. If a
 		// concurrent request already replaced it, loop and join theirs.
@@ -180,7 +201,8 @@ func (c *cache) getOrCompute(key []byte, snap *core.RoutingSnapshot, origin grap
 		delete(s.entries, e.key)
 		break
 	}
-	e := &cacheEntry{key: string(key), ready: make(chan struct{})}
+	e := &cacheEntry{key: string(key)}
+	e.ready.Add(1)
 	s.entries[e.key] = e
 	s.mu.Unlock()
 
@@ -195,9 +217,12 @@ func (c *cache) getOrCompute(key []byte, snap *core.RoutingSnapshot, origin grap
 			} else {
 				e.elem = s.lru.PushFront(e)
 				c.total.Add(1)
+				if ep := e.epoch.Load(); ep < s.floor.Load() {
+					s.floor.Store(ep)
+				}
 			}
 			s.mu.Unlock()
-			close(e.ready)
+			e.ready.Done()
 			c.enforceBudget(si, epoch)
 		}()
 		var sig core.Sig
@@ -213,23 +238,32 @@ func (c *cache) getOrCompute(key []byte, snap *core.RoutingSnapshot, origin grap
 // inserter's own shard comes last, so a freshly inserted entry that is its
 // shard's only resident never evicts itself while older entries elsewhere
 // survive. The first sweep takes only stale-epoch entries (any entry bound
-// to an epoch before `live`): rebinding and insertion both front an entry,
-// so a shard's stale entries sit at the LRU back and one look per shard
-// finds them. Only when no shard has a stale back entry does a second sweep
-// fall back to plain least-recent eviction, so a just-revalidated hot entry
-// is never sacrificed while a dead epoch still occupies budget. At most one
-// shard lock is held at a time, so concurrent inserters can never deadlock;
-// a full round of unproductive shards ends each sweep (another goroutine
-// already evicted on our behalf).
+// to an epoch before `live`): it skips, without locking, every shard whose
+// floor proves it holds none, and otherwise evicts the shard's least recent
+// stale entry. Rebinding and insertion both front an entry, so the stale
+// entries of a shard sit at its LRU back and the walk from the back stops at
+// once; a walk that finds none raises the floor, so until the next
+// publication the shard is skipped. Only when no shard yields a stale entry
+// does a second sweep fall back to plain least-recent eviction, so a
+// just-revalidated hot entry is never sacrificed while a dead epoch still
+// occupies budget. At most one shard lock is held at a time, so concurrent
+// inserters can never deadlock; a full round of unproductive shards ends
+// each sweep (another goroutine already evicted on our behalf).
 func (c *cache) enforceBudget(start int, live uint64) {
 	for _, staleOnly := range [2]bool{true, false} {
 		idle := 0
 		for i := 1; c.total.Load() > int64(c.size) && idle < cacheShards; i++ {
 			s := &c.shards[(start+i)%cacheShards]
+			if staleOnly && s.floor.Load() >= live {
+				idle++
+				continue
+			}
 			s.mu.Lock()
-			old := s.lru.Back()
-			if old != nil && staleOnly && old.Value.(*cacheEntry).epoch.Load() >= live {
-				old = nil
+			var old *list.Element
+			if staleOnly {
+				old = s.oldestStale(live)
+			} else {
+				old = s.lru.Back()
 			}
 			if old != nil {
 				s.lru.Remove(old)
@@ -242,6 +276,22 @@ func (c *cache) enforceBudget(start int, live uint64) {
 			s.mu.Unlock()
 		}
 	}
+}
+
+// oldestStale returns the shard's least recent entry bound to an epoch
+// before live, walking from the LRU back. When there is none it raises the
+// floor to the least resident epoch. The caller holds s.mu.
+func (s *cacheShard) oldestStale(live uint64) *list.Element {
+	least := uint64(math.MaxUint64)
+	for el := s.lru.Back(); el != nil; el = el.Prev() {
+		ep := el.Value.(*cacheEntry).epoch.Load()
+		if ep < live {
+			return el
+		}
+		least = min(least, ep)
+	}
+	s.floor.Store(least)
+	return nil
 }
 
 // len returns the number of completed resident entries (for tests).

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -306,5 +307,102 @@ func BenchmarkCacheHit(b *testing.B) {
 		if _, kind, _ := c.getOrCompute(key, snap, "", query.Query{}, nil); kind != hitFresh {
 			b.Fatal("miss on the hit benchmark")
 		}
+	}
+}
+
+// TestCacheRevalidationCountedOnce: requests that all prove one entry valid
+// across a delta publication race to rebind it, and exactly one of them may
+// count the revalidation — the others are served an entry that is already
+// rebound, which is a hit. The hook parks every request between its
+// DeltaSince proof and the rebinding CAS until all of them have arrived, so
+// the race happens the same way on every run.
+func TestCacheRevalidationCountedOnce(t *testing.T) {
+	const requests = 8
+	pub := newTestPub()
+	c := newCache(64)
+	if _, _, err := c.getOrCompute([]byte("k"), pub.publish(), "", query.Query{}, answerAt(1, nil)); err != nil {
+		t.Fatal(err)
+	}
+	s2 := pub.publish()
+
+	var parked sync.WaitGroup
+	parked.Add(requests)
+	revalidateHook = func() {
+		parked.Done()
+		parked.Wait()
+	}
+	defer func() { revalidateHook = nil }()
+
+	kinds := make(chan hitKind, requests)
+	var wg sync.WaitGroup
+	for i := 0; i < requests; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ans, kind, err := c.getOrCompute([]byte("k"), s2, "", query.Query{},
+				func(*core.RoutingSnapshot, graph.PeerID, query.Query) (Answer, core.Sig, error) {
+					t.Error("a revalidatable entry was recomputed")
+					return Answer{}, core.Sig{}, nil
+				})
+			if err != nil || ans.Answered != 1 {
+				t.Errorf("revalidating request: ans %+v err %v", ans, err)
+			}
+			kinds <- kind
+		}()
+	}
+	wg.Wait()
+	close(kinds)
+	count := map[hitKind]int{}
+	for k := range kinds {
+		count[k]++
+	}
+	if count[hitRevalidated] != 1 || count[hitFresh] != requests-1 {
+		t.Errorf("%d concurrent revalidations: %d counted as revalidated, %d as hits; want 1 and %d",
+			requests, count[hitRevalidated], count[hitFresh], requests-1)
+	}
+}
+
+// TestCacheStaleSweepFindsStaleAnywhere: an answer computed against an older
+// snapshot than the live one (a request that loaded its snapshot before a
+// publication) is inserted at the front of its shard, yet it is stale. The
+// stale sweep must find it there — and evict it rather than the least recent
+// live entry — and once no stale entry is left the sweep must fall back to
+// plain LRU order.
+func TestCacheStaleSweepFindsStaleAnywhere(t *testing.T) {
+	const size = 4
+	pub := newTestPub()
+	c := newCache(size)
+	s1 := pub.publish()
+	s2 := pub.publishFull()
+	keys := skewedKeys(size + 2) // one shard, so its LRU order is the cache's
+	put := func(k string, snap *core.RoutingSnapshot) {
+		t.Helper()
+		if _, _, err := c.getOrCompute([]byte(k), snap, "", query.Query{}, answerAt(0, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resident := func(k string) bool {
+		s := &c.shards[shardIndex([]byte(k))]
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		_, ok := s.entries[k]
+		return ok
+	}
+	for _, k := range keys[:size-1] {
+		put(k, s2)
+	}
+	put(keys[size-1], s1) // stale, and the most recent entry
+	put(keys[size], s2)   // over budget at the live epoch
+	if resident(keys[size-1]) {
+		t.Error("the stale entry survived an over-budget insertion")
+	}
+	for _, k := range append(keys[:size-1:size-1], keys[size]) {
+		if !resident(k) {
+			t.Errorf("live entry %s evicted while a stale entry was resident", k)
+		}
+	}
+	put(keys[size+1], s2) // nothing stale left: least recent goes
+	if resident(keys[0]) || !resident(keys[1]) || !resident(keys[size+1]) {
+		t.Error("with no stale entry left, eviction did not take the least recent entry")
 	}
 }

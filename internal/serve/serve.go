@@ -23,11 +23,11 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -234,10 +234,10 @@ func appendCacheKey(b []byte, origin graph.PeerID, q query.Query) []byte {
 	return q.AppendTo(b)
 }
 
-// computeAnswer performs the uncached snapshot walk: route, rewrite along
-// each surviving chain, execute, merge. The second return value is the
-// route's bloom signature — the cache stores it beside the answer to decide
-// survivability across snapshot swaps.
+// computeAnswer performs the uncached snapshot walk: route, check each
+// surviving chain against the route's rewrite, execute, merge. The second
+// return value is the route's bloom signature — the cache stores it beside
+// the answer to decide survivability across snapshot swaps.
 func computeAnswer(snap *core.RoutingSnapshot, origin graph.PeerID, q query.Query) (Answer, core.Sig, error) {
 	route, err := snap.RouteQuery(origin, q)
 	if err != nil {
@@ -251,14 +251,15 @@ func computeAnswer(snap *core.RoutingSnapshot, origin graph.PeerID, q query.Quer
 		DroppedAttr: route.DroppedAttr,
 		Attrs:       q.Attributes(),
 	}
+	ans.Paths = make([]Path, 0, len(route.Visits))
 	var merged []xmldb.Record
-	var chain []*schema.Mapping
+	var chainBuf [16]*schema.Mapping
 	for _, v := range route.Visits {
 		st, ok := snap.Store(v.Peer)
 		if !ok {
 			continue
 		}
-		chain = chain[:0]
+		chain := chainBuf[:0]
 		for _, eid := range v.Via {
 			m, ok := snap.Mapping(eid)
 			if !ok {
@@ -267,21 +268,25 @@ func computeAnswer(snap *core.RoutingSnapshot, origin graph.PeerID, q query.Quer
 			}
 			chain = append(chain, m)
 		}
-		rewritten, dropped := q.RewriteChain(chain...)
-		if len(dropped) > 0 || !rewritten.Equal(v.Query) {
+		if !q.RewritesTo(v.Query, chain...) {
 			// RouteQuery only crosses mappings that preserve every query
 			// attribute, and rewrites hop by hop with the same mappings —
 			// any disagreement here means the snapshot is torn.
+			_, dropped := q.RewriteChain(chain...)
 			return Answer{}, core.Sig{}, fmt.Errorf("serve: epoch %d: chain rewrite to %q disagrees with the route (%v dropped)",
 				snap.Epoch(), v.Peer, dropped)
 		}
-		recs, err := st.Execute(rewritten)
+		recs, err := st.Execute(v.Query)
 		if err != nil {
 			return Answer{}, core.Sig{}, fmt.Errorf("serve: epoch %d: executing at %q: %w", snap.Epoch(), v.Peer, err)
 		}
 		if len(recs) > 0 {
 			ans.Answered++
-			merged = append(merged, recs...)
+			if merged == nil {
+				merged = recs // Execute's result is fresh: adopt it
+			} else {
+				merged = append(merged, recs...)
+			}
 		}
 		ans.Paths = append(ans.Paths, Path{Peer: v.Peer, Via: v.Via, Records: len(recs)})
 	}
@@ -296,64 +301,101 @@ func computeAnswer(snap *core.RoutingSnapshot, origin graph.PeerID, q query.Quer
 //
 //pdms:deterministic
 func Canonical(records []xmldb.Record) []xmldb.Record {
-	type keyed struct {
-		key string
-		rec xmldb.Record
-	}
-	ks := make([]keyed, 0, len(records))
-	for _, r := range records {
-		ks = append(ks, keyed{key: r.CanonicalString(), rec: r})
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	out := make([]xmldb.Record, 0, len(ks))
-	last := ""
-	for i, k := range ks {
-		if i > 0 && k.key == last {
-			continue
-		}
-		out = append(out, k.rec)
-		last = k.key
+	sc := canonPool.Get().(*canonScratch)
+	defer canonPool.Put(sc)
+	keys := sc.order(records)
+	out := make([]xmldb.Record, len(keys))
+	for i, k := range keys {
+		out[i] = records[k.rec]
 	}
 	return out
 }
 
-// CanonicalBytes renders a canonical record set to one stable byte string.
+// CanonicalBytes renders a canonical record set to one stable byte string:
+// every record's canonical rendering followed by '\n', in canonical order.
 //
 //pdms:deterministic
 func CanonicalBytes(records []xmldb.Record) []byte {
-	var b strings.Builder
-	for _, r := range Canonical(records) {
-		b.WriteString(r.CanonicalString())
-		b.WriteByte('\n')
-	}
-	return []byte(b.String())
+	sc := canonPool.Get().(*canonScratch)
+	defer canonPool.Put(sc)
+	return append([]byte{}, sc.render(sc.order(records))...)
 }
 
-// canonicalFingerprinted canonicalizes a merged record set and digests it in
-// the same pass: the sort keys are exactly the bytes CanonicalBytes would
-// render, so the returned fingerprint equals
-// sha256(CanonicalBytes(records)) without rendering anything twice.
+// canonicalFingerprinted canonicalizes a merged record set in place and
+// digests it in the same pass: the sort keys are exactly the bytes
+// CanonicalBytes would render, so the returned fingerprint equals
+// sha256(CanonicalBytes(records)) without rendering anything twice. The
+// result reuses the records slice, which the caller owns.
 func canonicalFingerprinted(records []xmldb.Record) ([]xmldb.Record, string) {
-	type keyed struct {
-		key string
-		rec xmldb.Record
+	sc := canonPool.Get().(*canonScratch)
+	defer canonPool.Put(sc)
+	keys := sc.order(records)
+	sc.recs = append(sc.recs[:0], records...)
+	out := records[:len(keys)]
+	for i, k := range keys {
+		out[i] = sc.recs[k.rec]
 	}
-	ks := make([]keyed, 0, len(records))
-	for _, r := range records {
-		ks = append(ks, keyed{key: r.CanonicalString(), rec: r})
+	clear(records[len(keys):])
+	clear(sc.recs)
+	if out == nil {
+		out = []xmldb.Record{}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	out := make([]xmldb.Record, 0, len(ks))
-	h := sha256.New()
-	last := ""
-	for i, k := range ks {
-		if i > 0 && k.key == last {
+	sum := sha256.Sum256(sc.render(keys))
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return out, string(hx[:])
+}
+
+// canonScratch holds one canonical merge's buffers: every record rendered
+// back to back into buf, each followed by '\n', and one key per record
+// locating its rendering. Pooled, so a merge allocates only what it returns.
+type canonScratch struct {
+	buf  []byte
+	keys []canonKey
+	out  []byte
+	recs []xmldb.Record // the input order while a merge permutes in place
+}
+
+// canonKey locates record rec's rendering at buf[start:end]; its '\n' is
+// buf[end].
+type canonKey struct{ start, end, rec int }
+
+var canonPool = sync.Pool{New: func() any { return new(canonScratch) }}
+
+// order renders the records and returns their keys in canonical order,
+// duplicates removed (the first record in input order stays). The result
+// aliases sc.keys.
+func (sc *canonScratch) order(records []xmldb.Record) []canonKey {
+	sc.buf, sc.keys = sc.buf[:0], sc.keys[:0]
+	for i, r := range records {
+		start := len(sc.buf)
+		sc.buf = r.AppendCanonical(sc.buf)
+		sc.keys = append(sc.keys, canonKey{start, len(sc.buf), i})
+		sc.buf = append(sc.buf, '\n')
+	}
+	buf := sc.buf
+	slices.SortFunc(sc.keys, func(a, b canonKey) int {
+		if c := bytes.Compare(buf[a.start:a.end], buf[b.start:b.end]); c != 0 {
+			return c
+		}
+		return a.rec - b.rec
+	})
+	uniq := sc.keys[:0]
+	for _, k := range sc.keys {
+		if n := len(uniq); n > 0 && bytes.Equal(buf[k.start:k.end], buf[uniq[n-1].start:uniq[n-1].end]) {
 			continue
 		}
-		out = append(out, k.rec)
-		h.Write([]byte(k.key))
-		h.Write([]byte{'\n'})
-		last = k.key
+		uniq = append(uniq, k)
 	}
-	return out, hex.EncodeToString(h.Sum(nil))
+	return uniq
+}
+
+// render concatenates the keyed renderings, each with its '\n', into
+// sc.out and returns it.
+func (sc *canonScratch) render(keys []canonKey) []byte {
+	sc.out = sc.out[:0]
+	for _, k := range keys {
+		sc.out = append(sc.out, sc.buf[k.start:k.end+1]...)
+	}
+	return sc.out
 }

@@ -5,7 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -72,7 +72,7 @@ func (s *Simulation) drive(w Workload, obs Observer) (*Result, *WorkloadPerf, er
 	if p.ServeElapsed > 0 {
 		p.ServeThroughput = float64(p.Served) / p.ServeElapsed.Seconds()
 	}
-	sort.Slice(r.lats, func(a, b int) bool { return r.lats[a] < r.lats[b] })
+	slices.Sort(r.lats)
 	if n := len(r.lats); n > 0 {
 		p.P50, p.P95, p.P99, p.Max = r.lats[n/2], r.lats[n*95/100], r.lats[n*99/100], r.lats[n-1]
 	}
