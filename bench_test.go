@@ -3,7 +3,7 @@
 //	go test -bench=. -benchmem
 //
 // The paper's figures are reproduced by internal/experiments' TestFig* /
-// Test*Ablation assertions and printed by cmd/pdmsbench -fig; nothing here
+// Test*Ablation assertions and printed by cmd/pdmssim -fig; nothing here
 // times them.
 package pdms_test
 

@@ -81,7 +81,7 @@ func crashRecoverContinue() error {
 	fmt.Println("\n--- kill -9 → recover → continue (write-ahead log) ---")
 
 	// Storage with crash injection; a real deployment uses
-	// pdms.NewWALDirStorage (see cmd/pdmsload -wal).
+	// pdms.NewWALDirStorage (see cmd/pdmssim -spec -wal).
 	st := pdms.NewWALMemStorage()
 	lg, err := pdms.OpenWAL(st, pdms.WALOptions{})
 	if err != nil {

@@ -181,17 +181,6 @@ func (a Alignment) Pairs() map[schema.Attribute]schema.Attribute {
 	return out
 }
 
-// Erroneous counts ground-truth-wrong correspondences.
-func (a Alignment) Erroneous() int {
-	n := 0
-	for _, c := range a.Correspondences {
-		if !c.Correct {
-			n++
-		}
-	}
-	return n
-}
-
 // Options tunes alignment generation.
 type Options struct {
 	// Cutoff is the minimum score a correspondence must reach.

@@ -9,6 +9,17 @@ import (
 	"repro/internal/ontology"
 )
 
+// erroneous counts a's ground-truth-wrong correspondences.
+func erroneous(a Alignment) int {
+	n := 0
+	for _, c := range a.Correspondences {
+		if !c.Correct {
+			n++
+		}
+	}
+	return n
+}
+
 func TestLevenshtein(t *testing.T) {
 	l := Levenshtein{}
 	if got := l.Score("author", "author"); got != 1 {
@@ -125,8 +136,8 @@ func TestAlignSelfIsPerfect(t *testing.T) {
 	if len(a.Correspondences) != len(ref.Concepts) {
 		t.Errorf("self-alignment found %d of %d", len(a.Correspondences), len(ref.Concepts))
 	}
-	if a.Erroneous() != 0 {
-		t.Errorf("self-alignment has %d errors", a.Erroneous())
+	if erroneous(a) != 0 {
+		t.Errorf("self-alignment has %d errors", erroneous(a))
 	}
 }
 
@@ -154,7 +165,7 @@ func TestAlignFalseFriend(t *testing.T) {
 	if !found {
 		t.Error("aligner did not produce the editor→editeur false friend")
 	}
-	if a.Erroneous() == 0 {
+	if erroneous(a) == 0 {
 		t.Error("alignment to French variant has no errors; traps ineffective")
 	}
 }
@@ -183,8 +194,8 @@ func TestSecondBestNoiseInjectsErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if noisy.Erroneous() <= clean.Erroneous() {
-		t.Errorf("noise did not inject errors: %d vs %d", noisy.Erroneous(), clean.Erroneous())
+	if erroneous(noisy) <= erroneous(clean) {
+		t.Errorf("noise did not inject errors: %d vs %d", erroneous(noisy), erroneous(clean))
 	}
 }
 
@@ -226,7 +237,7 @@ func TestSuiteAlignments(t *testing.T) {
 	total, wrong := 0, 0
 	for _, a := range aligns {
 		total += len(a.Correspondences)
-		wrong += a.Erroneous()
+		wrong += erroneous(a)
 	}
 	// Calibration window around the paper's 396 / 86 (21.7%).
 	if total < 350 || total > 600 {

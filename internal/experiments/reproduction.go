@@ -16,7 +16,7 @@ import (
 	"repro/internal/sim"
 )
 
-// All is the reproduction, in the order pdmsbench -fig all prints it. Every
+// All is the reproduction, in the order pdmssim -fig all prints it. Every
 // parameter of every row is fixed here: what is printed is what the tests
 // check and what REPRODUCTION.json pins.
 var All = []Experiment{

@@ -135,7 +135,7 @@ func TestReproduction(t *testing.T) {
 }
 
 // claims holds, per row ID, the check of the row's Claim on the table
-// pdmsbench prints. TestReproduction requires one per row of All.
+// pdmssim -fig prints. TestReproduction requires one per row of All.
 var claims = map[string]func(*testing.T, view){
 	"intro": func(t *testing.T, v view) {
 		if v.cell(0, "positive evidence") != 1 || v.cell(0, "negative evidence") != 2 {

@@ -2,7 +2,7 @@
 // Figures 7–12), the §4.5 introductory example, the §4.3.1 overhead bound
 // and the §7 extensions, as one registry: All lists every experiment as a
 // row — its parameters, the claim it is held to and the function that
-// computes its table. cmd/pdmsbench prints the rows, the package's tests
+// computes its table. cmd/pdmssim -fig prints the rows, the package's tests
 // check each row's claim, and REPRODUCTION.json at the root of the
 // repository pins every cell. Every row is deterministic.
 package experiments

@@ -23,7 +23,7 @@ func FuzzScenarioDecode(f *testing.F) {
 	// the error paths alike.
 	for _, pattern := range []string{
 		"../../cmd/pdmssim/testdata/*.scenario.json",
-		"../../cmd/pdmsload/testdata/*.load.json",
+		"../../cmd/pdmssim/testdata/*.load.json",
 	} {
 		files, err := filepath.Glob(pattern)
 		if err != nil {

@@ -50,7 +50,7 @@ func workloadViolations(res *Result) string {
 // inference state. One epoch record is what makes the two runs comparable
 // field for field.
 func TestServingWithoutFeedbackKeepsReplay(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "pdmsload", "testdata", "small.load.json"))
+	data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "pdmssim", "testdata", "small.load.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

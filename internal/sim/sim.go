@@ -455,8 +455,11 @@ type EpochTrace struct {
 	// CacheHits counts answers from the result cache (coalesced misses
 	// included), Revalidated those from older entries the published deltas
 	// rebound to this snapshot, Computed the snapshot walks. The three sum to
-	// Served and are deterministic: the cache computes each distinct (origin,
-	// query) key once per epoch it is stale in.
+	// Served. They are deterministic only while Workload.CacheSize holds
+	// every distinct (origin, query) key of an epoch, so that the cache
+	// computes each key once per epoch it is stale in; below that, which
+	// entries survive eviction follows the client interleaving, and only
+	// their sum (and every other field) stays reproducible.
 	CacheHits   int  `json:"cacheHits,omitempty"`
 	Revalidated int  `json:"revalidated,omitempty"`
 	Computed    int  `json:"computed,omitempty"`

@@ -26,9 +26,10 @@ import (
 // single-threaded, a fresh RoutingSnapshot is published, and only then do the
 // clients serve that epoch's queries concurrently. Because every client draws
 // its own query stream from the seed and the cache coalesces concurrent
-// misses per key, the aggregate trace — answers served, cache hits, per-epoch
-// answer digests, invariant violations — is deterministic however the
-// goroutines interleave, which is what the cmd/pdmsload golden pins down.
+// misses per key, the aggregate trace — answers served, cache hits (while the
+// cache holds an epoch's distinct keys, see CacheSize), per-epoch answer
+// digests, invariant violations — is deterministic however the goroutines
+// interleave, which is what the cmd/pdmssim load goldens pin down.
 // Wall-clock latency and throughput are reported separately (WorkloadPerf)
 // and are, of course, not deterministic.
 
@@ -56,6 +57,8 @@ type Workload struct {
 	// global across the cache's shards, so golden-pinned traces only need
 	// CacheSize at or above the distinct-key count per epoch — whatever the
 	// key skew — to keep cache-hit counts eviction-free and deterministic.
+	// Below it, the cacheHits/revalidated/computed split of each epoch
+	// depends on the interleaving; the rest of the trace does not.
 	CacheSize int `json:"cacheSize,omitempty"`
 	// Feedback closes the loop: after each epoch's serving phase the
 	// clients' ground-truth verdicts on their answers are ingested as
@@ -150,8 +153,14 @@ func (w Workload) withDefaults(sc Scenario) Workload {
 	return w
 }
 
-// Check reports whether RunWorkload would accept the workload against sc.
-func (w Workload) Check(sc Scenario) error { return w.withDefaults(sc).check(sc) }
+// Check reports whether a load spec of sc and w would run: sc as New checks
+// it, and w as RunWorkload checks it against sc.
+func (w Workload) Check(sc Scenario) error {
+	if err := sc.withDefaults().check(); err != nil {
+		return err
+	}
+	return w.withDefaults(sc).check(sc)
+}
 
 func (w Workload) check(sc Scenario) error {
 	if w.Clients < 1 {

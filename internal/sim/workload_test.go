@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -41,6 +42,51 @@ func TestWorkloadDeterministic(t *testing.T) {
 		a, _ := json.Marshal(results[0])
 		b, _ := json.Marshal(results[1])
 		t.Fatalf("workload trace is not deterministic:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestWorkloadSqueezedCacheDeterministic: with a cache far below an epoch's
+// distinct keys, which entries survive eviction follows the goroutine
+// interleaving, so how an answer was produced — cacheHits, revalidated,
+// computed — may differ between runs. Every other trace field, each answer
+// digest included, must not, and the three counters still sum to Served.
+func TestWorkloadSqueezedCacheDeterministic(t *testing.T) {
+	sc, err := Generate(GenConfig{Seed: 3, Peers: 20, Epochs: 4, Events: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range sc.Epochs {
+		sc.Epochs[i].Queries = 0
+	}
+	w := Workload{Clients: 3, QueriesPerEpoch: 300, Feedback: true, CacheSize: 16}
+	var traces [2][]byte
+	for run := range traces {
+		s, err := New(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := s.RunWorkload(w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Epochs[0].Computed; got <= 4*w.CacheSize {
+			t.Fatalf("the cold epoch computed %d answers, want over %d: the cache is not squeezed", got, 4*w.CacheSize)
+		}
+		for i := range res.Epochs {
+			ep := &res.Epochs[i]
+			if ep.CacheHits+ep.Revalidated+ep.Computed != ep.Served {
+				t.Errorf("run %d epoch %d: hits %d + revalidated %d + computed %d != served %d",
+					run, ep.Epoch, ep.CacheHits, ep.Revalidated, ep.Computed, ep.Served)
+			}
+			ep.CacheHits, ep.Revalidated, ep.Computed = 0, 0, 0
+		}
+		res.TotalCacheHits = 0
+		if traces[run], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(traces[0], traces[1]) {
+		t.Fatalf("squeezed-cache traces differ beyond the cache counters:\n%s\nvs\n%s", traces[0], traces[1])
 	}
 }
 

@@ -61,7 +61,7 @@
 // answers queries end-to-end against the current snapshot — routing,
 // per-path rewriting, store execution, canonical merge — from any number of
 // goroutines, with a coalescing LRU result cache keyed by (origin, query,
-// snapshot epoch). cmd/pdmsload drives the plane with seeded concurrent
+// snapshot epoch). cmd/pdmssim -spec drives the plane with seeded concurrent
 // workloads and emits deterministic aggregate traces.
 //
 // Serving feeds back into inference: every Answer carries its provenance
@@ -81,8 +81,8 @@
 // the history with a checkpoint of the network's own canonical export
 // (Network.DurableState), and rebuilds the exact network after a crash
 // (WAL.Recover, by Network.Apply): same inference digest, same posteriors,
-// torn final frames discarded cleanly. cmd/pdmsload -wal runs the closed loop
-// durably, and examples/faulttolerance demonstrates kill → recover → continue.
+// torn final frames discarded cleanly. cmd/pdmssim -spec -wal runs the closed
+// loop durably, and examples/faulttolerance demonstrates kill → recover → continue.
 //
 // Quickstart:
 //
@@ -95,7 +95,7 @@
 //	p := res.Posterior("m24", "Creator", 0.5)
 //
 // The examples/ directory contains runnable end-to-end scenarios, and
-// cmd/pdmsbench regenerates every figure of the paper's evaluation.
+// cmd/pdmssim -fig regenerates every figure of the paper's evaluation.
 package pdms
 
 import (
@@ -261,7 +261,7 @@ const (
 // lost, an exact canonical match confirms.
 func Judge(got, want []Record) Verdict { return xmldb.Judge(got, want) }
 
-// Workload simulation types (cmd/pdmsload).
+// Workload simulation types (cmd/pdmssim -spec).
 type (
 	// LoadSpec is a declarative, reproducible load experiment: a churn
 	// scenario plus the concurrent workload served against it.
@@ -336,7 +336,7 @@ func ParseWALSyncPolicy(s string) (WALSyncPolicy, error) { return wal.ParseSyncP
 func DigestNetwork(n *Network) string { return wal.DigestNetwork(n) }
 
 // NewDurableSimulation is NewSimulation with every mutation journaled to lg
-// (an empty, freshly opened log) — the WAL-on path cmd/pdmsload -wal uses.
+// (an empty, freshly opened log) — the WAL-on path cmd/pdmssim -spec -wal uses.
 func NewDurableSimulation(sc Scenario, lg *WAL) (*Simulation, error) {
 	return sim.NewDurable(sc, lg)
 }

@@ -135,7 +135,7 @@ func TestPublicFeedbackSurface(t *testing.T) {
 }
 
 // TestPublicWorkloadSurface runs a small load spec through the public
-// re-exports, as cmd/pdmsload does.
+// re-exports, as cmd/pdmssim -spec does.
 func TestPublicWorkloadSurface(t *testing.T) {
 	sc, err := pdms.GenerateScenario(pdms.GenConfig{Seed: 3, Peers: 8, Epochs: 1, Events: -1})
 	if err != nil {

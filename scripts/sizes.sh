@@ -25,14 +25,16 @@ printf 'internal/network non-test:         %s\n' "$(gofiles -not -name '*_test.g
 printf 'test Go outside bench/:            %s\n' "$(gofiles -name '*_test.go' -not -path './bench/*' | lines)"
 printf 'bench/ (all Go):                   %s\n' "$(gofiles -path './bench/*' | lines)"
 printf 'Benchmark* funcs:                  %s\n' "$(gofiles -name '*_test.go' | xargs grep -h '^func Benchmark' | wc -l | tr -d ' ')"
-# Rows of experiments.All (one per pdmsbench -fig value; "all" runs them in
+# Rows of experiments.All (one per pdmssim -fig value; "all" runs them in
 # turn) against the functions that lay a table out for the terminal.
 printf 'reproduction rows / printers:      %s / %s\n' "$(grep -c '^		ID: ' internal/experiments/reproduction.go)" \
-  "$(gofiles -not -name '*_test.go' \( -path './cmd/pdmsbench/*' -o -path './internal/experiments/*' \) | xargs awk '/^func /{f=FILENAME $0} /eval\.Table\(/{p[f]=1} END{print length(p)}')"
+  "$(gofiles -not -name '*_test.go' \( -path './cmd/pdmssim/*' -o -path './internal/experiments/*' \) | xargs awk '/^func /{f=FILENAME $0} /eval\.Table\(/{p[f]=1} END{print length(p)}')"
 # Cells REPRODUCTION.json records as null instead of the printed value: a
 # table row is one line, and every null cell follows a '[' or a ','.
 printf 'unpinned reproduction cells:       %s\n' "$(grep '^ \[' REPRODUCTION.json | grep -oE '[[,]null' | wc -l | tr -d ' ')"
 printf 'internal/experiments exported:     %s\n' "$(gofiles -not -name '*_test.go' -path './internal/experiments/*' | xargs grep -hE '^(func|type|var|const) [A-Z]' | wc -l | tr -d ' ')"
+# Binaries the module builds: directories under cmd/ with a main package.
+printf 'cmd/ binaries:                     %s\n' "$(gofiles -not -name '*_test.go' -path './cmd/*' | xargs grep -l '^package main$' | xargs -n1 dirname | sort -u | wc -l | tr -d ' ')"
 printf 'CI steps:                          %s\n' "$(grep -c '^      - name: ' .github/workflows/ci.yml)"
 printf 'DetectOptions+Workload+Scenario:   %s fields\n' "$(( $(fields internal/core/detect.go DetectOptions) + $(fields internal/sim/workload.go Workload) + $(fields internal/sim/scenario.go Scenario) ))"
 # Suppressions in product code: the analyzer's own source and fixtures name
