@@ -50,15 +50,18 @@ type DetectOptions struct {
 	// dirty variables): messages are reset and recomputed only inside those
 	// components, everything else keeps its converged state, and the run
 	// consumes the dirty set. Because belief-propagation messages never
-	// cross component boundaries, the resulting posteriors equal a full
-	// from-scratch re-detection over the whole network (the 50-seed
-	// differential in internal/sim pins this within 1e-6). With no dirty
-	// variables the run is a no-op that reports the current posteriors.
+	// cross component boundaries, on components that converge the resulting
+	// posteriors equal a full from-scratch re-detection over the whole
+	// network (the 50-seed differential in internal/sim pins this within
+	// 1e-6). With no dirty variables the run is a no-op that reports the
+	// current posteriors.
 	//
 	// Incremental runs under reliable delivery use the residual schedule
 	// (see residual.go): each dirty component runs on its own transport and
 	// only messages whose inputs moved beyond Tolerance are recomputed and
-	// resent. Lossy and traced runs keep the synchronous lockstep sweeps.
+	// resent; a component that never converges stops at MaxRounds, in the
+	// residual run's state there. Lossy and traced runs keep the synchronous
+	// lockstep sweeps. A full run consumes the dirty set too.
 	Incremental bool
 	// Workers is the worker-pool size for component-parallel incremental
 	// re-detection: dirty components are independent (messages never cross
@@ -215,6 +218,9 @@ func (n *Network) RunDetection(opts DetectOptions) (DetectResult, error) {
 		return DetectResult{}, err
 	}
 	if !opts.Incremental {
+		// A full run iterates every variable, so it re-detects whatever
+		// feedback marked dirty: the next incremental run starts clean.
+		n.fbDirty = nil
 		return n.lockstep(opts, nil, DetectResult{})
 	}
 	seeds := n.dirtyVars()

@@ -210,6 +210,58 @@ func TestDurableStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFullDetectionConsumesFeedbackDirt: a full detection re-detects every
+// variable, so it consumes the feedback dirty set just as an incremental run
+// does. A network rebuilt from DurableState replays every feedback batch it
+// ever took and so marks every chain ever fed back as dirty; after the full
+// detection that follows recovery it must hold the live network's dirty set,
+// and its next refresh must do the live network's work — none, when no new
+// feedback arrived.
+func TestFullDetectionConsumesFeedbackDirt(t *testing.T) {
+	opts := core.DetectOptions{MaxRounds: 60, Tolerance: 1e-9}
+	live := durableNecklace(t)
+	if _, err := live.IngestFeedback(core.FeedbackOptions{Noise: 0.1},
+		verdicts(3, "p1", feedback.Negative, "a", "m0", "m1")...); err != nil {
+		t.Fatal(err)
+	}
+	refresh := opts
+	refresh.Incremental = true
+	if _, err := live.RunDetection(refresh); err != nil {
+		t.Fatal(err)
+	}
+
+	state := live.DurableState()
+	twin := core.NewNetwork(state[0].Directed)
+	for i, m := range state[1:] {
+		if err := twin.Apply(m); err != nil {
+			t.Fatalf("Apply record %d (%s): %v", i+1, m.Kind, err)
+		}
+	}
+	if twin.DirtyFeedbackVars() == 0 {
+		t.Fatal("fixture: the rebuilt network marks no feedback variable dirty")
+	}
+	for _, n := range []*core.Network{live, twin} {
+		n.ResetMessages()
+		if _, err := n.RunDetection(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l, r := live.DirtyFeedbackVars(), twin.DirtyFeedbackVars(); l != 0 || r != 0 {
+		t.Errorf("dirty feedback variables after a full detection: live %d, rebuilt %d, want 0 and 0", l, r)
+	}
+	ld, err := live.RunDetection(refresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := twin.RunDetection(refresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ld.Work != rd.Work {
+		t.Errorf("next refresh work: live %+v, rebuilt %+v", ld.Work, rd.Work)
+	}
+}
+
 // TestProbeDiscoveryDurableState: a probe-discovered network exports the
 // pass it ran, so NewNetwork + Apply over DurableState()[1:] rebuilds its
 // evidence — not an earlier pass's, and not none. Probe discovery builds

@@ -10,14 +10,6 @@ import (
 	"repro/internal/network"
 )
 
-// escalationPatience is how many consecutive rounds the residual frontier may
-// fail to shrink below its best size before the component is declared
-// oscillating and escalated to the lockstep sweeps. Converging components
-// shed frontier variables steadily, so a long plateau is the signature of a
-// frustrated loop; the value only trades wasted frontier rounds against a
-// slightly earlier escalation, never correctness.
-const escalationPatience = 24
-
 // This file is the residual-scheduled, component-parallel engine of
 // incremental re-detection and of the asynchronous schedule, which is the
 // same engine seeded with every variable. The lockstep schedule in detect.go
@@ -27,13 +19,15 @@ const escalationPatience = 24
 // Here each component instead keeps an active frontier: a variable re-sends a
 // message only when it moved beyond tolerance, a variable re-enters the
 // frontier only when one of its incoming factor→variable messages moved
-// beyond tolerance, and the component retires the moment its frontier
-// empties — the bucketed form of residual belief propagation (the residual
-// order is the frontier; within a round, canonical variable order keeps the
-// float arithmetic reproducible). Components are closed under message flow,
-// so they also run independently: each gets its own transport and, when
-// DetectOptions.Workers allows, its own worker — results merge in canonical
-// component order, making the outcome identical at any worker count.
+// beyond tolerance — the bucketed form of residual belief propagation (the
+// residual order is the frontier; within a round, canonical variable order
+// keeps the float arithmetic reproducible). A component stops the way every
+// schedule stops: converged the moment its frontier empties, or unconverged
+// once MaxRounds is spent, holding the deterministic state of that round.
+// Components are closed under message flow, so they also run independently:
+// each gets its own transport and, when DetectOptions.Workers allows, its own
+// worker — results merge in canonical component order, making the outcome
+// identical at any worker count.
 //
 // The schedule assumes reliable delivery (a skipped message must already be
 // held by its receiver, which loss would break); RunDetection falls back to
@@ -48,14 +42,13 @@ type detectComponent struct {
 	// vars lists the member variables, each with its owning peer, in
 	// canonical key order.
 	vars []runVar
-	evs  map[string]bool
 	// peers are the owning peers involved, sorted by ID — the registration
 	// set of the component's private transport.
 	peers []*Peer
 }
 
-// dirtyVars lists the variables feedback touched since the last incremental
-// run: the seeds of the next one.
+// dirtyVars lists the variables feedback touched since the last detection:
+// the seeds of the next incremental run.
 func (n *Network) dirtyVars() []varKey {
 	seeds := make([]varKey, 0, len(n.fbDirty))
 	for key := range n.fbDirty {
@@ -94,7 +87,7 @@ func (n *Network) incrementalComponents(seeds []varKey) (*detectScope, []*detect
 // scope as it goes. Returns nil when the seed has no live variable (feedback
 // on state churn already retracted).
 func (n *Network) growComponent(seed varKey, scope *detectScope) *detectComponent {
-	comp := &detectComponent{evs: make(map[string]bool)}
+	comp := &detectComponent{}
 	// The participating peers: every variable owner plus every replica
 	// holder of a member factor (a peer can replicate a factor without
 	// owning any in-scope variable — it still must receive frames).
@@ -116,10 +109,10 @@ func (n *Network) growComponent(seed varKey, scope *detectScope) *detectComponen
 	for i := 0; i < len(comp.vars); i++ {
 		for _, f := range comp.vars[i].vs.factors {
 			ev := f.replica.ev
-			if comp.evs[ev.ID] {
+			// Components are disjoint: the shared scope marks crossed factors.
+			if scope.evs[ev.ID] {
 				continue
 			}
-			comp.evs[ev.ID] = true
 			scope.evs[ev.ID] = true
 			for _, o := range ev.Owners {
 				if op, ok := n.peers[o]; ok {
@@ -162,14 +155,15 @@ type componentResult struct {
 // restarts from unit messages and converges on its own residual frontier,
 // where a variable recomputes and resends only when one of its incoming
 // messages moved beyond Tolerance. There is no global round: a component
-// retires the moment its frontier empties, whatever the others do, and
-// components run in parallel up to Workers. Rounds reports the longest
-// component run. The result is deterministic — posteriors, message counts
-// and work counters are bit-identical from run to run and at any worker
-// count. Under loss (PSend < 1) or with a Trace hook the components fall back
-// to the lockstep sweeps, as incremental runs do. Incremental is ignored:
-// every component runs, and the feedback dirty set is left for the next
-// incremental run.
+// retires the moment its frontier empties, whatever the others do, or once
+// it has spent MaxRounds, and components run in parallel up to Workers.
+// Rounds reports the longest component run; Converged reports whether every
+// component's frontier emptied. The result is deterministic — posteriors,
+// message counts and work counters are bit-identical from run to run and at
+// any worker count. Under loss (PSend < 1) or with a Trace hook the
+// components fall back to the lockstep sweeps, as incremental runs do.
+// Incremental is ignored: every component runs, and the feedback dirty set
+// is left for the next incremental run.
 func (n *Network) RunDetectionAsync(opts DetectOptions) (DetectResult, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -273,7 +267,6 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions) component
 	for i := range active {
 		active[i] = true
 	}
-	minFront, stagnant := len(active)+1, 0
 	for round := 1; round <= opts.MaxRounds; round++ {
 		for i, rv := range c.vars {
 			if !active[i] {
@@ -322,49 +315,10 @@ func (n *Network) runComponent(c *detectComponent, opts DetectOptions) component
 			out.converged = true
 			break
 		}
-		// Loopy BP can oscillate instead of converging. On such components
-		// the frontier stops shrinking: track its best (smallest) size and
-		// bail out once it has plateaued for escalationPatience consecutive
-		// rounds — the escalation below then reproduces the scratch
-		// trajectory. Purely a function of the deterministic frontier
-		// sequence, so the early exit is identical at any worker count.
-		if front < minFront {
-			minFront, stagnant = front, 0
-		} else if stagnant++; stagnant >= escalationPatience {
-			break
-		}
-	}
-	if !out.converged {
-		// The component oscillates: belief propagation on its loops never
-		// settled within tolerance, so there is no fixpoint for the residual
-		// frontier to land on and its truncated trajectory would differ from
-		// a from-scratch run's. Escalate: reset the component and replay the
-		// synchronous lockstep sweeps, which reproduce the scratch
-		// trajectory bit-for-bit (the incremental ≡ scratch differential
-		// contract must hold on non-converging components too).
-		n.lockstepComponent(c, tr, opts, &out)
 	}
 	out.stats = tr.Stats()
 	if err := transportErr(tr); err != nil {
 		return componentResult{err: err}
 	}
 	return out
-}
-
-// lockstepComponent re-runs one component on the synchronous sweep schedule
-// after a residual run failed to converge, accumulating the extra work into
-// the component's counters. Identical to a lockstep incremental run
-// restricted to this component — which is exactly what a scratch detection
-// computes here, whatever the rest of the network does — so the incremental
-// ≡ scratch differential contract holds on non-converging components too.
-func (n *Network) lockstepComponent(c *detectComponent, tr network.Transport, opts DetectOptions, out *componentResult) {
-	scope := &detectScope{vars: make(map[varKey]bool, len(c.vars)), evs: c.evs}
-	for _, rv := range c.vars {
-		scope.vars[rv.vs.key] = true
-	}
-	out.work.Resets += n.resetScope(scope)
-	r := lockstepRounds(tr, [][]runVar{c.vars}, make([][]byte, 1), opts, nil)
-	out.rounds, out.converged = r.rounds, r.converged
-	out.remote += r.remote
-	out.work.Add(r.work)
 }

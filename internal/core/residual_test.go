@@ -49,10 +49,19 @@ func TestIncrementalComponentsOverlap(t *testing.T) {
 				t.Errorf("component %d var %v missing from the shared scope", i, key)
 			}
 		}
-		// Closure: every mapping of every member factor is a member variable.
-		for evID := range c.evs {
-			if !scope.evs[evID] {
-				t.Errorf("component %d factor %s missing from the shared scope", i, evID)
+		// Closure: every factor of every member is in the shared scope, and
+		// so is every mapping of that factor.
+		for _, rv := range c.vars {
+			for _, f := range rv.vs.factors {
+				ev := f.replica.ev
+				if !scope.evs[ev.ID] {
+					t.Errorf("component %d factor %s missing from the shared scope", i, ev.ID)
+				}
+				for _, m := range ev.Mappings {
+					if !scope.vars[varKey{Mapping: m, Attr: ev.Attr}] {
+						t.Errorf("component %d factor %s reaches %s/%s outside the scope", i, ev.ID, m, ev.Attr)
+					}
+				}
 			}
 		}
 	}

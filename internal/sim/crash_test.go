@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -30,99 +31,98 @@ func runScenario(t *testing.T, sc Scenario) *Result {
 // written the epoch before). The crashed run must recover the exact
 // inference state (digest equality, checked inside the epoch) and land on
 // the same posteriors as the never-crashed run within 1e-6, with zero
-// invariant violations.
+// invariant violations. Each seed is a parallel subtest named by its index.
 func TestFiftySeedCrashRecoveryDifferential(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
 		seeds = 8
 	}
 	for seed := 0; seed < seeds; seed++ {
-		cfg := GenConfig{
-			Seed:            int64(200 + seed),
-			Peers:           12,
-			Epochs:          4,
-			Events:          3,
-			Queries:         4,
-			FeedbackQueries: 6,
-			FeedbackNoise:   0.1,
-		}
-		if seed%3 == 0 {
-			cfg.PSend = 0.9 // every third scenario crashes under message loss
-		}
-		sc, err := Generate(cfg)
-		if err != nil {
-			t.Fatalf("seed %d: generate: %v", seed, err)
-		}
-		sc.RecordPosteriors = true
-		base := runScenario(t, sc)
-		if base.Violations != 0 {
-			t.Fatalf("seed %d: base run has %d violations", seed, base.Violations)
-		}
+		t.Run(strconv.Itoa(seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := GenConfig{
+				Seed:            int64(200 + seed),
+				Peers:           12,
+				Epochs:          4,
+				Events:          3,
+				Queries:         4,
+				FeedbackQueries: 6,
+				FeedbackNoise:   0.1,
+			}
+			if seed%3 == 0 {
+				cfg.PSend = 0.9 // every third scenario crashes under message loss
+			}
+			sc, err := Generate(cfg)
+			if err != nil {
+				t.Fatalf("seed %d: generate: %v", seed, err)
+			}
+			sc.RecordPosteriors = true
+			base := runScenario(t, sc)
+			if base.Violations != 0 {
+				t.Fatalf("seed %d: base run has %d violations", seed, base.Violations)
+			}
 
-		crash := sc
-		crash.WAL = true
-		crashEpochs := map[int]bool{1 + seed%(len(crash.Epochs)-1): true}
-		if seed%5 == 0 {
-			crashEpochs[len(crash.Epochs)-1] = true // a second crash later on
-		}
-		switch seed % 3 {
-		case 0:
-			crash.CheckpointEvery = 8 // checkpoints fire before the crash
-		case 1:
-			crash.CheckpointEvery = -1 // log-only recovery
-		case 2:
-			// A checkpoint at the end of every epoch and a crash in every
-			// epoch after the first: each recovery goes through the export
-			// the network wrote the epoch before, plus that epoch's log.
-			crash.CheckpointEvery = 1
-			for i := 1; i < len(crash.Epochs); i++ {
-				crashEpochs[i] = true
+			crash := sc
+			crash.WAL = true
+			crashEpochs := map[int]bool{1 + seed%(len(crash.Epochs)-1): true}
+			if seed%5 == 0 {
+				crashEpochs[len(crash.Epochs)-1] = true // a second crash later on
 			}
-		}
-		for i := range crash.Epochs {
-			if crashEpochs[i] {
-				crash.Epochs[i].CrashAt = 1 + seed%5
-			}
-		}
-		crashed := runScenario(t, crash)
-		if crashed.Violations != 0 {
-			t.Errorf("seed %d: crashed run has %d violations: %s",
-				seed, crashed.Violations, collectViolations(crashed))
-		}
-		for i, tr := range crashed.Epochs {
-			want := crashEpochs[i]
-			if (tr.Crash != nil) != want {
-				t.Fatalf("seed %d epoch %d: crash trace presence = %v, want %v",
-					seed, i+1, tr.Crash != nil, want)
-			}
-			if tr.Crash != nil && !tr.Crash.DigestMatch {
-				t.Errorf("seed %d epoch %d: recovery digest mismatch", seed, i+1)
-			}
-			if tr.Crash != nil && seed%3 == 2 && tr.Crash.CheckpointRecords == 0 {
-				t.Errorf("seed %d epoch %d: recovery read no checkpoint although one is due every epoch", seed, i+1)
-			}
-			ref := base.Epochs[i].Posteriors
-			got := tr.Posteriors
-			if len(ref) != len(got) {
-				t.Fatalf("seed %d epoch %d: posterior coverage %d vs %d",
-					seed, i+1, len(got), len(ref))
-			}
-			for key, p := range ref {
-				q, ok := got[key]
-				if !ok {
-					t.Fatalf("seed %d epoch %d: posterior %s missing from crashed run",
-						seed, i+1, key)
-				}
-				if math.Abs(p-q) > 1e-6 {
-					t.Errorf("seed %d epoch %d: posterior %s differs by %.2e",
-						seed, i+1, key, math.Abs(p-q))
+			switch seed % 3 {
+			case 0:
+				crash.CheckpointEvery = 8 // checkpoints fire before the crash
+			case 1:
+				crash.CheckpointEvery = -1 // log-only recovery
+			case 2:
+				// A checkpoint at the end of every epoch and a crash in every
+				// epoch after the first: each recovery goes through the export
+				// the network wrote the epoch before, plus that epoch's log.
+				crash.CheckpointEvery = 1
+				for i := 1; i < len(crash.Epochs); i++ {
+					crashEpochs[i] = true
 				}
 			}
-		}
-		// Reset the timeline for the journal-perturbation check below.
-		for i := range crash.Epochs {
-			crash.Epochs[i].CrashAt = 0
-		}
+			for i := range crash.Epochs {
+				if crashEpochs[i] {
+					crash.Epochs[i].CrashAt = 1 + seed%5
+				}
+			}
+			crashed := runScenario(t, crash)
+			if crashed.Violations != 0 {
+				t.Errorf("seed %d: crashed run has %d violations: %s",
+					seed, crashed.Violations, collectViolations(crashed))
+			}
+			for i, tr := range crashed.Epochs {
+				want := crashEpochs[i]
+				if (tr.Crash != nil) != want {
+					t.Fatalf("seed %d epoch %d: crash trace presence = %v, want %v",
+						seed, i+1, tr.Crash != nil, want)
+				}
+				if tr.Crash != nil && !tr.Crash.DigestMatch {
+					t.Errorf("seed %d epoch %d: recovery digest mismatch", seed, i+1)
+				}
+				if tr.Crash != nil && seed%3 == 2 && tr.Crash.CheckpointRecords == 0 {
+					t.Errorf("seed %d epoch %d: recovery read no checkpoint although one is due every epoch", seed, i+1)
+				}
+				ref := base.Epochs[i].Posteriors
+				got := tr.Posteriors
+				if len(ref) != len(got) {
+					t.Fatalf("seed %d epoch %d: posterior coverage %d vs %d",
+						seed, i+1, len(got), len(ref))
+				}
+				for key, p := range ref {
+					q, ok := got[key]
+					if !ok {
+						t.Fatalf("seed %d epoch %d: posterior %s missing from crashed run",
+							seed, i+1, key)
+					}
+					if math.Abs(p-q) > 1e-6 {
+						t.Errorf("seed %d epoch %d: posterior %s differs by %.2e",
+							seed, i+1, key, math.Abs(p-q))
+					}
+				}
+			}
+		})
 	}
 }
 

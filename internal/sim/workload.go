@@ -78,10 +78,11 @@ type Workload struct {
 	// the observation volume (answers × contributing paths) bounded.
 	FeedbackRate float64 `json:"feedbackRate,omitempty"`
 	// FeedbackMaxRounds bounds the incremental re-detection of the feedback
-	// phase (default: the scenario's MaxRounds). Feedback posteriors are
-	// refreshed every epoch anyway, so on very large networks a tight round
-	// budget trades a sliver of per-epoch accuracy for keeping the barrier
-	// short next to the serving phase.
+	// phase (default: the scenario's MaxRounds): a component still moving
+	// after that many rounds stops there, unconverged. Feedback posteriors
+	// are refreshed every epoch anyway, so on very large networks a tight
+	// round budget trades a sliver of per-epoch accuracy for keeping the
+	// barrier short next to the serving phase.
 	FeedbackMaxRounds int `json:"feedbackMaxRounds,omitempty"`
 	// Records is the number of documents seeded into every peer's store
 	// (default 4) and Vocab the value vocabulary size (default 8).
